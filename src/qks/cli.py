@@ -57,7 +57,10 @@ def _parse_point(text: str, conductor: int) -> dict:
         name, _, raw = item.partition("=")
         if not raw:
             raise CatalogError(f"malformed point assignment {item!r}")
-        values[name.strip()] = parse_cyclo(raw, conductor)
+        try:
+            values[name.strip()] = parse_cyclo(raw, conductor)
+        except ZeroDivisionError:
+            raise CatalogError(f"division by zero in point assignment {item!r}") from None
     return values
 
 

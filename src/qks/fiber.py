@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cyclotomic import Cyclo
-from .linalg import Echelon, nullspace
+from .linalg import Echelon, acc, axpy, kernel, nullspace
 from .planes import NCPoly, act_mono
 from .skew import CentralPoint, SkewElement, SkewRing
 
@@ -69,16 +69,12 @@ def inverse_power_rule(poly: NCPoly, k: int) -> NCPoly:
     if c0 is None or c0.is_zero():
         raise FiberError("replacement has zero constant term; u is not a unit")
     # u * (u^(k-1) - sum_{j>=1} c_j u^(j-1)) = c0, so invert once and power up
-    inv1 = {(k - 1, 0): c0.inverse()}
+    c0inv = c0.inverse()
+    minus_c0inv = -c0inv
+    inv1 = {(k - 1, 0): c0inv}
     for j, cj in coeffs.items():
         if j >= 1:
-            key = (j - 1, 0)
-            cur = inv1.get(key, Cyclo.zero())
-            cur = cur - cj * c0.inverse()
-            if cur.is_zero():
-                inv1.pop(key, None)
-            else:
-                inv1[key] = cur
+            acc(inv1, (j - 1, 0), cj * minus_c0inv)
     # reduce (u^-1)^k modulo u^k = poly, staying u-only
     def reduce_u(terms: dict) -> dict:
         out: dict = {}
@@ -89,28 +85,17 @@ def inverse_power_rule(poly: NCPoly, k: int) -> NCPoly:
                 for (j, _z), pj in poly.terms.items():
                     work.append(((a - k + j, b), c * pj))
             else:
-                cur = out.get((a, b))
-                cur = c if cur is None else cur + c
-                if cur.is_zero():
-                    out.pop((a, b), None)
-                else:
-                    out[(a, b)] = cur
+                acc(out, (a, b), c)
         return out
 
-    acc = {(0, 0): Cyclo.one(algebra.conductor)}
+    power = {(0, 0): Cyclo.one(algebra.conductor)}
     for _ in range(k):
         nxt: dict = {}
-        for (a, _b), c in acc.items():
+        for (a, _b), c in power.items():
             for (j, _z), d in inv1.items():
-                key = (a + j, 0)
-                cur = nxt.get(key)
-                cur = c * d if cur is None else cur + c * d
-                if cur.is_zero():
-                    nxt.pop(key, None)
-                else:
-                    nxt[key] = cur
-        acc = reduce_u(nxt)
-    return NCPoly(algebra, acc)
+                acc(nxt, (a + j, 0), c * d)
+        power = reduce_u(nxt)
+    return NCPoly(algebra, power)
 
 
 def swap_uv(poly: NCPoly) -> NCPoly:
@@ -139,12 +124,7 @@ class _Reducer:
                 continue
             r = self.recipe
             if 0 <= a < r.ku and 0 <= b < r.kv:
-                cur = out.get((a, b))
-                cur = c if cur is None else cur + c
-                if cur.is_zero():
-                    out.pop((a, b), None)
-                else:
-                    out[(a, b)] = cur
+                acc(out, (a, b), c)
                 continue
             if b >= r.kv:
                 contrib = self.algebra.monomial(a, b - r.kv, c) * r.v_pow
@@ -183,14 +163,7 @@ class FiniteDimAlgebra:
         for i, ci in x.items():
             row = self.sc[i]
             for j, cj in y.items():
-                cij = ci * cj
-                for l, c in row[j].items():
-                    cur = out.get(l)
-                    cur = cij * c if cur is None else cur + cij * c
-                    if cur.is_zero():
-                        out.pop(l, None)
-                    else:
-                        out[l] = cur
+                axpy(out, ci * cj, row[j])
         return out
 
     def basis_vector(self, i: int) -> dict:
@@ -200,28 +173,14 @@ class FiniteDimAlgebra:
         """vec * basis_k without scalar bookkeeping."""
         out: dict = {}
         for l, cl in vec.items():
-            for m, c in self.sc[l][k].items():
-                cur = out.get(m)
-                add = cl * c
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = cur
+            axpy(out, cl, self.sc[l][k])
         return out
 
     def left_by_basis(self, i: int, vec: dict) -> dict:
         """basis_i * vec without scalar bookkeeping."""
         out: dict = {}
         for l, cl in vec.items():
-            for m, c in self.sc[i][l].items():
-                cur = out.get(m)
-                add = cl * c
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = cur
+            axpy(out, cl, self.sc[i][l])
         return out
 
 
@@ -246,27 +205,14 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
         out: dict = {}
         for mono, c in algebra.mono_mul((a1, b1), (a2p, b2p)).items():
             for red_mono, rc in reducer.reduce_mono(mono).items():
-                col = index[(red_mono[0], red_mono[1], f12)]
-                cur = out.get(col)
-                add = scal * c * rc
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    out.pop(col, None)
-                else:
-                    out[col] = cur
+                acc(out, index[(red_mono[0], red_mono[1], f12)], scal * c * rc)
         return out
 
     def skew_to_vec(x: SkewElement) -> dict:
         out: dict = {}
         for f, poly in x.comps.items():
             for mono, c in reducer.reduce_terms(poly.terms).items():
-                col = index[(mono[0], mono[1], f)]
-                cur = out.get(col)
-                cur = c if cur is None else cur + c
-                if cur.is_zero():
-                    out.pop(col, None)
-                else:
-                    out[col] = cur
+                acc(out, index[(mono[0], mono[1], f)], c)
         return out
 
     # residual two-sided ideal: close the span under generator multiplication
@@ -283,14 +229,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
         out: dict = {}
         for i, ci in vec.items():
             prod = mono_product(gmono, basis[i]) if left else mono_product(basis[i], gmono)
-            for l, c in prod.items():
-                cur = out.get(l)
-                add = ci * c
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    out.pop(l, None)
-                else:
-                    out[l] = cur
+            axpy(out, ci, prod)
         return out
 
     while frontier:
@@ -401,26 +340,21 @@ def radical_basis(F: FiniteDimAlgebra) -> list:
 
 
 def center_dimension(F: FiniteDimAlgebra) -> int:
-    rows: dict = {}
-    for k in range(F.dim):
-        for j in range(F.dim):
-            for l, c in F.sc[j][k].items():
-                row = rows.setdefault((k, l), {})
-                cur = row.get(j)
-                cur = c if cur is None else cur + c
-                if cur.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = cur
-            for l, c in F.sc[k][j].items():
-                row = rows.setdefault((k, l), {})
-                cur = row.get(j)
-                cur = -c if cur is None else cur - c
-                if cur.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = cur
-    return len(nullspace(rows.values(), F.dim))
+    """dim of the commutant of the basis: x e_k = e_k x for every k."""
+    def entries():
+        # the coefficient of x_j in (x e_k - e_k x)_l, one subtraction where
+        # both products have a term; keys enter as e_j e_k's, then e_k e_j's
+        for k in range(F.dim):
+            for j in range(F.dim):
+                right, left = F.sc[j][k], F.sc[k][j]
+                for l, c in right.items():
+                    m = left.get(l)
+                    yield (k, l), j, c if m is None else c - m
+                for l, m in left.items():
+                    if l not in right:
+                        yield (k, l), j, -m
+
+    return len(kernel(entries(), F.dim))
 
 
 def quotient_by_subspace(F: FiniteDimAlgebra, vectors) -> FiniteDimAlgebra:

@@ -1,9 +1,13 @@
 """Sparse exact linear algebra over Q(zeta_N).
 
 Vectors are dicts mapping column index -> Cyclo with no zero entries.  The
-workhorse is `Echelon`, an incrementally built reduced row echelon basis;
-everything else (rank, nullspace, span comparison, reduction modulo a
-subspace) is phrased through it.
+accumulate kernels are `acc` (one entry) and `axpy` (a scaled vector); every
+sparse sum goes through them except those in `series`, whose invariant
+counts stay an independent oracle for the code here.  The workhorse is
+`Echelon`, an incrementally built reduced row echelon basis; everything else
+(rank, nullspace, span comparison, reduction modulo a subspace, and the
+`kernel` builder for commutator and fixed-point systems) is phrased through
+it.
 """
 
 from __future__ import annotations
@@ -13,45 +17,33 @@ from .cyclotomic import Cyclo
 Vec = dict
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not v
+def acc(vec: Vec, key, value) -> None:
+    """vec[key] += value, dropping the entry when the sum is zero."""
+    cur = vec.get(key)
+    if cur is not None:
+        value = cur + value
+    if value.is_zero():
+        vec.pop(key, None)
+    else:
+        vec[key] = value
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, x in b.items():
-        s = out.get(k)
-        s = x if s is None else s + x
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, x in b.items():
-        s = out.get(k)
-        s = -x if s is None else s - x
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def vec_scale(a: Vec, c: Cyclo) -> Vec:
-    if c.is_zero():
-        return {}
-    return {k: c * x for k, x in a.items()}
+def axpy(out: Vec, c, vec: Vec) -> None:
+    """out += c * vec, in place."""
+    for k, x in vec.items():
+        acc(out, k, c * x)
 
 
 class Echelon:
-    """Reduced row echelon basis of a growing family of sparse vectors."""
+    """Reduced row echelon basis of a growing family of sparse vectors.
+
+    The row with pivot p is e_p - rows[p]: only its negated tail is stored,
+    and no pivot column occurs in any tail.  Eliminating a pivot hit is then
+    one multiply and one add per entry, with no negation.
+    """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot column -> row (with pivot coefficient 1)
+        self.rows: dict = {}  # pivot column -> negated tail of its row
 
     @property
     def rank(self) -> int:
@@ -63,18 +55,7 @@ class Echelon:
         # full RREF: pivot columns occur only in their own rows, so one pass
         # over the pivot hits is enough
         for col in [c for c in out if c in self.rows]:
-            coeff = out.pop(col, None)
-            if coeff is None or coeff.is_zero():
-                continue
-            for k, x in self.rows[col].items():
-                if k == col:
-                    continue
-                s = out.get(k)
-                s = -(coeff * x) if s is None else s - coeff * x
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            axpy(out, out.pop(col), self.rows[col])
         return out
 
     def add(self, vec: Vec) -> bool:
@@ -83,35 +64,18 @@ class Echelon:
         if not res:
             return False
         pivot = min(res)
-        inv = res[pivot].inverse()
-        row = {k: inv * x for k, x in res.items()}
-        row[pivot] = Cyclo.one(row[pivot].n)
+        scale = -res.pop(pivot).inverse()
+        tail = {k: scale * x for k, x in res.items()}
         # back-eliminate the new pivot from existing rows
-        for p, r in self.rows.items():
-            c = r.get(pivot)
+        for r in self.rows.values():
+            c = r.pop(pivot, None)
             if c is not None:
-                for k, x in row.items():
-                    if k == pivot:
-                        r.pop(pivot, None)
-                        continue
-                    s = r.get(k)
-                    s = -(c * x) if s is None else s - c * x
-                    if s.is_zero():
-                        r.pop(k, None)
-                    else:
-                        r[k] = s
-        self.rows[pivot] = row
+                axpy(r, c, tail)
+        self.rows[pivot] = tail
         return True
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
-
-
-def rank(vectors) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
 
 
 def nullspace(equations, ncols: int) -> list:
@@ -127,12 +91,22 @@ def nullspace(equations, ncols: int) -> list:
         if free in ech.rows:
             continue
         sol = {free: Cyclo.rational(1)}
-        for piv, row in ech.rows.items():
-            c = row.get(free)
+        for piv, tail in ech.rows.items():
+            c = tail.get(free)
             if c is not None:
-                sol[piv] = -c
+                sol[piv] = c
         basis.append(sol)
     return basis
+
+
+def kernel(entries, ncols: int) -> list:
+    """`nullspace` of the system given as (row key, column, coefficient)
+    triples, summed per cell.  Rows enter the elimination in the order their
+    keys first appear, which drives fill-in, so callers keep their order."""
+    rows: dict = {}
+    for key, col, c in entries:
+        acc(rows.setdefault(key, {}), col, c)
+    return nullspace(rows.values(), ncols)
 
 
 def spans_equal(vectors_a, vectors_b) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyclo, multiplicative_order
+from .linalg import acc
 
 Mono = tuple  # (exponent of u, exponent of v)
 GroupElt = tuple  # (power of g mod n, power of h mod 2)
@@ -150,9 +151,9 @@ class Algebra:
             nxt: dict = {}
             for (j, k), coeff in cur.items():
                 # v u^j = u^j v + j u^{j+1}
-                _acc(nxt, (j, k + 1), coeff)
+                acc(nxt, (j, k + 1), coeff)
                 if j:
-                    _acc(nxt, (j + 1, k), coeff * Cyclo.rational(j))
+                    acc(nxt, (j + 1, k), coeff * Cyclo.rational(j))
             cur = nxt
         self._jordan_cache[key] = cur
         return cur
@@ -171,15 +172,6 @@ class Algebra:
 def _lcm(a: int, b: int) -> int:
     from math import gcd
     return a * b // gcd(a, b)
-
-
-def _acc(d: dict, key, val):
-    cur = d.get(key)
-    cur = val if cur is None else cur + val
-    if cur.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = cur
 
 
 class NCPoly:
@@ -264,12 +256,12 @@ class NCPoly:
         if self.den == other.den:
             out = dict(self.terms)
             for m, c in other.terms.items():
-                _acc(out, m, c)
+                acc(out, m, c)
             return NCPoly(self.algebra, out, self.den)
         common, den = self._common_den(other)
         out = dict(self._raise_to_den(common))
         for m, c in other._raise_to_den(common).items():
-            _acc(out, m, c)
+            acc(out, m, c)
         return NCPoly(self.algebra, out, den)
 
     __radd__ = __add__
@@ -361,7 +353,7 @@ def _dict_mul(algebra: Algebra, t1: dict, t2: dict) -> dict:
         for m2, c2 in t2.items():
             c12 = c1 * c2
             for mono, factor in algebra.mono_mul(m1, m2).items():
-                _acc(out, mono, c12 * factor)
+                acc(out, mono, c12 * factor)
     return out
 
 
@@ -495,7 +487,7 @@ def apply_automorphism(group: Group, f: GroupElt, x: NCPoly) -> NCPoly:
     out: dict = {}
     for mono, coeff in x.terms.items():
         new_mono, scalar = act_mono(A, group, f, mono)
-        _acc(out, new_mono, coeff * scalar)
+        acc(out, new_mono, coeff * scalar)
     if not x.den:
         return NCPoly(A, out)
     perm, scalars = _denominator_action(A, group, f)

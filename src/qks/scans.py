@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .cyclotomic import Cyclo
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
-from .linalg import Echelon
+from .linalg import Echelon, acc
 from .planes import apply_automorphism
 from .series import (
     compare_with_counts,
@@ -40,6 +40,7 @@ from .skew import (
     center_basis,
     invariant_basis,
     stabilizer_of_point,
+    subalgebra_basis_by_degree,
     verify_generating_set,
 )
 
@@ -92,6 +93,9 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
     t0 = time.perf_counter()
     if samples < 1:
         raise CatalogError("samples must be >= 1")
+    if stabilized and not _stabilized_supported(case):
+        raise CatalogError(f"stabilized sampling: {case.label} ({case.localization}) "
+                           "removes stabilized points")
     base = {"expected_d": case.expected_d, "points": []}
     if case.azumaya_expected is None:
         return Report("scan", case.label, case.params(), seed, case.conductor,
@@ -99,7 +103,8 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                       {"total_s": time.perf_counter() - t0})
     rng = random.Random(seed)
     mix = case.azumaya_expected is False and _stabilized_supported(case)
-    points, ds, failures = [], set(), 0
+    # a sampler give-up is no witness: it never counts as a failure
+    points, ds, failures, giveups = [], set(), 0, 0
     for idx in range(samples):
         stab = stabilized or (mix and idx % 3 == 2)
         try:
@@ -107,7 +112,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
         except CatalogError as exc:
             points.append({"values": {}, "fiber_dim": None,
                            "certificate": "no-admissible-point", "witness": str(exc)})
-            failures += 1
+            giveups += 1
             continue
         rec = {"values": _point_values_str(point.values)}
         try:
@@ -128,16 +133,19 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
             rec["witness"] = str(exc)
             failures += 1
         points.append(rec)
-    if failures == 0 and len(ds) == 1:
+    if failures:
+        verdict = "not-azumaya(witnessed)"
+        passed = not case.azumaya_expected
+    elif giveups:
+        verdict = f"inconclusive({giveups} of {samples} points not sampled)"
+        passed = None
+    elif len(ds) == 1:
         d = next(iter(ds))
         verdict = f"azumaya-consistent({d})"
         if case.azumaya_expected:
             passed = case.expected_d is None or d == case.expected_d
         else:
             passed = False  # expected a witness against the Azumaya property
-    elif failures:
-        verdict = "not-azumaya(witnessed)"
-        passed = not case.azumaya_expected
     else:
         verdict = "inconsistent-rank"
         passed = False
@@ -157,6 +165,8 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     against the case's Azumaya expectation (the two must agree for X-outer
     actions with an Azumaya coefficient ring)."""
     t0 = time.perf_counter()
+    if samples < 1:
+        raise CatalogError("samples must be >= 1")
     body = {"points": [], "azumaya_expected": case.azumaya_expected}
     if not case.x_outer or case.za_gens is None:
         reason = case.scan_reason or "the action is not X-outer on this localization"
@@ -196,38 +206,9 @@ def _graded_basis(algebra, d: int) -> list:
 
 def _invariant_algebra_generators(algebra, group, upto: int):
     """Minimal homogeneous algebra generators of A^G up to the given degree."""
-    inv = invariant_basis(algebra, group, upto)
-    inv_by_deg: dict = {}
-    for p in inv:
-        if p.degree() > 0:
-            inv_by_deg.setdefault(p.degree(), []).append(p)
     gens: list = []
-    index: dict = {}
-
-    def coords(p):
-        vec = {}
-        for mono, c in p.terms.items():
-            vec[index.setdefault(mono, len(index))] = c
-        return vec
-
-    basis = {0: [algebra.one()]}
-    for d in range(1, upto + 1):
-        ech = Echelon()
-        keep = []
-        for g in gens:
-            t = g.degree()
-            if t > d:
-                continue
-            for p in basis.get(d - t, []):
-                prod = p * g
-                if not prod.is_zero() and ech.add(coords(prod)):
-                    keep.append(prod)
-        for p in inv_by_deg.get(d, []):
-            if ech.add(coords(p)):
-                gens.append(p)
-                keep.append(p)
-        if keep:
-            basis[d] = keep
+    subalgebra_basis_by_degree(algebra, gens, upto,
+                               adopt=invariant_basis(algebra, group, upto))
     return gens
 
 
@@ -263,15 +244,7 @@ def _hom_dimension(algebra, group, gens, j: int, cap: int) -> int:
                 for c_idx, c in enumerate(basis[i + j]):
                     cs = algebra.monomial(*c) * s
                     for mono, coeff in cs.terms.items():
-                        star = tindex[mono]
-                        row = rows.setdefault(star, {})
-                        key = col(i, b_idx, c_idx)
-                        cur = row.get(key)
-                        cur = -coeff if cur is None else cur - coeff
-                        if cur.is_zero():
-                            row.pop(key, None)
-                        else:
-                            row[key] = cur
+                        acc(rows.setdefault(tindex[mono], {}), col(i, b_idx, c_idx), -coeff)
                 for row in rows.values():
                     if row:
                         ech.add(row)
@@ -308,9 +281,15 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     t0 = time.perf_counter()
     if case.localization != "none":
         raise CatalogError("the endomorphism check uses the graded, unlocalized ring")
+    if degree < 0:
+        raise CatalogError("degree must be >= 0")
+    if guard < 0:
+        raise CatalogError("guard must be >= 0")
     algebra, group = case.ring.algebra, case.ring.group
     caps = (degree + guard, degree + guard + 2)
     gens = _invariant_algebra_generators(algebra, group, caps[1])
+    if not gens:
+        raise CatalogError(f"A^G has no generators up to degree {caps[1]}; raise guard")
     rows = []
     any_unstable = False
     all_agree = True
@@ -385,9 +364,15 @@ def default_window(case: CaseSpec) -> int:
     return 2 * max(degs) + 2
 
 
+def _check_window(window: int):
+    if window < 0:
+        raise CatalogError("degree (the exponent window) must be >= 0")
+
+
 def center_report(case: CaseSpec, window: int | None = None) -> Report:
     t0 = time.perf_counter()
     window = window if window is not None else default_window(case)
+    _check_window(window)
     basis = center_basis(case.ring, window)
     dims: dict = {}
     for e in basis:
@@ -412,6 +397,7 @@ def center_report(case: CaseSpec, window: int | None = None) -> Report:
 def invariants_report(case: CaseSpec, window: int | None = None) -> Report:
     t0 = time.perf_counter()
     window = window if window is not None else 8
+    _check_window(window)
     basis = invariant_basis(case.ring.algebra, case.ring.group, window)
     dims: dict = {}
     for p in basis:
@@ -427,6 +413,11 @@ def fiber_report(case: CaseSpec, values: dict) -> Report:
     t0 = time.perf_counter()
     if case.presentation is None:
         raise CatalogError(f"case {case.label} has no central presentation")
+    names = case.presentation.names
+    unknown = sorted(n for n in values if n not in names and not n.startswith("_"))
+    if unknown:
+        raise CatalogError(f"point names unknown generators {unknown}; "
+                           f"the generators are {list(names)}")
     point = case.presentation.point(values)
     body = {"expected_d": case.expected_d, "points": []}
     rec = {"values": _point_values_str(point.values)}

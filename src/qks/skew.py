@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import Cyclo
-from .linalg import nullspace, spans_equal
+from .linalg import Echelon, acc, kernel, spans_equal
 from .planes import (
     Algebra,
     AlgebraError,
@@ -99,8 +99,7 @@ class SkewElement:
             return NotImplemented
         out = dict(self.comps)
         for f, x in other.comps.items():
-            cur = out.get(f)
-            out[f] = x if cur is None else cur + x
+            acc(out, f, x)
         return SkewElement(self.ring, out)
 
     def __neg__(self):
@@ -122,10 +121,7 @@ class SkewElement:
         out: dict = {}
         for f1, x1 in self.comps.items():
             for f2, x2 in other.comps.items():
-                contrib = x1 * apply_automorphism(group, f1, x2)
-                f12 = group.mul(f1, f2)
-                cur = out.get(f12)
-                out[f12] = contrib if cur is None else cur + contrib
+                acc(out, group.mul(f1, f2), x1 * apply_automorphism(group, f1, x2))
         return SkewElement(self.ring, out)
 
     def __rmul__(self, other):
@@ -226,22 +222,12 @@ def _monomials_of_degree(algebra: Algebra, d: int, window: int):
     return out
 
 
-def _skew_coords(x: SkewElement, index: dict) -> dict:
-    """Coordinates of x over an arbitrary (a, b, f) index map, extending it."""
-    out = {}
-    for f, poly in x.comps.items():
-        for (a, b), c in poly.terms.items():
-            key = (a, b, f)
-            col = index.get(key)
-            if col is None:
-                col = index[key] = len(index)
-            cur = out.get(col)
-            cur = c if cur is None else cur + c
-            if cur.is_zero():
-                out.pop(col, None)
-            else:
-                out[col] = cur
-    return out
+def _skew_coords(x, index: dict) -> dict:
+    """Coordinates of x (a SkewElement, or an NCPoly read as its identity
+    component) over an arbitrary (a, b, f) index map, extending it."""
+    comps = x.comps if isinstance(x, SkewElement) else {(0, 0): x}
+    return {index.setdefault((a, b, f), len(index)): c
+            for f, poly in comps.items() for (a, b), c in poly.terms.items()}
 
 
 def center_basis(ring: SkewRing, window: int) -> list:
@@ -256,24 +242,12 @@ def center_basis(ring: SkewRing, window: int) -> list:
         cands = [ring.monomial(a, b, f)
                  for (a, b) in _monomials_of_degree(ring.algebra, d, window)
                  for f in ring.group.elements()]
-        if not cands:
-            continue
-        rows: dict = {}
-        coord_index: dict = {}
-        for col, cand in enumerate(cands):
-            for gi, w in enumerate(gens):
-                comm = cand * w - w * cand
-                for f, poly in comm.comps.items():
-                    for mono, c in poly.terms.items():
-                        key = (gi, mono, f)
-                        row = rows.setdefault(key, {})
-                        cur = row.get(col)
-                        cur = c if cur is None else cur + c
-                        if cur.is_zero():
-                            row.pop(col, None)
-                        else:
-                            row[col] = cur
-        for sol in nullspace(rows.values(), len(cands)):
+        entries = (((gi, mono, f), col, c)
+                   for col, cand in enumerate(cands)
+                   for gi, w in enumerate(gens)
+                   for f, poly in (cand * w - w * cand).comps.items()
+                   for mono, c in poly.terms.items())
+        for sol in kernel(entries, len(cands)):
             elt = ring.zero()
             for col, coeff in sorted(sol.items()):
                 elt = elt + cands[col] * coeff
@@ -285,52 +259,40 @@ def invariant_basis(algebra: Algebra, group: Group, window: int) -> list:
     """Basis of the fixed ring A^G degree by degree up to the window."""
     if not check_action_well_defined(algebra, group):
         raise AlgebraError(f"{group} does not act on {algebra}")
-    out = []
     gens = group.generators()
-    for d in _degree_range(algebra, window):
-        monos = _monomials_of_degree(algebra, d, window)
-        if not monos:
-            continue
-        rows: dict = {}
+    minus_one = -Cyclo.one(algebra.conductor)
+
+    def entries(monos):
         for col, mono in enumerate(monos):
             for gi, f in enumerate(gens):
                 image, scalar = act_mono(algebra, group, f, mono)
-                for target, c in ((image, scalar), (mono, -Cyclo.one(algebra.conductor))):
-                    row = rows.setdefault((gi, target), {})
-                    cur = row.get(col)
-                    cur = c if cur is None else cur + c
-                    if cur.is_zero():
-                        row.pop(col, None)
-                    else:
-                        row[col] = cur
-        for sol in nullspace(rows.values(), len(monos)):
-            terms = {monos[col]: coeff for col, coeff in sol.items()}
-            out.append(NCPoly(algebra, terms))
-    return out
+                yield (gi, image), col, scalar
+                yield (gi, mono), col, minus_one
+
+    return _graded_kernel(algebra, window, entries)
 
 
 def algebra_center_basis(algebra: Algebra, window: int) -> list:
     """Basis of Z(A) degree by degree (commutators against u and v only)."""
-    out = []
-    uu, vv = algebra.u(), algebra.v()
-    for d in _degree_range(algebra, window):
-        monos = _monomials_of_degree(algebra, d, window)
-        if not monos:
-            continue
-        rows: dict = {}
+    gens = (algebra.u(), algebra.v())
+
+    def entries(monos):
         for col, mono in enumerate(monos):
             x = algebra.monomial(*mono)
-            for gi, w in enumerate((uu, vv)):
-                comm = x * w - w * x
-                for m2, c in comm.terms.items():
-                    row = rows.setdefault((gi, m2), {})
-                    cur = row.get(col)
-                    cur = c if cur is None else cur + c
-                    if cur.is_zero():
-                        row.pop(col, None)
-                    else:
-                        row[col] = cur
-        for sol in nullspace(rows.values(), len(monos)):
+            for gi, w in enumerate(gens):
+                for m2, c in (x * w - w * x).terms.items():
+                    yield (gi, m2), col, c
+
+    return _graded_kernel(algebra, window, entries)
+
+
+def _graded_kernel(algebra: Algebra, window: int, entries) -> list:
+    """Solutions in A, degree by degree, of the system `entries(monos)`
+    posed on the window's monomials of each degree."""
+    out = []
+    for d in _degree_range(algebra, window):
+        monos = _monomials_of_degree(algebra, d, window)
+        for sol in kernel(entries(monos), len(monos)):
             out.append(NCPoly(algebra, {monos[col]: c for col, c in sol.items()}))
     return out
 
@@ -487,21 +449,20 @@ def verify_generating_set(pres: Presentation, window: int,
                for d in degrees)
 
 
-def subalgebra_basis_by_degree(algebra: Algebra, gens: list, window: int) -> dict:
+def subalgebra_basis_by_degree(algebra: Algebra, gens: list, window: int,
+                               adopt=()) -> dict:
     """Graded basis of the unital subalgebra generated by homogeneous `gens`.
 
     Built degree by degree: every word ends in a generator, so independent
-    products of lower degree times the generators span each graded piece."""
-    from .linalg import Echelon
-
+    products of lower degree times the generators span each graded piece.
+    An element of `adopt` (homogeneous) that is independent of the products
+    of its degree is appended to `gens` as a new generator; with `adopt` a
+    basis of a graded subalgebra, `gens` ends as a minimal generating set of
+    it up to the window."""
+    adopt_by_deg: dict = {}
+    for p in adopt:
+        adopt_by_deg.setdefault(p.degree(), []).append(p)
     index: dict = {}
-
-    def coords(p):
-        vec = {}
-        for mono, c in p.terms.items():
-            vec[index.setdefault(mono, len(index))] = c
-        return vec
-
     basis = {0: [algebra.one()]}
     for d in range(1, window + 1):
         ech = Echelon()
@@ -512,8 +473,12 @@ def subalgebra_basis_by_degree(algebra: Algebra, gens: list, window: int) -> dic
                 continue
             for p in basis.get(d - t, []):
                 prod = p * g
-                if not prod.is_zero() and ech.add(coords(prod)):
+                if not prod.is_zero() and ech.add(_skew_coords(prod, index)):
                     keep.append(prod)
+        for p in adopt_by_deg.get(d, []):
+            if ech.add(_skew_coords(p, index)):
+                gens.append(p)
+                keep.append(p)
         if keep:
             basis[d] = keep
     return basis
@@ -528,16 +493,9 @@ def verify_invariant_generating_set(algebra: Algebra, group: Group, gens: list,
         by_deg.setdefault(x.degree(), []).append(x)
     prods = subalgebra_basis_by_degree(algebra, gens, window)
     index: dict = {}
-
-    def coords(p):
-        vec = {}
-        for mono, c in p.terms.items():
-            vec[index.setdefault(mono, len(index))] = c
-        return vec
-
     for d in range(window + 1):
-        have = [coords(p) for p in by_deg.get(d, [])]
-        claim = [coords(p) for p in prods.get(d, [])]
+        have = [_skew_coords(p, index) for p in by_deg.get(d, [])]
+        claim = [_skew_coords(p, index) for p in prods.get(d, [])]
         if not spans_equal(have, claim):
             return False
     return True

@@ -279,3 +279,88 @@ def test_cli_out_file(tmp_path, capsys):
                  "--seed", "1", "--format", "json", "--out", str(path)])
     assert code == 0
     assert json.loads(path.read_text())["pass"] is True
+
+
+# -- inputs that must end in exit status 2, never a traceback or a vacuous pass
+
+def test_cli_point_division_by_zero_is_an_error(capsys):
+    assert main(["fiber", "--case", "0", "--point", "s=1/0,m=2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_point_rejects_unknown_names(capsys):
+    assert main(["fiber", "--case", "0", "--point", "s=3,m=2,zz=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zz" in err
+
+
+def test_cli_point_accepts_auxiliary_names(capsys):
+    case = make_case("iii", n=2, localization="torus")
+    values = sample_point(case, random.Random(0)).values
+    assert "_s" in values
+    text = ",".join(f"{name}={v.to_str()}" for name, v in values.items())
+    code = main(["fiber", "--case", "iii", "--n", "2", "--localization", "torus",
+                 "--point", text])
+    assert code == 0
+    assert "central-simple" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["freeness", "--case", "0", "--localization", "full", "--samples", "0"], "samples"),
+    (["center", "--case", "ii", "--localization", "none", "--degree", "-1"], "degree"),
+    (["invariants", "--case", "ii", "--localization", "none", "--degree", "-2"], "degree"),
+    (["auslander", "--case", "ii", "--localization", "none", "--degree", "-1",
+      "--guard", "2"], "degree"),
+    (["auslander", "--case", "iv", "--guard", "-5"], "guard"),
+    # D3 has no invariants below degree 3, so caps (0, 2) leave A^G ungenerated
+    (["auslander", "--case", "iii", "--n", "3", "--localization", "none",
+      "--degree", "0", "--guard", "0"], "guard"),
+])
+def test_cli_rejects_empty_inputs(capsys, argv, name):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+def test_cli_scan_stabilized_rejected_where_removed(capsys):
+    assert main(["scan", "--case", "0", "--localization", "full", "--stabilized",
+                 "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "stabilized" in err
+
+
+def _give_up_on(indices, monkeypatch):
+    """Make qks.scans.sample_point give up on the given call indices."""
+    import qks.scans
+
+    real, calls = qks.scans.sample_point, []
+
+    def sampler(case, rng, stabilized=False):
+        calls.append(stabilized)
+        if len(calls) - 1 in indices:
+            raise CatalogError("no admissible point found within the retry budget")
+        return real(case, rng, stabilized=stabilized)
+
+    monkeypatch.setattr(qks.scans, "sample_point", sampler)
+
+
+def test_cli_scan_sampler_giveups_are_inconclusive(capsys, monkeypatch):
+    _give_up_on({0, 1, 2}, monkeypatch)
+    code = main(["scan", "--case", "ii", "--localization", "torus", "--samples", "3",
+                 "--seed", "2", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert data["verdict"].startswith("inconclusive(") and data["pass"] is None
+    assert {p["certificate"] for p in data["points"]} == {"no-admissible-point"}
+
+
+def test_scan_sampler_giveup_is_not_a_witness(monkeypatch):
+    # positive case: one give-up among central-simple points stays inconclusive
+    _give_up_on({0}, monkeypatch)
+    rep = azumaya_scan(make_case("0", localization="full"), samples=3, seed=2)
+    assert rep.verdict.startswith("inconclusive(") and rep.exit_code == 2
+    # negative control: the stabilized third point is a real witness
+    _give_up_on({0}, monkeypatch)
+    rep = azumaya_scan(make_case("ii", localization="torus"), samples=3, seed=2)
+    assert rep.verdict == "not-azumaya(witnessed)" and rep.passed is True
+    assert any(p["certificate"] == "not-central-simple" for p in rep.body["points"])
