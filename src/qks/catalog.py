@@ -16,6 +16,13 @@ rank bookkeeping: d = lcm(n, k) in case (i), d = |G| * 2 in cases (ii)/(iii).
 Samplers draw from a fixed pool of small rationals (and conductor roots of
 unity where the center is a Laurent ring), rejecting inadmissible points;
 everything is driven by a seeded rng, so scans are reproducible.
+
+Each case is one builder returning a CaseSpec that carries, next to its
+presentation, the point sampler `draw`, the fiber `recipe` and the Z(A)
+sampler `draw_za` (a sampler returns None to reject a draw); `sample_point`,
+`recipe_for` and `sample_za_values` add the shared checks and retry loops.
+To add a case, write a builder `_case_<id>(..., **_)` taking the `make_case`
+keywords it needs, and add one line to `CASES`.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Callable
 
 from .cyclotomic import Cyclo, root_of_unity
 from .fiber import FiberRecipe, inverse_power_rule, swap_uv
@@ -54,7 +62,10 @@ class CaseSpec:
     azumaya_expected: bool | None    # None: no pointwise claim to scan
     scan_reason: str | None          # set when scans are not applicable
     za_gens: list | None             # generators of Z(A) for freeness scans
-    za_stab_allowed: bool | None     # does the localization keep stabilized points?
+    keeps_stabilized: bool = False   # does the localization keep stabilized points?
+    draw: Callable | None = None     # (rng, stabilized) -> generator values or None
+    recipe: Callable | None = None   # CentralPoint -> FiberRecipe
+    draw_za: Callable | None = None  # (rng, stabilized) -> Z(A) generator values or None
 
     def params(self) -> dict:
         out = {"localization": self.localization}
@@ -70,26 +81,56 @@ class CaseSpec:
 def make_case(case_id: str, n: int | None = None, k: int | None = None,
               q: Fraction | None = None, localization: str | None = None) -> CaseSpec:
     case_id = str(case_id)
-    if case_id == "0":
-        return _case_zero(localization or "full")
-    if case_id == "i":
-        return _case_i(n, k, q, localization or "torus")
-    if case_id == "ii":
-        return _case_ii(localization or "full")
-    if case_id == "iii":
-        if n is None:
-            raise CatalogError("case iii needs n")
-        return _case_iii(n, localization)
-    if case_id == "iv":
-        return _case_iv()
-    raise CatalogError(f"unknown case id {case_id!r}")
+    builder = CASES.get(case_id)
+    if builder is None:
+        raise CatalogError(f"unknown case id {case_id!r}")
+    return builder(n=n, k=k, q=q, localization=localization)
+
+
+# ---------------------------------------------------------------------------
+# shared sampling and recipe pieces
+
+
+def _pool_value(rng, conductor: int, nonzero: bool = True, allow_roots: bool = False) -> Cyclo:
+    for _ in range(64):
+        r = Cyclo.rational(rng.choice(RATIONAL_POOL), conductor)
+        if allow_roots and conductor > 2 and rng.random() < 0.3:
+            r = r * root_of_unity(rng.randrange(conductor), conductor)
+        if not (nonzero and r.is_zero()):
+            return r
+    raise CatalogError("could not draw an admissible pool value")
+
+
+def _pool_pair(rng, conductor: int, stabilized: bool, nonzero: bool = True,
+               allow_roots: bool = False) -> list:
+    """Values for the Z(A) generators (u^j, v^j); equal on the stabilized locus."""
+    a = _pool_value(rng, conductor, nonzero, allow_roots)
+    return [a, a if stabilized else _pool_value(rng, conductor, nonzero, allow_roots)]
+
+
+def _residuals(pres: Presentation, values: dict) -> list:
+    """Each generator minus its value at the point, in presentation order."""
+    return [pres.gens[name] - pres.ring.one() * values[name] for name in pres.names]
+
+
+def _square_recipe(pres: Presentation, point: CentralPoint, s: Cyclo) -> FiberRecipe:
+    """u^4 = s u^2 - y and its (u, v)-swap: the fiber of the (-1)-plane cases."""
+    A = pres.ring.algebra
+    u_pow = A.poly({(2, 0): s, (0, 0): -point.values["y"]})
+    u_inv = inverse_power_rule(u_pow, 4) if A.inverted else None
+    return FiberRecipe(
+        ku=4, kv=4, u_pow=u_pow, v_pow=swap_uv(u_pow),
+        u_inv=u_inv, v_inv=swap_uv(u_inv) if u_inv is not None else None,
+        residuals=_residuals(pres, point.values),
+    )
 
 
 # ---------------------------------------------------------------------------
 # case 0: the commutative pair
 
 
-def _case_zero(localization: str) -> CaseSpec:
+def _case_zero(localization: str | None = None, **_) -> CaseSpec:
+    localization = localization or "full"
     if localization not in ("none", "full"):
         raise CatalogError("case 0 supports localizations none | full")
     base = Algebra("commutative")
@@ -102,12 +143,30 @@ def _case_zero(localization: str) -> CaseSpec:
         gens={"s": T.monomial(1, 0) + T.monomial(0, 1), "m": T.monomial(1, 1)},
         localized_at=[{(2, 0): one, (0, 1): Cyclo.rational(-4)}] if localization == "full" else [],
     ).validate()
+
+    def draw_za(rng, stabilized):
+        a, b = _pool_pair(rng, 1, stabilized, nonzero=False)
+        return None if localization == "full" and a == b else [a, b]
+
+    def draw(rng, stabilized):
+        ab = draw_za(rng, stabilized)
+        return None if ab is None else {"s": ab[0] + ab[1], "m": ab[0] * ab[1]}
+
+    def recipe(point):
+        s, m = point.values["s"], point.values["m"]
+        return FiberRecipe(
+            ku=2, kv=1,
+            u_pow=A.poly({(1, 0): s, (0, 0): -m}),
+            v_pow=A.poly({(0, 0): s, (1, 0): -A.scalar(1)}),
+        )
+
     return CaseSpec(
         case_id="0", label="k[u,v]#S2", n=None, k=None, q_value=None,
         localization=localization, conductor=1, ring=T, presentation=pres,
         x_outer=True, expected_d=2,
         azumaya_expected=(localization == "full"), scan_reason=None,
-        za_gens=[A.u(), A.v()], za_stab_allowed=(localization == "none"),
+        za_gens=[A.u(), A.v()], keeps_stabilized=(localization == "none"),
+        draw=draw, recipe=recipe, draw_za=draw_za,
     )
 
 
@@ -115,7 +174,9 @@ def _case_zero(localization: str) -> CaseSpec:
 # case i: quantum plane with a cyclic group
 
 
-def _case_i(n, k, q: Fraction | None, localization: str) -> CaseSpec:
+def _case_i(n=None, k=None, q: Fraction | None = None, localization: str | None = None,
+            **_) -> CaseSpec:
+    localization = localization or "torus"
     if n is None:
         raise CatalogError("case i needs n")
     if localization not in ("none", "torus"):
@@ -131,7 +192,7 @@ def _case_i(n, k, q: Fraction | None, localization: str) -> CaseSpec:
             x_outer=True, expected_d=None, azumaya_expected=None,
             scan_reason="q is not a root of unity: T is not finite over its centre, "
                         "no pointwise fiber scan applies",
-            za_gens=None, za_stab_allowed=None,
+            za_gens=None,
         )
     if k is None:
         raise CatalogError("case i needs k (order of q) or an explicit rational q")
@@ -142,7 +203,7 @@ def _case_i(n, k, q: Fraction | None, localization: str) -> CaseSpec:
     inverted = frozenset({"u", "v"}) if localization == "torus" else frozenset()
     A = Algebra("quantum", q=qq, conductor=l, inverted=inverted)
     T = SkewRing(A, Group("cyclic", n, omega))
-    pres = None
+    pres = draw = recipe = None
     if localization == "torus":
         x_elt = T.monomial(l, 0)
         w_elt = T.from_poly(A.monomial(1, 1) ** (-(l // n)), ((l // k) % n, 0))
@@ -151,6 +212,24 @@ def _case_i(n, k, q: Fraction | None, localization: str) -> CaseSpec:
             invertible=frozenset({"x", "w"}),
             localized_at=[{(1, 0): Cyclo.one()}, {(0, 1): Cyclo.one()}],
         ).validate()
+
+        def draw(rng, stabilized):
+            return {"x": _pool_value(rng, l), "w": _pool_value(rng, l, allow_roots=True)}
+
+        def recipe(point):
+            a, c = point.values["x"], point.values["w"]
+            scalar_elt = x_elt * (w_elt ** n) * T.monomial(0, l)
+            ((f0, poly),) = scalar_elt.comps.items()
+            if f0 != T.group.identity() or set(poly.terms) != {(0, 0)}:
+                raise CatalogError("internal: u^l X^n v^l is not scalar")
+            b_val = poly.terms[(0, 0)] * (a * c ** n).inverse()
+            return FiberRecipe(
+                ku=l, kv=l,
+                u_pow=A.poly({(0, 0): a}), v_pow=A.poly({(0, 0): b_val}),
+                u_inv=A.poly({(0, 0): a.inverse()}), v_inv=A.poly({(0, 0): b_val.inverse()}),
+                residuals=[w_elt - T.one() * c],
+            )
+
     return CaseSpec(
         case_id="i", label=f"k_q[u,v]#C{n} (ord q = {k})", n=n, k=k, q_value=None,
         localization=localization, conductor=l, ring=T, presentation=pres,
@@ -159,7 +238,8 @@ def _case_i(n, k, q: Fraction | None, localization: str) -> CaseSpec:
         scan_reason=None if localization == "torus" else
         "the unlocalized quantum plane is not Azumaya; scan the torus localization",
         za_gens=[A.monomial(k, 0), A.monomial(0, k)] if localization == "torus" else None,
-        za_stab_allowed=False if localization == "torus" else None,
+        draw=draw, recipe=recipe,
+        draw_za=lambda rng, stabilized: _pool_pair(rng, l, stabilized),
     )
 
 
@@ -167,7 +247,8 @@ def _case_i(n, k, q: Fraction | None, localization: str) -> CaseSpec:
 # case ii: (-1)-plane with the swap
 
 
-def _case_ii(localization: str) -> CaseSpec:
+def _case_ii(localization: str | None = None, **_) -> CaseSpec:
+    localization = localization or "full"
     if localization not in ("none", "torus", "full"):
         raise CatalogError("case ii supports localizations none | torus | full")
     q = Cyclo.rational(-1)
@@ -190,6 +271,17 @@ def _case_ii(localization: str) -> CaseSpec:
         invertible=frozenset({"y"}) if localization != "none" else frozenset(),
         localized_at=localized_at,
     ).validate()
+
+    def draw(rng, stabilized):
+        if stabilized:
+            w = _pool_value(rng, 1)
+            return {"s2": w * 2, "y": w * w}
+        return {"s2": _pool_value(rng, 1, nonzero=False), "y": _pool_value(rng, 1)}
+
+    def draw_za(rng, stabilized):
+        alpha, beta = _pool_pair(rng, 1, stabilized)
+        return None if localization == "full" and alpha == beta else [alpha, beta]
+
     return CaseSpec(
         case_id="ii", label="k_{-1}[u,v]#S2", n=None, k=2, q_value=None,
         localization=localization, conductor=1, ring=T, presentation=pres,
@@ -198,7 +290,10 @@ def _case_ii(localization: str) -> CaseSpec:
         scan_reason="the unlocalized ring is not Azumaya; scan a localization"
         if localization == "none" else None,
         za_gens=[A.monomial(2, 0), A.monomial(0, 2)] if localization != "none" else None,
-        za_stab_allowed=(localization == "torus") if localization != "none" else None,
+        keeps_stabilized=(localization != "full"),
+        draw=draw,
+        recipe=lambda point: _square_recipe(pres, point, point.values["s2"]),
+        draw_za=draw_za,
     )
 
 
@@ -206,7 +301,9 @@ def _case_ii(localization: str) -> CaseSpec:
 # case iii: (-1)-plane with a dihedral group
 
 
-def _case_iii(n: int, localization: str | None) -> CaseSpec:
+def _case_iii(n=None, localization: str | None = None, **_) -> CaseSpec:
+    if n is None:
+        raise CatalogError("case iii needs n")
     odd = n % 2 == 1
     if localization is None:
         localization = "full" if odd else "torus"
@@ -241,6 +338,25 @@ def _case_iii(n: int, localization: str | None) -> CaseSpec:
         ).validate()
         expected = 4 * n
         azu = {"none": None, "torus": False, "full": True}[localization]
+
+        def draw(rng, stabilized):
+            if stabilized:
+                w = _pool_value(rng, conductor)
+                return {"y": w * w, "q2n": (w ** n) * 2}
+            return {"y": _pool_value(rng, conductor),
+                    "q2n": _pool_value(rng, conductor, nonzero=False)}
+
+        def recipe(point):
+            p, q2n = point.values["y"], point.values["q2n"]
+            u_pow = A.poly({(2 * n, 0): q2n, (0, 0): -(p ** n)})
+            return FiberRecipe(
+                ku=4 * n, kv=2,
+                u_pow=u_pow,
+                v_pow=A.poly({(-2, 0): p}),
+                u_inv=inverse_power_rule(u_pow, 4 * n),
+                v_inv=A.poly({(2, 0): p.inverse()}),
+                residuals=_residuals(pres, point.values),
+            )
     else:
         # Z(T) = k[x,y,z]/(x^2 y + y^{m+1} + z^2), m = n/2
         m = n // 2
@@ -262,6 +378,34 @@ def _case_iii(n: int, localization: str | None) -> CaseSpec:
         ).validate()
         expected = 2 * n
         azu = {"none": None, "torus": True}[localization]
+
+        def draw(rng, stabilized):
+            # u^2 -> alpha = rho^2, v^2 -> beta = tau^2; _s = alpha + beta
+            rho, tau = _pool_value(rng, conductor), _pool_value(rng, conductor)
+            alpha, beta = rho * rho, tau * tau
+            sign = Cyclo.rational(rng.choice((1, -1)), conductor)
+            half = Cyclo.rational(Fraction(1, 2), conductor)
+            return {
+                "x": i_unit * half * (alpha ** m + beta ** m),
+                "y": alpha * beta,
+                "z": half * (alpha ** m - beta ** m) * (i_unit * rho * tau * sign),
+                "_s": alpha + beta,
+            }
+
+        def recipe(point):
+            vals = point.values
+            if "_s" in vals:
+                s = vals["_s"]
+            elif n == 2:
+                s = vals["x"] * (i_unit * (-2))
+            else:
+                raise CatalogError("case iii even with n > 2 needs the auxiliary _s value")
+            return _square_recipe(pres, point, s)
+
+    def draw_za(rng, stabilized):
+        alpha, beta = _pool_pair(rng, conductor, stabilized, allow_roots=True)
+        return None if localization == "full" and alpha ** n == beta ** n else [alpha, beta]
+
     return CaseSpec(
         case_id="iii", label=f"k_{{-1}}[u,v]#D{n}", n=n, k=2, q_value=None,
         localization=localization, conductor=conductor, ring=T, presentation=pres,
@@ -269,7 +413,8 @@ def _case_iii(n: int, localization: str | None) -> CaseSpec:
         scan_reason="the unlocalized ring is not Azumaya; scan a localization"
         if localization == "none" else None,
         za_gens=[A.monomial(2, 0), A.monomial(0, 2)] if localization != "none" else None,
-        za_stab_allowed=(localization == "torus" and odd) if localization != "none" else None,
+        keeps_stabilized=odd and localization != "full",
+        draw=draw, recipe=recipe, draw_za=draw_za,
     )
 
 
@@ -277,7 +422,7 @@ def _case_iii(n: int, localization: str | None) -> CaseSpec:
 # case iv: Jordan plane
 
 
-def _case_iv() -> CaseSpec:
+def _case_iv(**_) -> CaseSpec:
     A = Algebra("jordan")
     T = SkewRing(A, Group("cyclic", 2, Cyclo.rational(-1)))
     return CaseSpec(
@@ -286,22 +431,15 @@ def _case_iv() -> CaseSpec:
         x_outer=True, expected_d=None, azumaya_expected=None,
         scan_reason="center too small for a pointwise scan: the Jordan plane is "
                     "not PI and Z(T) = k",
-        za_gens=None, za_stab_allowed=None,
+        za_gens=None,
     )
 
 
+CASES = {"0": _case_zero, "i": _case_i, "ii": _case_ii, "iii": _case_iii, "iv": _case_iv}
+
+
 # ---------------------------------------------------------------------------
-# point sampling
-
-
-def _pool_value(rng, conductor: int, nonzero: bool = True, allow_roots: bool = False) -> Cyclo:
-    for _ in range(64):
-        r = Cyclo.rational(rng.choice(RATIONAL_POOL), conductor)
-        if allow_roots and conductor > 2 and rng.random() < 0.3:
-            r = r * root_of_unity(rng.randrange(conductor), conductor)
-        if not (nonzero and r.is_zero()):
-            return r
-    raise CatalogError("could not draw an admissible pool value")
+# sampling and recipes: the shared checks and retry loops
 
 
 def sample_point(case: CaseSpec, rng, stabilized: bool = False) -> CentralPoint:
@@ -311,166 +449,32 @@ def sample_point(case: CaseSpec, rng, stabilized: bool = False) -> CentralPoint:
     localization would normally remove; the case must keep such points."""
     if case.presentation is None:
         raise CatalogError(f"case {case.label} has no central presentation to sample")
-    if stabilized and not _stabilized_supported(case):
+    if stabilized and not case.keeps_stabilized:
         raise CatalogError(f"{case.label} ({case.localization}) removes stabilized points")
     for _ in range(200):
         try:
-            values = _draw_values(case, rng, stabilized)
-            return case.presentation.point(values)
+            values = case.draw(rng, stabilized)
+            if values is not None:
+                return case.presentation.point(values)
         except AlgebraError:
             continue
     raise CatalogError("no admissible point found within the retry budget")
 
 
-def _stabilized_supported(case: CaseSpec) -> bool:
-    if case.case_id == "0":
-        return case.localization == "none"
-    if case.case_id == "ii":
-        return case.localization in ("none", "torus")
-    if case.case_id == "iii" and case.n % 2 == 1:
-        return case.localization in ("none", "torus")
-    return False
-
-
-def _draw_values(case: CaseSpec, rng, stabilized: bool) -> dict:
-    cond = case.conductor
-    if case.case_id == "0":
-        a = _pool_value(rng, cond, nonzero=False)
-        b = a if stabilized else _pool_value(rng, cond, nonzero=False)
-        if case.localization == "full" and a == b:
-            raise AlgebraError("rejected: on the removed diagonal")
-        return {"s": a + b, "m": a * b}
-    if case.case_id == "i":
-        return {"x": _pool_value(rng, cond),
-                "w": _pool_value(rng, cond, allow_roots=True)}
-    if case.case_id == "ii":
-        if stabilized:
-            w = _pool_value(rng, cond)
-            return {"s2": w * 2, "y": w * w}
-        return {"s2": _pool_value(rng, cond, nonzero=False), "y": _pool_value(rng, cond)}
-    if case.case_id == "iii" and case.n % 2 == 1:
-        if stabilized:
-            w = _pool_value(rng, cond)
-            return {"y": w * w, "q2n": (w ** case.n) * 2}
-        return {"y": _pool_value(rng, cond), "q2n": _pool_value(rng, cond, nonzero=False)}
-    if case.case_id == "iii":
-        m = case.n // 2
-        i_unit = root_of_unity(1, 4).coerce(cond)
-        rho, tau = _pool_value(rng, cond), _pool_value(rng, cond)
-        alpha, beta = rho * rho, tau * tau
-        sign = Cyclo.rational(rng.choice((1, -1)), cond)
-        half = Cyclo.rational(Fraction(1, 2), cond)
-        values = {
-            "x": i_unit * half * (alpha ** m + beta ** m),
-            "y": alpha * beta,
-            "z": half * (alpha ** m - beta ** m) * (i_unit * rho * tau * sign),
-            "_s": alpha + beta,
-        }
-        return values
-    raise CatalogError(f"no sampler for case {case.label}")
-
-
-# ---------------------------------------------------------------------------
-# fiber recipes
-
-
 def recipe_for(case: CaseSpec, point: CentralPoint) -> FiberRecipe:
-    A = case.ring.algebra
-    T = case.ring
-    vals = point.values
-    if case.case_id == "0":
-        s, m = vals["s"], vals["m"]
-        return FiberRecipe(
-            ku=2, kv=1,
-            u_pow=A.poly({(1, 0): s, (0, 0): -m}),
-            v_pow=A.poly({(0, 0): s, (1, 0): -A.scalar(1)}),
-        )
-    if case.case_id == "i":
-        l = case.conductor
-        a, c = vals["x"], vals["w"]
-        x_elt = case.presentation.gens["x"]
-        w_elt = case.presentation.gens["w"]
-        vl_elt = T.monomial(0, l)
-        scalar_elt = x_elt * (w_elt ** case.n) * vl_elt
-        ((f0, poly),) = scalar_elt.comps.items()
-        if f0 != T.group.identity() or set(poly.terms) != {(0, 0)}:
-            raise CatalogError("internal: u^l X^n v^l is not scalar")
-        gamma = poly.terms[(0, 0)]
-        b_val = gamma * (a * c ** case.n).inverse()
-        return FiberRecipe(
-            ku=l, kv=l,
-            u_pow=A.poly({(0, 0): a}), v_pow=A.poly({(0, 0): b_val}),
-            u_inv=A.poly({(0, 0): a.inverse()}), v_inv=A.poly({(0, 0): b_val.inverse()}),
-            residuals=[w_elt - T.one() * c],
-        )
-    if case.case_id == "ii":
-        s2, y = vals["s2"], vals["y"]
-        u_pow = A.poly({(2, 0): s2, (0, 0): -y})
-        u_inv = inverse_power_rule(u_pow, 4) if A.inverted else None
-        return FiberRecipe(
-            ku=4, kv=4, u_pow=u_pow, v_pow=swap_uv(u_pow),
-            u_inv=u_inv, v_inv=swap_uv(u_inv) if u_inv is not None else None,
-            residuals=[case.presentation.gens["s2"] - T.one() * s2,
-                       case.presentation.gens["y"] - T.one() * y],
-        )
-    if case.case_id == "iii" and case.n % 2 == 1:
-        n = case.n
-        p, q2n = vals["y"], vals["q2n"]
-        u_pow = A.poly({(2 * n, 0): q2n, (0, 0): -(p ** n)})
-        return FiberRecipe(
-            ku=4 * n, kv=2,
-            u_pow=u_pow,
-            v_pow=A.poly({(-2, 0): p}),
-            u_inv=inverse_power_rule(u_pow, 4 * n),
-            v_inv=A.poly({(2, 0): p.inverse()}),
-            residuals=[case.presentation.gens["y"] - T.one() * p,
-                       case.presentation.gens["q2n"] - T.one() * q2n],
-        )
-    if case.case_id == "iii":
-        if "_s" in vals:
-            s = vals["_s"]
-        elif case.n == 2:
-            i_unit = root_of_unity(1, 4).coerce(case.conductor)
-            s = vals["x"] * (i_unit * (-2))
-        else:
-            raise CatalogError("case iii even with n > 2 needs the auxiliary _s value")
-        y = vals["y"]
-        u_pow = A.poly({(2, 0): s, (0, 0): -y})
-        u_inv = inverse_power_rule(u_pow, 4) if A.inverted else None
-        residuals = [case.presentation.gens[name] - T.one() * vals[name]
-                     for name in ("x", "y", "z")]
-        return FiberRecipe(
-            ku=4, kv=4, u_pow=u_pow, v_pow=swap_uv(u_pow),
-            u_inv=u_inv, v_inv=swap_uv(u_inv) if u_inv is not None else None,
-            residuals=residuals,
-        )
-    raise CatalogError(f"no fiber recipe for case {case.label}")
-
-
-# ---------------------------------------------------------------------------
-# Z(A) points for freeness scans
+    if case.recipe is None:
+        raise CatalogError(f"no fiber recipe for case {case.label}")
+    return case.recipe(point)
 
 
 def sample_za_values(case: CaseSpec, rng, stabilized: bool = False) -> list:
     """Values for the case's Z(A) generators, honoring the localization."""
     if case.za_gens is None:
         raise CatalogError(f"case {case.label} has no freeness data")
-    cond = case.conductor
     for _ in range(200):
-        if case.case_id == "0":
-            a = _pool_value(rng, cond, nonzero=False)
-            b = a if stabilized else _pool_value(rng, cond, nonzero=False)
-            if case.localization == "full" and a == b:
-                continue
-            return [a, b]
-        alpha = _pool_value(rng, cond, allow_roots=(case.case_id == "iii"))
-        beta = alpha if stabilized else _pool_value(rng, cond, allow_roots=(case.case_id == "iii"))
-        if case.case_id == "ii" and case.localization == "full" and alpha == beta:
-            continue
-        if case.case_id == "iii" and case.localization == "full" \
-                and (alpha ** case.n) == (beta ** case.n):
-            continue
-        return [alpha, beta]
+        values = case.draw_za(rng, stabilized)
+        if values is not None:
+            return values
     raise CatalogError("no admissible Z(A) point found within the retry budget")
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .catalog import (
     CaseSpec,
     CatalogError,
-    _stabilized_supported,
     recipe_for,
     sample_point,
     sample_za_values,
@@ -83,6 +82,23 @@ def _point_values_str(values: dict) -> dict:
             if not name.startswith("_")}
 
 
+def _certify_point(case: CaseSpec, point) -> dict:
+    """Build the point's fiber and certify it: the point's report record."""
+    rec = {"values": _point_values_str(point.values)}
+    try:
+        fiber = build_fiber(case.ring, point, recipe_for(case, point))
+        cert = matrix_algebra_certificate(fiber)
+    except FiberError as exc:
+        rec.update(fiber_dim=None, certificate="build-failed", witness=str(exc))
+        return rec
+    rec["fiber_dim"] = fiber.dim
+    if cert.central_simple:
+        rec.update(certificate="central-simple", d=cert.d)
+    else:
+        rec.update(certificate="not-central-simple", witness=cert.witness)
+    return rec
+
+
 # ---------------------------------------------------------------------------
 # Azumaya scan
 
@@ -93,7 +109,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
     t0 = time.perf_counter()
     if samples < 1:
         raise CatalogError("samples must be >= 1")
-    if stabilized and not _stabilized_supported(case):
+    if stabilized and not case.keeps_stabilized:
         raise CatalogError(f"stabilized sampling: {case.label} ({case.localization}) "
                            "removes stabilized points")
     base = {"expected_d": case.expected_d, "points": []}
@@ -102,7 +118,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                       base, f"not-applicable: {case.scan_reason}", None,
                       {"total_s": time.perf_counter() - t0})
     rng = random.Random(seed)
-    mix = case.azumaya_expected is False and _stabilized_supported(case)
+    mix = case.azumaya_expected is False and case.keeps_stabilized
     # a sampler give-up is no witness: it never counts as a failure
     points, ds, failures, giveups = [], set(), 0, 0
     for idx in range(samples):
@@ -114,23 +130,10 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                            "certificate": "no-admissible-point", "witness": str(exc)})
             giveups += 1
             continue
-        rec = {"values": _point_values_str(point.values)}
-        try:
-            fiber = build_fiber(case.ring, point, recipe_for(case, point))
-            cert = matrix_algebra_certificate(fiber)
-            rec["fiber_dim"] = fiber.dim
-            if cert.central_simple:
-                rec["certificate"] = "central-simple"
-                rec["d"] = cert.d
-                ds.add(cert.d)
-            else:
-                rec["certificate"] = "not-central-simple"
-                rec["witness"] = cert.witness
-                failures += 1
-        except FiberError as exc:
-            rec["fiber_dim"] = None
-            rec["certificate"] = "build-failed"
-            rec["witness"] = str(exc)
+        rec = _certify_point(case, point)
+        if rec["certificate"] == "central-simple":
+            ds.add(rec["d"])
+        else:
             failures += 1
         points.append(rec)
     if failures:
@@ -175,7 +178,7 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
                       {"total_s": time.perf_counter() - t0})
     rng = random.Random(seed)
     group = case.ring.group
-    mix = bool(case.za_stab_allowed)
+    mix = case.keeps_stabilized
     witnesses = 0
     for idx in range(samples):
         stab_draw = mix and idx % 3 == 2
@@ -323,20 +326,22 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
 # Molien / series check
 
 
+# case id -> (representation, closed-form Molien series, label), each of m
+SERIES = {
+    "i": (cyclic_diag_rep, kleinian_a_series, "C_{m} on 2 variables"),
+    "iii": (dihedral_3dim_rep, dihedral_invariant_series, "D_{m} on 3 variables"),
+}
+
+
 def series_check(case_id: str, m: int, degree: int) -> Report:
     """Molien series of the catalog representation vs closed form vs counts."""
     t0 = time.perf_counter()
     case_id = str(case_id)
-    if case_id == "iii":
-        rep = dihedral_3dim_rep(m)
-        closed = dihedral_invariant_series(m)
-        label = f"D_{m} on 3 variables"
-    elif case_id == "i":
-        rep = cyclic_diag_rep(m)
-        closed = kleinian_a_series(m)
-        label = f"C_{m} on 2 variables"
-    else:
+    entry = SERIES.get(case_id)
+    if entry is None:
         raise CatalogError("series_check supports case ids i (cyclic) and iii (dihedral)")
+    rep_of, closed_of, label = entry
+    rep, closed, label = rep_of(m), closed_of(m), label.format(m=m)
     mol = molien_series(rep)
     closed_ok = mol == closed
     counts = invariant_dimensions(rep, degree)
@@ -419,28 +424,16 @@ def fiber_report(case: CaseSpec, values: dict) -> Report:
         raise CatalogError(f"point names unknown generators {unknown}; "
                            f"the generators are {list(names)}")
     point = case.presentation.point(values)
-    body = {"expected_d": case.expected_d, "points": []}
-    rec = {"values": _point_values_str(point.values)}
-    try:
-        fiber = build_fiber(case.ring, point, recipe_for(case, point))
-        cert = matrix_algebra_certificate(fiber)
-        rec["fiber_dim"] = fiber.dim
-        if cert.central_simple:
-            rec["certificate"] = "central-simple"
-            rec["d"] = cert.d
-            verdict = f"central-simple({cert.d})"
-            passed = case.expected_d is None or cert.d == case.expected_d
-        else:
-            rec["certificate"] = "not-central-simple"
-            rec["witness"] = cert.witness
-            verdict = f"not-central-simple: {cert.witness}"
-            passed = False if case.azumaya_expected else None
-    except FiberError as exc:
-        rec["fiber_dim"] = None
-        rec["certificate"] = "build-failed"
-        rec["witness"] = str(exc)
-        verdict, passed = f"build-failed: {exc}", False
-    body["points"].append(rec)
+    rec = _certify_point(case, point)
+    if rec["certificate"] == "central-simple":
+        verdict = f"central-simple({rec['d']})"
+        passed = case.expected_d is None or rec["d"] == case.expected_d
+    elif rec["certificate"] == "not-central-simple":
+        verdict = f"not-central-simple: {rec['witness']}"
+        passed = False if case.azumaya_expected else None
+    else:
+        verdict, passed = f"build-failed: {rec['witness']}", False
+    body = {"expected_d": case.expected_d, "points": [rec]}
     return Report("fiber", case.label, case.params(), None, case.conductor,
                   body, verdict, passed, {"total_s": time.perf_counter() - t0})
 

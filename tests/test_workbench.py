@@ -82,6 +82,16 @@ def test_sampled_points_respect_localization():
         assert not (v["s2"] * v["s2"] - v["y"] * 4).is_zero()
 
 
+@pytest.mark.xfail(strict=True, reason="case iii, even n: the sampled z carries a spurious "
+                   "factor i, so only points with alpha = beta satisfy the relation")
+def test_case_iii_even_samples_off_the_diagonal():
+    # u^2 -> alpha, v^2 -> beta with _s = alpha + beta and y = alpha beta:
+    # _s^2 = 4y exactly on the diagonal alpha = beta
+    case = make_case("iii", n=2, localization="torus")
+    points = [sample_point(case, random.Random(seed)) for seed in range(8)]
+    assert any(p.values["_s"] ** 2 != p.values["y"] * 4 for p in points)
+
+
 def test_stabilized_sampling_rejected_on_full_localization():
     case = make_case("ii", localization="full")
     with pytest.raises(CatalogError):
