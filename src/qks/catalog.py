@@ -21,12 +21,14 @@ Each case is one builder returning a CaseSpec that carries, next to its
 presentation, the point sampler `draw`, the fiber `recipe` and the Z(A)
 sampler `draw_za` (a sampler returns None to reject a draw); `sample_point`,
 `recipe_for` and `sample_za_values` add the shared checks and retry loops.
-To add a case, write a builder `_case_<id>(..., **_)` taking the `make_case`
-keywords it needs, and add one line to `CASES`.
+To add a case, write a builder `_case_<id>(...)` taking only the `make_case`
+keywords it reads, and add one line to `CASES`; `make_case` rejects any other
+keyword it is given.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -84,7 +86,13 @@ def make_case(case_id: str, n: int | None = None, k: int | None = None,
     builder = CASES.get(case_id)
     if builder is None:
         raise CatalogError(f"unknown case id {case_id!r}")
-    return builder(n=n, k=k, q=q, localization=localization)
+    given = {key: value for key, value in
+             dict(n=n, k=k, q=q, localization=localization).items() if value is not None}
+    takes = inspect.signature(builder).parameters
+    unused = [key for key in given if key not in takes]
+    if unused:
+        raise CatalogError(f"case {case_id} does not take {', '.join(unused)}")
+    return builder(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +137,7 @@ def _square_recipe(pres: Presentation, point: CentralPoint, s: Cyclo) -> FiberRe
 # case 0: the commutative pair
 
 
-def _case_zero(localization: str | None = None, **_) -> CaseSpec:
+def _case_zero(localization: str | None = None) -> CaseSpec:
     localization = localization or "full"
     if localization not in ("none", "full"):
         raise CatalogError("case 0 supports localizations none | full")
@@ -174,8 +182,8 @@ def _case_zero(localization: str | None = None, **_) -> CaseSpec:
 # case i: quantum plane with a cyclic group
 
 
-def _case_i(n=None, k=None, q: Fraction | None = None, localization: str | None = None,
-            **_) -> CaseSpec:
+def _case_i(n=None, k=None, q: Fraction | None = None,
+            localization: str | None = None) -> CaseSpec:
     localization = localization or "torus"
     if n is None:
         raise CatalogError("case i needs n")
@@ -183,6 +191,8 @@ def _case_i(n=None, k=None, q: Fraction | None = None, localization: str | None 
         raise CatalogError("case i supports localizations none | torus")
     if q is not None:
         # q not a root of unity: not PI, no pointwise scan
+        if k is not None:
+            raise CatalogError("case i takes k (order of q) or a rational q, not both")
         A = Algebra("quantum", q=Cyclo.rational(q),
                     inverted=frozenset({"u", "v"}) if localization == "torus" else frozenset())
         T = SkewRing(A, Group("cyclic", n, root_of_unity(1, n)))
@@ -247,7 +257,7 @@ def _case_i(n=None, k=None, q: Fraction | None = None, localization: str | None 
 # case ii: (-1)-plane with the swap
 
 
-def _case_ii(localization: str | None = None, **_) -> CaseSpec:
+def _case_ii(localization: str | None = None) -> CaseSpec:
     localization = localization or "full"
     if localization not in ("none", "torus", "full"):
         raise CatalogError("case ii supports localizations none | torus | full")
@@ -301,7 +311,7 @@ def _case_ii(localization: str | None = None, **_) -> CaseSpec:
 # case iii: (-1)-plane with a dihedral group
 
 
-def _case_iii(n=None, localization: str | None = None, **_) -> CaseSpec:
+def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
     if n is None:
         raise CatalogError("case iii needs n")
     odd = n % 2 == 1
@@ -422,7 +432,9 @@ def _case_iii(n=None, localization: str | None = None, **_) -> CaseSpec:
 # case iv: Jordan plane
 
 
-def _case_iv(**_) -> CaseSpec:
+def _case_iv(localization: str = "none") -> CaseSpec:
+    if localization != "none":
+        raise CatalogError("case iv supports localization none")
     A = Algebra("jordan")
     T = SkewRing(A, Group("cyclic", 2, Cyclo.rational(-1)))
     return CaseSpec(

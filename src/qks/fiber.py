@@ -11,6 +11,13 @@ the subspace they span under left and right multiplication by the algebra
 generators until the dimension stabilizes, and structure constants are taken
 on a complement.
 
+The fiber keeps u, v and the group generators as its `gens`.  They generate
+it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
+((u...u) v...v) f, and the quotient keeps this because the residual span is
+closed under the generators; `check_associativity` verifies it at run time.
+So the center is the commutant of the gens, and associativity is checked at
+them, since the middle nucleus {g : (x g) y = x (g y)} is a subalgebra.
+
 Recognition works over the non-closed ground field: an algebra is certified
 "central simple of degree d" when dim = d^2, the trace form is nondegenerate
 and the center is one-dimensional, which base-changes to a matrix algebra
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .cyclotomic import Cyclo
 from .linalg import Echelon, acc, axpy, kernel, nullspace
@@ -151,37 +159,46 @@ class _Reducer:
 
 @dataclass
 class FiniteDimAlgebra:
-    """Structure constants of a finite-dimensional unital algebra."""
+    """Structure constants of a finite-dimensional unital algebra.
+
+    `gens` are coordinate vectors generating it (left unset: the whole basis);
+    a fiber's are u, v and the group generators, which generate every box
+    monomial u^a v^b f as the left-normed word ((u...u) v...v) f.
+    """
 
     dim: int
     labels: list
     sc: list          # sc[i][j]: sparse product vector of basis_i * basis_j
     unit: dict        # coordinates of 1
+    gens: list | None = None
 
-    def multiply(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for i, ci in x.items():
-            row = self.sc[i]
-            for j, cj in y.items():
-                axpy(out, ci * cj, row[j])
-        return out
+    def __post_init__(self):
+        if self.gens is None:
+            self.gens = [{i: Cyclo.rational(1)} for i in range(self.dim)]
 
-    def basis_vector(self, i: int) -> dict:
-        return {i: Cyclo.rational(1)}
 
-    def right_by_basis(self, vec: dict, k: int) -> dict:
-        """vec * basis_k without scalar bookkeeping."""
-        out: dict = {}
-        for l, cl in vec.items():
-            axpy(out, cl, self.sc[l][k])
-        return out
+def _combine(vec: dict, rows) -> dict:
+    """sum of c * rows[l] over the entries (l, c) of vec: basis_i * vec for
+    rows = sc[i], vec * basis_k for rows = column k of sc."""
+    out: dict = {}
+    for l, c in vec.items():
+        axpy(out, c, rows[l])
+    return out
 
-    def left_by_basis(self, i: int, vec: dict) -> dict:
-        """basis_i * vec without scalar bookkeeping."""
-        out: dict = {}
-        for l, cl in vec.items():
-            axpy(out, cl, self.sc[i][l])
-        return out
+
+def _quotient(ech: Echelon, dim: int, labels: list, product, unit: dict,
+              gens: list) -> FiniteDimAlgebra:
+    """The algebra on the non-pivot columns of `ech`, whose row space is an
+    ideal; product(i, j) is the old basis_i * basis_j."""
+    keep = [i for i in range(dim) if i not in ech.rows]
+    new_index = {old: new for new, old in enumerate(keep)}
+
+    def project(vec: dict) -> dict:
+        return {new_index[i]: c for i, c in ech.reduce(vec).items()}
+
+    return FiniteDimAlgebra(dim=len(keep), labels=[labels[i] for i in keep],
+                            sc=[[project(product(i, j)) for j in keep] for i in keep],
+                            unit=project(unit), gens=[project(g) for g in gens])
 
 
 def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe) -> FiniteDimAlgebra:
@@ -217,45 +234,24 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
 
     # residual two-sided ideal: close the span under generator multiplication
     killed = Echelon()
-    frontier = []
-    for res in recipe.residuals:
-        vec = skew_to_vec(res)
-        if killed.add(vec):
-            frontier.append(vec)
+    frontier = [vec for vec in map(skew_to_vec, recipe.residuals) if killed.add(vec)]
     gen_monos = [(1, 0, group.identity()), (0, 1, group.identity())]
     gen_monos += [(0, 0, f) for f in group.generators()]
-
-    def vec_mono_product(vec: dict, gmono, left: bool) -> dict:
-        out: dict = {}
-        for i, ci in vec.items():
-            prod = mono_product(gmono, basis[i]) if left else mono_product(basis[i], gmono)
-            axpy(out, ci, prod)
-        return out
-
+    if frontier:
+        # by_gen[2n][i] = g_n basis_i and by_gen[2n + 1][i] = basis_i g_n
+        by_gen = [[mono_product(g, m) if left else mono_product(m, g) for m in basis]
+                  for g in gen_monos for left in (True, False)]
     while frontier:
-        new_frontier = []
-        for w in frontier:
-            for gmono in gen_monos:
-                for left in (True, False):
-                    prod = vec_mono_product(w, gmono, left)
-                    if prod and killed.add(dict(prod)):
-                        new_frontier.append(prod)
-        frontier = new_frontier
+        frontier = [p for w in frontier for rows in by_gen
+                    if (p := _combine(w, rows)) and killed.add(p)]
 
-    unit_residue = killed.reduce({index[(0, 0, group.identity())]: Cyclo.rational(1)})
-    if not unit_residue:
+    unit = {index[(0, 0, group.identity())]: Cyclo.rational(1)}
+    if not killed.reduce(unit):
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
-    keep = [i for i in range(dim) if i not in killed.rows]
-    new_index = {old: new for new, old in enumerate(keep)}
-
-    def project(vec: dict) -> dict:
-        return {new_index[i]: c for i, c in killed.reduce(vec).items()}
-
-    sc = [[project(mono_product(basis[i], basis[j])) for j in keep] for i in keep]
-    labels = [_label(ring, basis[i]) for i in keep]
-    unit = project({index[(0, 0, group.identity())]: Cyclo.rational(1)})
-    fiber = FiniteDimAlgebra(dim=len(keep), labels=labels, sc=sc, unit=unit)
+    fiber = _quotient(killed, dim, [_label(ring, m) for m in basis],
+                      lambda i, j: mono_product(basis[i], basis[j]), unit,
+                      [skew_to_vec(ring.monomial(*m)) for m in gen_monos])
     if not check_associativity(fiber):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")
     return fiber
@@ -275,23 +271,39 @@ def _label(ring: SkewRing, mono) -> str:
 
 
 def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
-    """All basis triples for dim <= 40; seeded random triples above."""
-    if F.dim <= 40:
-        triples = ((i, j, k) for i in range(F.dim) for j in range(F.dim) for k in range(F.dim))
-    else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(F.dim), rng.randrange(F.dim), rng.randrange(F.dim))
-                   for _ in range(samples))
-    for i, j, k in triples:
-        left = F.right_by_basis(F.sc[i][j], k)
-        right = F.left_by_basis(i, F.sc[j][k])
-        if left != right:
-            return False
+    """Unit, generation by F.gens, then associativity.
+
+    The left-normed words in the gens, from the unit, must span F.  The
+    middle nucleus {g : (x g) y = x (g y) for all x, y} is a subalgebra, so
+    for dim <= 40 checking each generator g against all basis x, y is
+    complete; above that, seeded random basis triples are checked.
+    """
     one = Cyclo.rational(1)
-    unit_ok = all(F.right_by_basis(F.unit, i) == {i: one}
-                  and F.left_by_basis(i, F.unit) == {i: one}
-                  for i in range(F.dim))
-    return unit_ok
+    cols = list(zip(*F.sc))  # cols[k][l] = sc[l][k]
+    if not all(_combine(F.unit, cols[i]) == {i: one} == _combine(F.unit, F.sc[i])
+               for i in range(F.dim)):
+        return False
+    right = [[_combine(g, row) for row in F.sc] for g in F.gens]  # right[n][x] = x g_n
+    words, frontier = Echelon(), [F.unit]
+    words.add(F.unit)
+    while frontier:
+        frontier = [w for w in (_combine(w, r) for w in frontier for r in right)
+                    if words.add(w)]
+    if words.rank < F.dim:
+        return False
+    if F.dim <= 40:
+        pairs = [(x, y) for x in range(F.dim) for y in range(F.dim)]
+        for g, xg in zip(F.gens, right):
+            gy = [_combine(g, col) for col in cols]
+            if any(_combine(xg[x], cols[y]) != _combine(gy[y], F.sc[x]) for x, y in pairs):
+                return False
+        return True
+    rng = random.Random(seed)
+    for _ in range(samples):
+        i, j, k = rng.randrange(F.dim), rng.randrange(F.dim), rng.randrange(F.dim)
+        if _combine(F.sc[i][j], cols[k]) != _combine(F.sc[j][k], F.sc[i]):
+            return False
+    return True
 
 
 def _trace_vector(F: FiniteDimAlgebra) -> list:
@@ -335,24 +347,23 @@ def jacobson_radical_dim(F: FiniteDimAlgebra) -> int:
     return F.dim - trace_form_rank(F)
 
 
-def radical_basis(F: FiniteDimAlgebra) -> list:
-    return nullspace(trace_form_matrix(F), F.dim)
-
-
 def center_dimension(F: FiniteDimAlgebra) -> int:
-    """dim of the commutant of the basis: x e_k = e_k x for every k."""
+    """dim of the commutant of the gens, x g = g x: the center of F when the
+    gens generate it, which check_associativity verifies."""
+    cols = list(zip(*F.sc))
+
     def entries():
-        # the coefficient of x_j in (x e_k - e_k x)_l, one subtraction where
-        # both products have a term; keys enter as e_j e_k's, then e_k e_j's
-        for k in range(F.dim):
+        # the coefficient of x_j in (x g - g x)_l, one subtraction where
+        # both products have a term
+        for n, g in enumerate(F.gens):
             for j in range(F.dim):
-                right, left = F.sc[j][k], F.sc[k][j]
+                right, left = _combine(g, F.sc[j]), _combine(g, cols[j])
                 for l, c in right.items():
                     m = left.get(l)
-                    yield (k, l), j, c if m is None else c - m
+                    yield (n, l), j, c if m is None else c - m
                 for l, m in left.items():
                     if l not in right:
-                        yield (k, l), j, -m
+                        yield (n, l), j, -m
 
     return len(kernel(entries(), F.dim))
 
@@ -362,20 +373,12 @@ def quotient_by_subspace(F: FiniteDimAlgebra, vectors) -> FiniteDimAlgebra:
     ech = Echelon()
     for v in vectors:
         ech.add(v)
-    keep = [i for i in range(F.dim) if i not in ech.rows]
-    new_index = {old: new for new, old in enumerate(keep)}
-
-    def project(vec):
-        return {new_index[i]: c for i, c in ech.reduce(vec).items()}
-
-    sc = [[project(F.multiply(F.basis_vector(i), F.basis_vector(j))) for j in keep]
-          for i in keep]
-    return FiniteDimAlgebra(dim=len(keep), labels=[F.labels[i] for i in keep],
-                            sc=sc, unit=project(F.unit))
+    return _quotient(ech, F.dim, F.labels, lambda i, j: F.sc[i][j], F.unit, F.gens)
 
 
 def semisimple_quotient(F: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    return quotient_by_subspace(F, radical_basis(F))
+    """F modulo its radical, the trace-form kernel."""
+    return quotient_by_subspace(F, nullspace(trace_form_matrix(F), F.dim))
 
 
 @dataclass
@@ -396,8 +399,8 @@ def matrix_algebra_certificate(F: FiniteDimAlgebra) -> Certificate:
     Over the algebraic closure this is exactly "the fiber is M_d"; any failed
     test is reported as the witness.
     """
-    d = _isqrt_exact(F.dim)
-    if d is None:
+    d = isqrt(F.dim)
+    if d * d != F.dim:
         return Certificate(False, witness=f"dim {F.dim} is not a perfect square")
     rk = trace_form_rank(F)
     if rk != F.dim:
@@ -406,14 +409,6 @@ def matrix_algebra_certificate(F: FiniteDimAlgebra) -> Certificate:
     if zdim != 1:
         return Certificate(False, witness=f"center has dimension {zdim}")
     return Certificate(True, d=d)
-
-
-def _isqrt_exact(n: int):
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
 
 
 def matrix_units_algebra(d: int) -> FiniteDimAlgebra:

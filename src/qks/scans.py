@@ -120,7 +120,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
     rng = random.Random(seed)
     mix = case.azumaya_expected is False and case.keeps_stabilized
     # a sampler give-up is no witness: it never counts as a failure
-    points, ds, failures, giveups = [], set(), 0, 0
+    points, ds, failures, giveups, drew_stabilized = [], set(), 0, 0, False
     for idx in range(samples):
         stab = stabilized or (mix and idx % 3 == 2)
         try:
@@ -130,6 +130,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                            "certificate": "no-admissible-point", "witness": str(exc)})
             giveups += 1
             continue
+        drew_stabilized |= stab
         rec = _certify_point(case, point)
         if rec["certificate"] == "central-simple":
             ds.add(rec["d"])
@@ -141,6 +142,10 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
         passed = not case.azumaya_expected
     elif giveups:
         verdict = f"inconclusive({giveups} of {samples} points not sampled)"
+        passed = None
+    elif case.azumaya_expected is False and not drew_stabilized:
+        # a negative control's witnesses lie on the stabilized locus
+        verdict = "inconclusive(no stabilized point drawn)"
         passed = None
     elif len(ds) == 1:
         d = next(iter(ds))

@@ -1,10 +1,13 @@
 """Pinned JSON bytes for a fixed list of commands.
 
 The first six digests were recorded before the sparse kernels were
-merged, the rest before the catalog's per-case samplers and recipes moved
-into the case builders; a refactor of linalg, planes, skew, fiber, catalog
-or scans must reproduce them.  Together the scan, freeness and molien
-commands reach every case's sampler, Z(A) sampler and fiber recipe.
+merged, the next ten before the catalog's per-case samplers and recipes
+moved into the case builders, and the last two (fibers of dim 100 and 144,
+where associativity is sampled) before fibers took their center and
+associativity at their generators; a refactor of linalg, planes, skew,
+fiber, catalog or scans must reproduce them.  Together the scan, freeness
+and molien commands reach every case's sampler, Z(A) sampler and fiber
+recipe.
 """
 
 import hashlib
@@ -46,6 +49,10 @@ PINNED = [
      "82085578664d68162977128b9bb2f00bf947d53d748991a63e8c6e69c68ba57f"),
     ("molien --case iii --m 3 --degree 8",
      "dc018def1ab515387127976aacde398e409b9f6ef32068e668cbdcf2802eb377"),
+    ("scan --case i --n 5 --k 2 --samples 1 --seed 7",
+     "b9586d357865cbba3f04886e023e222b5e22029118d77c8dccb637abf465d5d7"),
+    ("scan --case iii --n 3 --localization torus --samples 3 --seed 7",
+     "e30ebb5472d3bee9bed43bd65c614bb868df1ef846a54af7f92013295fc11a54"),
 ]
 
 

@@ -1,5 +1,8 @@
 """Fiber construction and the central-simple certificate machinery."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from qks.cyclotomic import Cyclo
@@ -19,6 +22,8 @@ from qks.fiber import (
     swap_uv,
     trace_form_rank,
 )
+from qks.catalog import make_case, recipe_for, sample_point
+from qks.linalg import acc
 from qks.planes import Algebra, Group
 from qks.skew import Presentation, SkewRing
 
@@ -170,3 +175,47 @@ def test_inverse_power_rule():
 def test_certificate_str():
     assert str(Certificate(True, d=3)) == "central-simple(3)"
     assert "witness" not in str(Certificate(False, witness="trace form rank 2 < 4"))
+
+
+# -- the generator path: u, v and the group generators stand for the basis
+
+def _catalog_fiber(case_id, kwargs, seed=1):
+    case = make_case(case_id, **kwargs)
+    point = sample_point(case, random.Random(seed))
+    return build_fiber(case.ring, point, recipe_for(case, point))
+
+
+@pytest.mark.parametrize("case_id,kwargs", [
+    ("0", dict(localization="none")),
+    ("0", dict(localization="full")),
+    ("i", dict(n=3, k=2)),
+    ("ii", dict(localization="full")),
+    ("iii", dict(n=2, localization="torus")),
+])
+def test_generator_path_matches_whole_basis(case_id, kwargs):
+    fiber = _catalog_fiber(case_id, kwargs)
+    whole = replace(fiber, gens=None)  # the default gens: every basis vector
+    assert len(fiber.gens) < len(whole.gens) == fiber.dim
+    assert check_associativity(fiber) is check_associativity(whole) is True
+    assert center_dimension(fiber) == center_dimension(whole)
+
+
+def test_generator_check_rejects_perturbed_tables():
+    fiber = _catalog_fiber("ii", dict(localization="full"))
+    assert fiber.dim <= 40
+    rng = random.Random(4)
+    verdicts = []
+    for _ in range(12):
+        sc = [[dict(v) for v in row] for row in fiber.sc]
+        i, j, l = (rng.randrange(fiber.dim) for _ in range(3))
+        acc(sc[i][j], l, Cyclo.rational(1))
+        perturbed = replace(fiber, sc=sc)
+        verdict = check_associativity(perturbed)
+        assert verdict is check_associativity(replace(perturbed, gens=None))
+        verdicts.append(verdict)
+    assert not any(verdicts)
+
+
+def test_gens_that_do_not_generate_fail_the_check():
+    M2 = matrix_units_algebra(2)
+    assert not check_associativity(replace(M2, gens=[M2.unit]))

@@ -62,6 +62,8 @@ def test_catalog_rejects_bad_arguments():
         make_case("i", n=2)
     with pytest.raises(CatalogError):
         make_case("0", localization="torus")
+    with pytest.raises(CatalogError, match="n, k"):
+        make_case("ii", localization="torus", n=7, k=9)
 
 
 def test_sampling_is_deterministic():
@@ -330,6 +332,27 @@ def test_cli_rejects_empty_inputs(capsys, argv, name):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["center", "--case", "iv", "--localization", "full"], "localization"),
+    (["scan", "--case", "ii", "--localization", "torus", "--n", "7", "--k", "9"], "n, k"),
+    (["scan", "--case", "i", "--n", "2", "--k", "2", "--q", "2"], "q"),
+])
+def test_cli_rejects_arguments_the_case_does_not_use(capsys, argv, name):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+def test_cli_scan_control_without_stabilized_draw_is_inconclusive(capsys):
+    # one sample never reaches the every-third stabilized draw
+    code = main(["scan", "--case", "ii", "--localization", "torus", "--samples", "1",
+                 "--seed", "1", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert data["verdict"] == "inconclusive(no stabilized point drawn)"
+    assert data["pass"] is None
 
 
 def test_cli_scan_stabilized_rejected_where_removed(capsys):
