@@ -9,7 +9,9 @@ finite-dimensional algebra on the box-times-group basis.  Second, the
 residual central relations (generator minus its value) are killed by closing
 the subspace they span under left and right multiplication by the algebra
 generators until the dimension stabilizes, and structure constants are taken
-on a complement.
+on a complement.  In (u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2
+the box part is independent of f2, so it is computed once per
+(a1, b1, f1, a2, b2) and laid out at the group index f1f2.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -215,15 +217,21 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     index = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
 
+    boxes: dict = {}  # (a1, b1, f1, a2, b2) -> box part of the product, for any f2
+
     def mono_product(m1, m2) -> dict:
         (a1, b1, f1), (a2, b2, f2) = m1, m2
-        (a2p, b2p), scal = act_mono(algebra, group, f1, (a2, b2))
+        key = (a1, b1, f1, a2, b2)
+        box = boxes.get(key)
+        if box is None:
+            (a2p, b2p), scal = act_mono(algebra, group, f1, (a2, b2))
+            box = {}
+            for mono, c in algebra.mono_mul((a1, b1), (a2p, b2p)).items():
+                for red_mono, rc in reducer.reduce_mono(mono).items():
+                    acc(box, red_mono, scal * c * rc)
+            boxes[key] = box
         f12 = group.mul(f1, f2)
-        out: dict = {}
-        for mono, c in algebra.mono_mul((a1, b1), (a2p, b2p)).items():
-            for red_mono, rc in reducer.reduce_mono(mono).items():
-                acc(out, index[(red_mono[0], red_mono[1], f12)], scal * c * rc)
-        return out
+        return {index[(a, b, f12)]: c for (a, b), c in box.items()}
 
     def skew_to_vec(x: SkewElement) -> dict:
         out: dict = {}

@@ -184,9 +184,10 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     rng = random.Random(seed)
     group = case.ring.group
     mix = case.keeps_stabilized
-    witnesses = 0
+    witnesses, drew_stabilized = 0, False
     for idx in range(samples):
         stab_draw = mix and idx % 3 == 2
+        drew_stabilized |= stab_draw
         values = sample_za_values(case, rng, stabilized=stab_draw)
         stab = stabilizer_of_point(case.ring.algebra, group, case.za_gens, values)
         rec = {"values": {f"z{i}": _fmt_value(v) for i, v in enumerate(values)},
@@ -200,6 +201,9 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
         passed = None
     else:
         passed = (witnesses == 0) == bool(case.azumaya_expected)
+    if case.azumaya_expected is False and not witnesses and not drew_stabilized:
+        # as in azumaya_scan: a negative control's witnesses are stabilized draws
+        verdict, passed = "inconclusive(no stabilized point drawn)", None
     return Report("freeness", case.label, case.params(), seed, case.conductor,
                   body, verdict, passed, {"total_s": time.perf_counter() - t0})
 

@@ -2,9 +2,11 @@
 
 The first six digests were recorded before the sparse kernels were
 merged, the next ten before the catalog's per-case samplers and recipes
-moved into the case builders, and the last two (fibers of dim 100 and 144,
+moved into the case builders, the next two (fibers of dim 100 and 144,
 where associativity is sampled) before fibers took their center and
-associativity at their generators; a refactor of linalg, planes, skew,
+associativity at their generators, and the last two (the benchmark's C2
+k=4 and S2 full scans) before the structure table reused the box part of
+each product across group elements; a refactor of linalg, planes, skew,
 fiber, catalog or scans must reproduce them.  Together the scan, freeness
 and molien commands reach every case's sampler, Z(A) sampler and fiber
 recipe.
@@ -53,6 +55,10 @@ PINNED = [
      "b9586d357865cbba3f04886e023e222b5e22029118d77c8dccb637abf465d5d7"),
     ("scan --case iii --n 3 --localization torus --samples 3 --seed 7",
      "e30ebb5472d3bee9bed43bd65c614bb868df1ef846a54af7f92013295fc11a54"),
+    ("scan --case i --n 2 --k 4 --samples 3 --seed 7",
+     "9c851c2136d125dc5f0ee1b47dc88b2c4a18689d524feaf555df8538da1010f2"),
+    ("scan --case ii --localization full --samples 3 --seed 7",
+     "ced5667b882fbc4e3dc428814b440d2414361822dcbaf34ee493afd37991432e"),
 ]
 
 

@@ -10,6 +10,7 @@ from qks.fiber import (
     Certificate,
     FiberError,
     FiberRecipe,
+    _Reducer,
     build_fiber,
     center_dimension,
     check_associativity,
@@ -219,3 +220,44 @@ def test_generator_check_rejects_perturbed_tables():
 def test_gens_that_do_not_generate_fail_the_check():
     M2 = matrix_units_algebra(2)
     assert not check_associativity(replace(M2, gens=[M2.unit]))
+
+
+# -- the structure table against an independent product route
+
+def _oracle_product(ring, reducer, index, m1, m2):
+    """ring.monomial(*m1) * ring.monomial(*m2) through SkewElement
+    multiplication, each component reduced into the box."""
+    out = {}
+    for f, poly in (ring.monomial(*m1) * ring.monomial(*m2)).comps.items():
+        for (a, b), c in reducer.reduce_terms(poly.terms).items():
+            acc(out, index[(a, b, f)], c)
+    return out
+
+
+@pytest.mark.parametrize("case_id,kwargs,pairs", [
+    ("i", dict(n=3, k=2), None),
+    ("ii", dict(localization="full"), None),
+    ("iii", dict(n=3, localization="full"), 3000),  # D3: the order f1 f2 matters
+])
+def test_structure_table_matches_skew_products(case_id, kwargs, pairs):
+    case = make_case(case_id, **kwargs)
+    point = sample_point(case, random.Random(3))
+    # without the residual relations nothing is killed, so sc is the raw table
+    recipe = replace(recipe_for(case, point), residuals=[])
+    ring, group = case.ring, case.ring.group
+    fiber = build_fiber(ring, point, recipe)
+    basis = [(a, b, f) for f in group.elements()
+             for a in range(recipe.ku) for b in range(recipe.kv)]
+    assert fiber.dim == len(basis)
+    index = {m: i for i, m in enumerate(basis)}
+    reducer = _Reducer(ring, recipe)
+    if pairs is None:
+        checked = [(i, j) for i in range(fiber.dim) for j in range(fiber.dim)]
+    else:
+        group_monos = [index[(0, 0, f)] for f in group.elements()]
+        rng = random.Random(11)
+        checked = [(i, j) for i in group_monos for j in group_monos]
+        checked += [(rng.randrange(fiber.dim), rng.randrange(fiber.dim))
+                    for _ in range(pairs)]
+    for i, j in checked:
+        assert fiber.sc[i][j] == _oracle_product(ring, reducer, index, basis[i], basis[j])

@@ -355,6 +355,16 @@ def test_cli_scan_control_without_stabilized_draw_is_inconclusive(capsys):
     assert data["pass"] is None
 
 
+def test_cli_freeness_control_without_stabilized_draw_is_inconclusive(capsys):
+    # one sample never reaches the every-third stabilized draw
+    code = main(["freeness", "--case", "0", "--localization", "none", "--samples", "1",
+                 "--seed", "1", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert data["verdict"] == "inconclusive(no stabilized point drawn)"
+    assert data["pass"] is None
+
+
 def test_cli_scan_stabilized_rejected_where_removed(capsys):
     assert main(["scan", "--case", "0", "--localization", "full", "--stabilized",
                  "--samples", "2"]) == 2
