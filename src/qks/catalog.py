@@ -17,6 +17,13 @@ Samplers draw from a fixed pool of small rationals (and conductor roots of
 unity where the center is a Laurent ring), rejecting inadmissible points;
 everything is driven by a seeded rng, so scans are reproducible.
 
+The (-1)-plane cases (ii and iii) build every fiber from one rule, the orbit
+polynomial of U = u^2 under G.  Its coefficients, sigma = U^m + V^m and
+y^m = (UV)^m, are symmetric in the orbit, hence G-invariant elements of the
+center Z(A); so they lie in Z(A)^G, which is central in T, and the point
+gives them values.  Case ii has sigma = s2 and m = 1, odd n has sigma = q2n
+and m = n, even n has sigma = u^n + v^n = -2i x and m = n/2.
+
 Each case is one builder returning a CaseSpec that carries, next to its
 presentation, the point sampler `draw`, the fiber `recipe` and the Z(A)
 sampler `draw_za` (a sampler returns None to reject a draw); `sample_point`,
@@ -116,20 +123,23 @@ def _pool_pair(rng, conductor: int, stabilized: bool, nonzero: bool = True,
     return [a, a if stabilized else _pool_value(rng, conductor, nonzero, allow_roots)]
 
 
-def _residuals(pres: Presentation, values: dict) -> list:
-    """Each generator minus its value at the point, in presentation order."""
-    return [pres.gens[name] - pres.ring.one() * values[name] for name in pres.names]
+def _orbit_recipe(pres: Presentation, point: CentralPoint, sigma: Cyclo, m: int) -> FiberRecipe:
+    """The fiber rule of the (-1)-plane cases: the orbit polynomial of U = u^2.
 
-
-def _square_recipe(pres: Presentation, point: CentralPoint, s: Cyclo) -> FiberRecipe:
-    """u^4 = s u^2 - y and its (u, v)-swap: the fiber of the (-1)-plane cases."""
+    U has m rotation images and V = v^2 as many, so the orbit polynomial is
+    (X^m - U^m)(X^m - V^m) = X^2m - sigma X^m + y^m and u^4m = sigma u^2m - y^m.
+    With u inverted v^2 = y u^-2; otherwise v takes the swapped u-rule."""
     A = pres.ring.algebra
-    u_pow = A.poly({(2, 0): s, (0, 0): -point.values["y"]})
-    u_inv = inverse_power_rule(u_pow, 4) if A.inverted else None
+    y = point.values["y"]
+    u_pow = A.poly({(2 * m, 0): sigma, (0, 0): -(y ** m)})
+    residuals = [pres.gens[name] - pres.ring.one() * point.values[name] for name in pres.names]
+    if "u" not in A.inverted:
+        return FiberRecipe(ku=4 * m, kv=4 * m, u_pow=u_pow, v_pow=swap_uv(u_pow),
+                           residuals=residuals)
     return FiberRecipe(
-        ku=4, kv=4, u_pow=u_pow, v_pow=swap_uv(u_pow),
-        u_inv=u_inv, v_inv=swap_uv(u_inv) if u_inv is not None else None,
-        residuals=_residuals(pres, point.values),
+        ku=4 * m, kv=2, u_pow=u_pow, v_pow=A.poly({(-2, 0): y}),
+        u_inv=inverse_power_rule(u_pow, 4 * m), v_inv=A.poly({(2, 0): y.inverse()}),
+        residuals=residuals,
     )
 
 
@@ -302,7 +312,7 @@ def _case_ii(localization: str | None = None) -> CaseSpec:
         za_gens=[A.monomial(2, 0), A.monomial(0, 2)] if localization != "none" else None,
         keeps_stabilized=(localization != "full"),
         draw=draw,
-        recipe=lambda point: _square_recipe(pres, point, point.values["s2"]),
+        recipe=lambda point: _orbit_recipe(pres, point, point.values["s2"], 1),
         draw_za=draw_za,
     )
 
@@ -357,16 +367,7 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
                     "q2n": _pool_value(rng, conductor, nonzero=False)}
 
         def recipe(point):
-            p, q2n = point.values["y"], point.values["q2n"]
-            u_pow = A.poly({(2 * n, 0): q2n, (0, 0): -(p ** n)})
-            return FiberRecipe(
-                ku=4 * n, kv=2,
-                u_pow=u_pow,
-                v_pow=A.poly({(-2, 0): p}),
-                u_inv=inverse_power_rule(u_pow, 4 * n),
-                v_inv=A.poly({(2, 0): p.inverse()}),
-                residuals=_residuals(pres, point.values),
-            )
+            return _orbit_recipe(pres, point, point.values["q2n"], n)
     else:
         # Z(T) = k[x,y,z]/(x^2 y + y^{m+1} + z^2), m = n/2
         m = n // 2
@@ -390,7 +391,7 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
         azu = {"none": None, "torus": True}[localization]
 
         def draw(rng, stabilized):
-            # u^2 -> alpha = rho^2, v^2 -> beta = tau^2; _s = alpha + beta
+            # u^2 -> alpha = rho^2, v^2 -> beta = tau^2
             rho, tau = _pool_value(rng, conductor), _pool_value(rng, conductor)
             alpha, beta = rho * rho, tau * tau
             sign = Cyclo.rational(rng.choice((1, -1)), conductor)
@@ -398,19 +399,12 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
             return {
                 "x": i_unit * half * (alpha ** m + beta ** m),
                 "y": alpha * beta,
-                "z": half * (alpha ** m - beta ** m) * (i_unit * rho * tau * sign),
-                "_s": alpha + beta,
+                "z": half * (alpha ** m - beta ** m) * (rho * tau * sign),
             }
 
         def recipe(point):
-            vals = point.values
-            if "_s" in vals:
-                s = vals["_s"]
-            elif n == 2:
-                s = vals["x"] * (i_unit * (-2))
-            else:
-                raise CatalogError("case iii even with n > 2 needs the auxiliary _s value")
-            return _square_recipe(pres, point, s)
+            # sigma = u^n + v^n = -2i x
+            return _orbit_recipe(pres, point, point.values["x"] * (i_unit * (-2)), m)
 
     def draw_za(rng, stabilized):
         alpha, beta = _pool_pair(rng, conductor, stabilized, allow_roots=True)

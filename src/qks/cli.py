@@ -57,8 +57,11 @@ def _parse_point(text: str, conductor: int) -> dict:
         name, _, raw = item.partition("=")
         if not raw:
             raise CatalogError(f"malformed point assignment {item!r}")
+        name = name.strip()
+        if name in values:
+            raise CatalogError(f"point assigns {name!r} twice")
         try:
-            values[name.strip()] = parse_cyclo(raw, conductor)
+            values[name] = parse_cyclo(raw, conductor)
         except ZeroDivisionError:
             raise CatalogError(f"division by zero in point assignment {item!r}") from None
     return values

@@ -77,14 +77,9 @@ def _fmt_value(c: Cyclo) -> str:
     return c.to_str()
 
 
-def _point_values_str(values: dict) -> dict:
-    return {name: _fmt_value(v) for name, v in sorted(values.items())
-            if not name.startswith("_")}
-
-
 def _certify_point(case: CaseSpec, point) -> dict:
     """Build the point's fiber and certify it: the point's report record."""
-    rec = {"values": _point_values_str(point.values)}
+    rec = {"values": {name: _fmt_value(v) for name, v in sorted(point.values.items())}}
     try:
         fiber = build_fiber(case.ring, point, recipe_for(case, point))
         cert = matrix_algebra_certificate(fiber)
@@ -349,6 +344,8 @@ def series_check(case_id: str, m: int, degree: int) -> Report:
     entry = SERIES.get(case_id)
     if entry is None:
         raise CatalogError("series_check supports case ids i (cyclic) and iii (dihedral)")
+    if degree < 0:
+        raise CatalogError("degree (the series truncation) must be >= 0")
     rep_of, closed_of, label = entry
     rep, closed, label = rep_of(m), closed_of(m), label.format(m=m)
     mol = molien_series(rep)
@@ -428,7 +425,7 @@ def fiber_report(case: CaseSpec, values: dict) -> Report:
     if case.presentation is None:
         raise CatalogError(f"case {case.label} has no central presentation")
     names = case.presentation.names
-    unknown = sorted(n for n in values if n not in names and not n.startswith("_"))
+    unknown = sorted(n for n in values if n not in names)
     if unknown:
         raise CatalogError(f"point names unknown generators {unknown}; "
                            f"the generators are {list(names)}")

@@ -4,10 +4,13 @@ The first six digests were recorded before the sparse kernels were
 merged, the next ten before the catalog's per-case samplers and recipes
 moved into the case builders, the next two (fibers of dim 100 and 144,
 where associativity is sampled) before fibers took their center and
-associativity at their generators, and the last two (the benchmark's C2
-k=4 and S2 full scans) before the structure table reused the box part of
-each product across group elements; a refactor of linalg, planes, skew,
-fiber, catalog or scans must reproduce them.  Together the scan, freeness
+associativity at their generators, the next two (the benchmark's C2 k=4
+and S2 full scans) before the structure table reused the box part of each
+product across group elements, and the last one (D4 torus) when the
+(-1)-plane cases took the orbit-polynomial fiber rule; a refactor of
+linalg, planes, skew, fiber, catalog or scans must reproduce them.  The D2
+torus scan was re-recorded with that rule: its old digest recorded a
+sampler that drew only points with u^2 and v^2 at the same value.  Together the scan, freeness
 and molien commands reach every case's sampler, Z(A) sampler and fiber
 recipe.
 """
@@ -34,7 +37,7 @@ PINNED = [
     ("scan --case 0 --localization none --samples 3 --seed 7",
      "305ac2c6327431adea5a448305fbffdefc3c3858918567bfa11cd78278c1c38e"),
     ("scan --case iii --n 2 --localization torus --samples 2 --seed 7",
-     "7eb83187ebb662c5437ef2186118a21256c7d957b5f578eb524ee9ba9570d93d"),
+     "894b6cac43b9097a3a7db5621c025d895b016b4f28d08b25efbfb921ade22fa9"),
     ("scan --case iii --n 3 --localization torus --stabilized --samples 1 --seed 7",
      "a07decb0a70825cf9e0c0c33701e2437ab938fd657a65ee58e12985a2eb817f2"),
     ("scan --case iii --n 3 --localization full --samples 1 --seed 7",
@@ -59,6 +62,8 @@ PINNED = [
      "9c851c2136d125dc5f0ee1b47dc88b2c4a18689d524feaf555df8538da1010f2"),
     ("scan --case ii --localization full --samples 3 --seed 7",
      "ced5667b882fbc4e3dc428814b440d2414361822dcbaf34ee493afd37991432e"),
+    ("scan --case iii --n 4 --localization torus --samples 3 --seed 7",
+     "1d86e1c157282e33c9392fb3fa26c2f266fca82f84e87c504a42462f7e795825"),
 ]
 
 

@@ -84,14 +84,19 @@ def test_sampled_points_respect_localization():
         assert not (v["s2"] * v["s2"] - v["y"] * 4).is_zero()
 
 
-@pytest.mark.xfail(strict=True, reason="case iii, even n: the sampled z carries a spurious "
-                   "factor i, so only points with alpha = beta satisfy the relation")
-def test_case_iii_even_samples_off_the_diagonal():
-    # u^2 -> alpha, v^2 -> beta with _s = alpha + beta and y = alpha beta:
-    # _s^2 = 4y exactly on the diagonal alpha = beta
-    case = make_case("iii", n=2, localization="torus")
+@pytest.mark.parametrize("n", [2, 4])
+def test_case_iii_even_samples_off_the_diagonal(n):
+    # u^2 -> alpha, v^2 -> beta: z = (alpha^m - beta^m) rho tau / 2 is zero
+    # exactly on the diagonal alpha^m = beta^m
+    case = make_case("iii", n=n, localization="torus")
     points = [sample_point(case, random.Random(seed)) for seed in range(8)]
-    assert any(p.values["_s"] ** 2 != p.values["y"] * 4 for p in points)
+    assert any(not p.values["z"].is_zero() for p in points)
+
+
+def test_case_iii_n6_torus_scan():
+    rep = azumaya_scan(make_case("iii", n=6, localization="torus"), samples=1, seed=7)
+    assert rep.verdict == "azumaya-consistent(12)"
+    assert rep.passed is True
 
 
 def test_stabilized_sampling_rejected_on_full_localization():
@@ -306,15 +311,29 @@ def test_cli_point_rejects_unknown_names(capsys):
     assert err.startswith("error:") and "zz" in err
 
 
-def test_cli_point_accepts_auxiliary_names(capsys):
-    case = make_case("iii", n=2, localization="torus")
-    values = sample_point(case, random.Random(0)).values
-    assert "_s" in values
-    text = ",".join(f"{name}={v.to_str()}" for name, v in values.items())
-    code = main(["fiber", "--case", "iii", "--n", "2", "--localization", "torus",
-                 "--point", text])
-    assert code == 0
-    assert "central-simple" in capsys.readouterr().out
+def test_cli_point_rejects_repeated_names(capsys):
+    assert main(["fiber", "--case", "0", "--point", "s=3,m=2,s=5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'s'" in err
+
+
+@pytest.mark.parametrize("args,verdict", [
+    # even n: the fiber builds from the generators x, y, z alone
+    (["--n", "4", "--localization", "torus", "--point", "x=97/2*z,y=36,z=-195"],
+     "central-simple(8)"),
+    # the graded ring has no u^-1, so v takes the swapped u-rule
+    (["--n", "3", "--localization", "none", "--point", "y=2,q2n=3"], "central-simple(12)"),
+], ids=["D4-torus", "D3-graded"])
+def test_cli_dihedral_fiber_certifies(capsys, args, verdict):
+    assert main(["fiber", "--case", "iii", *args, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
+def test_cli_point_rejects_underscore_names(capsys):
+    assert main(["fiber", "--case", "iii", "--n", "4", "--localization", "torus",
+                 "--point", "x=97/2*z,y=36,z=-195,_s=3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "_s" in err
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -327,6 +346,7 @@ def test_cli_point_accepts_auxiliary_names(capsys):
     # D3 has no invariants below degree 3, so caps (0, 2) leave A^G ungenerated
     (["auslander", "--case", "iii", "--n", "3", "--localization", "none",
       "--degree", "0", "--guard", "0"], "guard"),
+    (["molien", "--case", "i", "--m", "4", "--degree", "-1"], "degree"),
 ])
 def test_cli_rejects_empty_inputs(capsys, argv, name):
     assert main(argv) == 2
