@@ -55,15 +55,15 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over Fraction (internal)
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+def _poly_divmod(num: list[Fraction], divisor: list[Fraction]):
     num = list(num)
-    q = [_ZERO] * max(1, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
+    q = [_ZERO] * max(1, len(num) - len(divisor) + 1)
+    inv_lead = 1 / divisor[-1]
+    for i in range(len(num) - len(divisor), -1, -1):
+        c = num[i + len(divisor) - 1] * inv_lead
         if c:
             q[i] = c
-            for j, dj in enumerate(den):
+            for j, dj in enumerate(divisor):
                 num[i + j] -= c * dj
     while len(num) > 1 and not num[-1]:
         num.pop()
@@ -203,16 +203,6 @@ class Cyclo:
                     if row[k]:
                         out[k] += cj * row[k]
         return Cyclo(m, out)
-
-    def reduced(self) -> "Cyclo":
-        """Smallest-conductor representation of the same value (for output)."""
-        for d in divisors(self.n):
-            if d == self.n:
-                break
-            sol = _express_in_subfield(self, d)
-            if sol is not None:
-                return Cyclo(d, sol)
-        return self
 
     def _pair(self, other: "Cyclo"):
         if self.n == other.n:
@@ -390,36 +380,6 @@ def multiplicative_order(a: Cyclo, bound: int = 10_000) -> int:
             return k
         acc = acc * a
     raise ValueError("order exceeds bound (element may not be a root of unity)")
-
-
-def _express_in_subfield(a: Cyclo, d: int):
-    """Solve for coordinates of `a` in the image of Q(zeta_d); None if absent."""
-    n, phi_n, phi_d = a.n, len(a.c), euler_phi(d)
-    cols = [root_of_unity(t, d).coerce(n).c for t in range(phi_d)]
-    # dense Gaussian elimination on the phi_n x (phi_d+1) augmented system
-    rows = [[cols[t][r] for t in range(phi_d)] + [a.c[r]] for r in range(phi_n)]
-    piv_cols = []
-    r = 0
-    for col in range(phi_d):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][phi_d]:
-            return None
-    sol = [_ZERO] * phi_d
-    for i, col in enumerate(piv_cols):
-        sol[col] = rows[i][phi_d]
-    return tuple(sol)
 
 
 # -- string parsing (CLI / JSON boundary) -----------------------------------

@@ -3,7 +3,11 @@
 Supported coefficient rings: the commutative plane k[u,v], the quantum plane
 k_q[u,v] (vu = q uv), and the Jordan plane k_J[u,v] (vu = uv + u^2), each
 optionally with inverted generators (Laurent versions; the Jordan plane admits
-inverting u only) and with a list of central denominators adjoined formally.
+inverting u only).  An algebra may also declare central denominators: the
+elements a localization inverts (such as u^2 - v^2).  They are validated
+(nonzero, central, and carried to scalar multiples of one another by the
+group) and recorded in the algebra's key, but no element carries one; every
+element is a Laurent polynomial.
 
 Elements are kept in the PBW normal form sum c_{ab} u^a v^b.  Products are
 normalized eagerly: the quantum plane commutes exponents through a power of q,
@@ -60,7 +64,7 @@ class Algebra:
             self._adjoin_denominator(d)
 
     def _adjoin_denominator(self, poly: "NCPoly"):
-        poly = poly.retagged(self)
+        poly = NCPoly(self, poly.terms)
         if poly.is_zero():
             raise AlgebraError("denominator is zero")
         if not is_central_in_algebra(poly):
@@ -108,8 +112,8 @@ class Algebra:
 
     # -- element constructors -------------------------------------------------
 
-    def poly(self, terms: dict, den=()) -> "NCPoly":
-        return NCPoly(self, terms, den)
+    def poly(self, terms: dict) -> "NCPoly":
+        return NCPoly(self, terms)
 
     def monomial(self, a: int, b: int, coeff=1) -> "NCPoly":
         return NCPoly(self, {(a, b): self.scalar(coeff)})
@@ -175,15 +179,14 @@ def _lcm(a: int, b: int) -> int:
 
 
 class NCPoly:
-    """Normal-form element of one of the base algebras.
+    """Normal-form Laurent polynomial in one of the base algebras.
 
-    `den` is a sorted multiset (tuple) of indices into algebra.denominators
-    recording a formal central denominator; arithmetic clears denominators.
+    The algebra's declared denominators are never attached to an element.
     """
 
-    __slots__ = ("algebra", "terms", "den")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: Algebra, terms: dict, den=()):
+    def __init__(self, algebra: Algebra, terms: dict):
         self.algebra = algebra
         cleaned = {}
         for mono, coeff in terms.items():
@@ -191,10 +194,6 @@ class NCPoly:
                 algebra._check_mono(mono)
                 cleaned[mono] = coeff
         self.terms = cleaned
-        self.den = tuple(sorted(den))
-
-    def retagged(self, algebra: Algebra) -> "NCPoly":
-        return NCPoly(algebra, self.terms, self.den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -214,30 +213,6 @@ class NCPoly:
     def coefficient(self, a: int, b: int) -> Cyclo:
         return self.terms.get((a, b), Cyclo.zero(self.algebra.conductor))
 
-    # -- denominator bookkeeping ------------------------------------------
-
-    def _den_counts(self):
-        counts = {}
-        for i in self.den:
-            counts[i] = counts.get(i, 0) + 1
-        return counts
-
-    def _raise_to_den(self, target_counts) -> dict:
-        """Terms of self scaled so its denominator multiset becomes target."""
-        mine = self._den_counts()
-        terms = self.terms
-        for i, want in target_counts.items():
-            extra = want - mine.get(i, 0)
-            for _ in range(extra):
-                terms = _dict_mul(self.algebra, terms, self.algebra.denominators[i].terms)
-        return terms
-
-    def _common_den(self, other: "NCPoly"):
-        a, b = self._den_counts(), other._den_counts()
-        common = {i: max(a.get(i, 0), b.get(i, 0)) for i in set(a) | set(b)}
-        den = tuple(sorted(i for i, c in common.items() for _ in range(c)))
-        return common, den
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce_other(self, other):
@@ -253,21 +228,15 @@ class NCPoly:
         other = self._coerce_other(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                acc(out, m, c)
-            return NCPoly(self.algebra, out, self.den)
-        common, den = self._common_den(other)
-        out = dict(self._raise_to_den(common))
-        for m, c in other._raise_to_den(common).items():
+        out = dict(self.terms)
+        for m, c in other.terms.items():
             acc(out, m, c)
-        return NCPoly(self.algebra, out, den)
+        return NCPoly(self.algebra, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly(self.algebra, {m: -c for m, c in self.terms.items()}, self.den)
+        return NCPoly(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce_other(other)
@@ -281,12 +250,11 @@ class NCPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
             s = self.algebra.scalar(other)
-            return NCPoly(self.algebra, {m: c * s for m, c in self.terms.items()}, self.den)
+            return NCPoly(self.algebra, {m: c * s for m, c in self.terms.items()})
         other = self._coerce_other(other)
         if other is NotImplemented:
             return NotImplemented
-        out = _dict_mul(self.algebra, self.terms, other.terms)
-        return NCPoly(self.algebra, out, self.den + other.den)
+        return NCPoly(self.algebra, _dict_mul(self.algebra, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -295,7 +263,7 @@ class NCPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            if len(self.terms) != 1 or self.den:
+            if len(self.terms) != 1:
                 raise AlgebraError("only unit monomials can be inverted")
             ((mono, coeff),) = self.terms.items()
             inv_mono, inv_coeff = self.algebra.mono_inverse(mono, coeff)
@@ -313,16 +281,12 @@ class NCPoly:
         other = self._coerce_other(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return self.terms == other.terms
-        return (self - other).is_zero()
+        return self.terms == other.terms
 
     __hash__ = None
 
     def graded_component(self, d: int) -> "NCPoly":
-        return NCPoly(self.algebra,
-                      {m: c for m, c in self.terms.items() if m[0] + m[1] == d},
-                      self.den)
+        return NCPoly(self.algebra, {m: c for m, c in self.terms.items() if m[0] + m[1] == d})
 
     def __repr__(self):
         if not self.terms:
@@ -335,10 +299,7 @@ class NCPoly:
             if mono:
                 cs = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"({cs})*{mono}")
             bits.append(cs)
-        text = " + ".join(bits)
-        if self.den:
-            text = f"({text}) / den{list(self.den)}"
-        return text
+        return " + ".join(bits)
 
 
 def _pow_str(name, e):
@@ -366,10 +327,9 @@ def graded_component(x: NCPoly, d: int) -> NCPoly:
 
 
 def is_central_in_algebra(x: NCPoly) -> bool:
-    """True iff x commutes with u and v (denominators are ignored: central)."""
+    """True iff x commutes with u and v."""
     A = x.algebra
-    bare = NCPoly(A, x.terms)
-    return (bare * A.u() == A.u() * bare) and (bare * A.v() == A.v() * bare)
+    return (x * A.u() == A.u() * x) and (x * A.v() == A.v() * x)
 
 
 # ---------------------------------------------------------------------------
@@ -488,33 +448,7 @@ def apply_automorphism(group: Group, f: GroupElt, x: NCPoly) -> NCPoly:
     for mono, coeff in x.terms.items():
         new_mono, scalar = act_mono(A, group, f, mono)
         acc(out, new_mono, coeff * scalar)
-    if not x.den:
-        return NCPoly(A, out)
-    perm, scalars = _denominator_action(A, group, f)
-    den = []
-    divisor = Cyclo.one(A.conductor)
-    for idx in x.den:
-        den.append(perm[idx])
-        divisor = divisor * scalars[idx]
-    inv = divisor.inverse()
-    return NCPoly(A, {m: c * inv for m, c in out.items()}, tuple(sorted(den)))
-
-
-def _denominator_action(algebra: Algebra, group: Group, f: GroupElt):
-    """How f permutes (up to scalar) the adjoined denominators."""
-    perm, scalars = [], []
-    for d in algebra.denominators:
-        bare = NCPoly(algebra, d.terms)
-        image = apply_automorphism(group, f, bare)
-        for idx, target in enumerate(algebra.denominators):
-            scal = _scalar_multiple_of(image, NCPoly(algebra, target.terms))
-            if scal is not None:
-                perm.append(idx)
-                scalars.append(scal)
-                break
-        else:
-            raise ActionError(f"denominator {d} is not permuted by the action")
-    return perm, scalars
+    return NCPoly(A, out)
 
 
 def _scalar_multiple_of(x: NCPoly, y: NCPoly):
@@ -552,8 +486,11 @@ def check_action_well_defined(algebra: Algebra, group: Group) -> bool:
                 ((a, b),) = image.terms
                 if (a and "u" not in algebra.inverted) or (b and "v" not in algebra.inverted):
                     return False
-            if algebra.denominators:
-                _denominator_action(algebra, group, f)
+            for d in algebra.denominators:
+                # f must map each denominator to a scalar multiple of one
+                image = apply_automorphism(group, f, d)
+                if all(_scalar_multiple_of(image, t) is None for t in algebra.denominators):
+                    return False
         # group relations act as the identity automorphism
         words = []
         if group.n > 1:
@@ -576,7 +513,7 @@ def check_action_well_defined(algebra: Algebra, group: Group) -> bool:
 
 def check_inner_by(algebra: Algebra, group: Group, f: GroupElt, c: NCPoly) -> bool:
     """True iff conjugation by the unit c realizes the action of f."""
-    if len(c.terms) == 1 and not c.den:
+    if len(c.terms) == 1:
         ((mono, coeff),) = c.terms.items()
         algebra.mono_inverse(mono, coeff)  # raises if not a unit
     else:

@@ -344,6 +344,8 @@ def series_check(case_id: str, m: int, degree: int) -> Report:
     entry = SERIES.get(case_id)
     if entry is None:
         raise CatalogError("series_check supports case ids i (cyclic) and iii (dihedral)")
+    if m < 1:
+        raise CatalogError("m (the group parameter) must be >= 1")
     if degree < 0:
         raise CatalogError("degree (the series truncation) must be >= 0")
     rep_of, closed_of, label = entry

@@ -65,34 +65,34 @@ def one_minus_t_pow(k: int) -> tuple:
 
 
 class RationalSeries:
-    """num(t)/den(t) with den(0) != 0, normalized to den(0) = 1."""
+    """num(t)/denom(t) with denom(0) != 0, normalized to denom(0) = 1."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "denom")
 
-    def __init__(self, num, den):
-        num, den = pt_trim(num), pt_trim(den)
-        if not den or den[0].is_zero():
+    def __init__(self, num, denom):
+        num, denom = pt_trim(num), pt_trim(denom)
+        if not denom or denom[0].is_zero():
             raise SeriesError("denominator must have nonzero constant term")
-        c = den[0].inverse()
+        c = denom[0].inverse()
         self.num = pt_scale(num, c)
-        self.den = pt_scale(den, c)
+        self.denom = pt_scale(denom, c)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        return pt_mul(self.num, other.den) == pt_mul(other.num, self.den)
+        return pt_mul(self.num, other.denom) == pt_mul(other.num, self.denom)
 
     __hash__ = None
 
     def expand(self, d: int) -> list:
         """First d+1 power-series coefficients, exact."""
-        num, den = self.num, self.den
+        num, denom = self.num, self.denom
         zero = Cyclo.zero()
         coeffs = []
         for k in range(d + 1):
             c = num[k] if k < len(num) else zero
-            for i in range(1, min(k, len(den) - 1) + 1):
-                c = c - den[i] * coeffs[k - i]
+            for i in range(1, min(k, len(denom) - 1) + 1):
+                c = c - denom[i] * coeffs[k - i]
             coeffs.append(c)
         return coeffs
 
@@ -106,7 +106,7 @@ class RationalSeries:
                 cs = c.to_str()
                 bits.append(t if cs == "1" else f"({cs})*{t}")
             return " + ".join(bits) if bits else "0"
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
+        return f"({fmt(self.num)}) / ({fmt(self.denom)})"
 
 
 def series_expand(f: RationalSeries, d: int) -> list:
@@ -195,14 +195,14 @@ def molien_series(matrices) -> RationalSeries:
             prod = mat_mul(a, b)
             if not any(mat_eq(prod, c) for c in matrices):
                 raise SeriesError("matrix list is not multiplicatively closed")
-    num, den = (), pt_one()
+    num, denom = (), pt_one()
     for alpha in matrices:
         d = _det_one_minus_t(alpha)
-        # num/den + 1/d = (num*d + den)/(den*d)
-        num = pt_add(pt_mul(num, d), den)
-        den = pt_mul(den, d)
+        # num/denom + 1/d = (num*d + denom)/(denom*d)
+        num = pt_add(pt_mul(num, d), denom)
+        denom = pt_mul(denom, d)
     scale = Cyclo.rational(1) / Cyclo.rational(len(matrices))
-    return RationalSeries(pt_scale(num, scale), den)
+    return RationalSeries(pt_scale(num, scale), denom)
 
 
 # -- catalog representations and closed forms ---------------------------------
@@ -237,23 +237,23 @@ def trivial_rep(dim: int) -> list:
 
 def kleinian_a_series(m: int) -> RationalSeries:
     """(1 - t^(2m)) / ((1 - t^2)(1 - t^m)^2)."""
-    den = pt_mul(one_minus_t_pow(2), pt_mul(one_minus_t_pow(m), one_minus_t_pow(m)))
-    return RationalSeries(one_minus_t_pow(2 * m), den)
+    denom = pt_mul(one_minus_t_pow(2), pt_mul(one_minus_t_pow(m), one_minus_t_pow(m)))
+    return RationalSeries(one_minus_t_pow(2 * m), denom)
 
 
 def dihedral_invariant_series(m: int) -> RationalSeries:
     """(1 - t^(2(m+1))) / ((1 - t^2)^2 (1 - t^m)(1 - t^(m+1)))."""
-    den = pt_mul(pt_mul(one_minus_t_pow(2), one_minus_t_pow(2)),
-                 pt_mul(one_minus_t_pow(m), one_minus_t_pow(m + 1)))
-    return RationalSeries(one_minus_t_pow(2 * (m + 1)), den)
+    denom = pt_mul(pt_mul(one_minus_t_pow(2), one_minus_t_pow(2)),
+                   pt_mul(one_minus_t_pow(m), one_minus_t_pow(m + 1)))
+    return RationalSeries(one_minus_t_pow(2 * (m + 1)), denom)
 
 
 def free_series(dim: int) -> RationalSeries:
     """1/(1-t)^dim."""
-    den = pt_one()
+    denom = pt_one()
     for _ in range(dim):
-        den = pt_mul(den, one_minus_t_pow(1))
-    return RationalSeries(pt_one(), den)
+        denom = pt_mul(denom, one_minus_t_pow(1))
+    return RationalSeries(pt_one(), denom)
 
 
 # -- brute-force invariant counting (the independent oracle) ------------------

@@ -147,7 +147,7 @@ class SkewElement:
         if len(self.comps) != 1:
             raise AlgebraError("only unit monomials can be inverted")
         ((f, x),) = self.comps.items()
-        if len(x.terms) != 1 or x.den:
+        if len(x.terms) != 1:
             raise AlgebraError("only unit monomials can be inverted")
         group = self.ring.group
         finv = group.inv(f)

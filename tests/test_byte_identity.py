@@ -6,13 +6,15 @@ moved into the case builders, the next two (fibers of dim 100 and 144,
 where associativity is sampled) before fibers took their center and
 associativity at their generators, the next two (the benchmark's C2 k=4
 and S2 full scans) before the structure table reused the box part of each
-product across group elements, and the last one (D4 torus) when the
-(-1)-plane cases took the orbit-polynomial fiber rule; a refactor of
-linalg, planes, skew, fiber, catalog or scans must reproduce them.  The D2
-torus scan was re-recorded with that rule: its old digest recorded a
-sampler that drew only points with u^2 and v^2 at the same value.  Together the scan, freeness
-and molien commands reach every case's sampler, Z(A) sampler and fiber
-recipe.
+product across group elements, the next one (D4 torus) when the (-1)-plane
+cases took the orbit-polynomial fiber rule, and the last three (centers
+and a scan on the full localizations, whose algebras declare a
+denominator) before elements stopped carrying denominator tags; a
+refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
+them.  The D2 torus scan was re-recorded with the orbit-polynomial rule:
+its old digest recorded a sampler that drew only points with u^2 and v^2
+at the same value.  Together the scan, freeness and molien commands reach
+every case's sampler, Z(A) sampler and fiber recipe.
 """
 
 import hashlib
@@ -64,6 +66,12 @@ PINNED = [
      "ced5667b882fbc4e3dc428814b440d2414361822dcbaf34ee493afd37991432e"),
     ("scan --case iii --n 4 --localization torus --samples 3 --seed 7",
      "1d86e1c157282e33c9392fb3fa26c2f266fca82f84e87c504a42462f7e795825"),
+    ("center --case ii --localization full --degree 4",
+     "331304dcd33f0fa903aa86eee143bd3f876ba24df9b7259a28c17e418c9539ea"),
+    ("center --case 0 --degree 4",
+     "7687ad5bc865698a6d53f4e6fc1bb3314ed4ab34e3392a5185cd7e3166d06cc1"),
+    ("scan --case 0 --samples 3 --seed 7",
+     "00965f53320e136332b96d5ec389a2f71cbcab28e44167e6648e8dd9b38475ef"),
 ]
 
 

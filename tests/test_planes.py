@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
 from qks.planes import (
     Algebra,
@@ -18,6 +19,7 @@ from qks.planes import (
     is_central_in_algebra,
     nc_multiply,
 )
+from qks.skew import SkewRing
 
 
 def quantum(q, conductor=1, inverted=()):
@@ -242,18 +244,19 @@ def test_denominator_validation():
         Algebra("quantum", q=Cyclo.rational(2), denominators=[quantum(Cyclo.rational(2)).u()])
 
 
-def test_denominator_tags_clear_in_arithmetic():
-    A0 = Algebra("commutative")
-    A = Algebra("commutative", denominators=[A0.u() - A0.v()])
-    d = A.u() - A.v()
-    x = A.poly({(1, 0): A.scalar(1)}, den=(0,))  # u/(u-v)
-    y = A.poly({(0, 1): A.scalar(1)}, den=(0,))  # v/(u-v)
-    assert x - y == A.poly({(0, 0): A.scalar(1)}, den=())  # (u-v)/(u-v) = 1? no: stays tagged
-    # multiplication accumulates tags
-    assert (x * y).den == (0, 0)
-    # addition at matching tags stays at that tag
-    assert (x + y).den == (0,)
-    assert (x + y) * d == (A.u() + A.v()) * A.poly({(0, 0): A.scalar(1)}, den=(0,)) * d
+def test_denominators_must_be_group_stable():
+    A = Algebra("commutative")
+    swap = Group("sym2")
+    bad = Algebra("commutative", denominators=[A.u()])
+    assert check_action_well_defined(bad, swap) is False
+    with pytest.raises(AlgebraError):
+        SkewRing(bad, swap)
+    good = Algebra("commutative", denominators=[A.u() - A.v()])
+    assert check_action_well_defined(good, swap) is True
+    SkewRing(good, swap)
+    # the full localizations record the one central element they invert
+    for case_id, kwargs in (("0", {}), ("ii", {}), ("iii", {"n": 3})):
+        assert len(make_case(case_id, **kwargs).ring.algebra.denominators) == 1
 
 
 def test_central_check():

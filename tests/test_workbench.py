@@ -347,6 +347,8 @@ def test_cli_point_rejects_underscore_names(capsys):
     (["auslander", "--case", "iii", "--n", "3", "--localization", "none",
       "--degree", "0", "--guard", "0"], "guard"),
     (["molien", "--case", "i", "--m", "4", "--degree", "-1"], "degree"),
+    (["molien", "--case", "iii", "--m", "-1", "--degree", "2"], "m"),
+    (["molien", "--case", "i", "--m", "0", "--degree", "2"], "m"),
 ])
 def test_cli_rejects_empty_inputs(capsys, argv, name):
     assert main(argv) == 2
