@@ -1,13 +1,25 @@
-"""Sparse exact linear algebra over Q(zeta_N).
+"""Sparse linear algebra over Q(zeta_N), with GF(p) for certified bounds.
 
-Vectors are dicts mapping column index -> Cyclo with no zero entries.  The
-accumulate kernels are `acc` (one entry) and `axpy` (a scaled vector); every
-sparse sum goes through them except those in `series`, whose invariant
-counts stay an independent oracle for the code here.  The workhorse is
-`Echelon`, an incrementally built reduced row echelon basis; everything else
-(rank, nullspace, span comparison, reduction modulo a subspace, and the
-`kernel` builder for commutator and fixed-point systems) is phrased through
-it.
+Vectors are dicts mapping column index -> scalar with no zero entries.  The
+accumulate kernels over `Cyclo` are `acc` (one entry) and `axpy` (a scaled
+vector); every sparse sum goes through them except those in `series`, whose
+invariant counts stay an independent oracle for the code here.  The
+workhorse is `Echelon`, an incrementally built reduced row echelon basis;
+everything else (rank, nullspace, span comparison, reduction modulo a
+subspace, and the `kernel` builder for commutator and fixed-point systems) is
+phrased through it.
+
+`Echelon` takes a field: `CYCLO`, exact `Cyclo` values and the default, or
+`GF(p)`, ints mod a prime p.  A field supplies only the kernels the
+elimination calls once per row (`axpy`, `scaled`, `neg_inverse`), so the
+row reduction is written once and the `Cyclo` loop does no per-entry
+dispatch.  `GF.from_cyclo` maps a rational with no p in its denominator to
+its residue and raises `NotReducible` for anything else, never a wrong
+residue.  The sandwich contract: for rows whose entries all reduce, the rank
+mod p is at most the rank over Q(zeta) (reduction mod p is a ring map, so
+every minor that vanishes over Q vanishes mod p).  A mod-p rank therefore
+gives an upper bound on a nullity and proves nothing alone; a caller pairs
+it with an exact lower bound, and falls back to `CYCLO` when they differ.
 """
 
 from __future__ import annotations
@@ -34,15 +46,77 @@ def axpy(out: Vec, c, vec: Vec) -> None:
         acc(out, k, c * x)
 
 
+class NotReducible(ArithmeticError):
+    """A value has no residue mod p: it is not rational, or p divides its
+    denominator."""
+
+
+class _CycloField:
+    """Q(zeta_N) on `Cyclo` values: the exact field."""
+
+    axpy = staticmethod(axpy)
+
+    @staticmethod
+    def from_cyclo(x: Cyclo) -> Cyclo:
+        return x
+
+    @staticmethod
+    def scaled(c, vec: Vec) -> Vec:
+        return {k: c * x for k, x in vec.items()}
+
+    @staticmethod
+    def neg_inverse(x: Cyclo) -> Cyclo:
+        return -x.inverse()
+
+
+CYCLO = _CycloField()
+
+
+class GF:
+    """The prime field GF(p) on ints 0 <= x < p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def from_cyclo(self, x: Cyclo) -> int:
+        """Residue of a p-integral rational; `NotReducible` otherwise."""
+        if not x.is_rational():
+            raise NotReducible(f"{x!r} is not rational")
+        r = x.as_fraction()
+        if r.denominator % self.p == 0:
+            raise NotReducible(f"{self.p} divides the denominator of {r}")
+        return r.numerator * pow(r.denominator, -1, self.p) % self.p
+
+    def axpy(self, out: Vec, c: int, vec: Vec) -> None:
+        p = self.p
+        for k, x in vec.items():
+            value = (out.get(k, 0) + c * x) % p
+            if value:
+                out[k] = value
+            else:
+                out.pop(k, None)
+
+    def scaled(self, c: int, vec: Vec) -> Vec:
+        p = self.p
+        return {k: c * x % p for k, x in vec.items()}
+
+    def neg_inverse(self, x: int) -> int:
+        return pow(-x, -1, self.p)
+
+
 class Echelon:
     """Reduced row echelon basis of a growing family of sparse vectors.
 
     The row with pivot p is e_p - rows[p]: only its negated tail is stored,
     and no pivot column occurs in any tail.  Eliminating a pivot hit is then
-    one multiply and one add per entry, with no negation.
+    one multiply and one add per entry, with no negation.  Entries live in
+    `field` (`CYCLO` or a `GF`), which supplies the per-row kernels.
     """
 
-    def __init__(self):
+    def __init__(self, field=CYCLO):
+        self.field = field
         self.rows: dict = {}  # pivot column -> negated tail of its row
 
     @property
@@ -52,10 +126,11 @@ class Echelon:
     def reduce(self, vec: Vec) -> Vec:
         """Residue of `vec` modulo the current row space (canonical)."""
         out = dict(vec)
+        field = self.field
         # full RREF: pivot columns occur only in their own rows, so one pass
         # over the pivot hits is enough
         for col in [c for c in out if c in self.rows]:
-            axpy(out, out.pop(col), self.rows[col])
+            field.axpy(out, out.pop(col), self.rows[col])
         return out
 
     def add(self, vec: Vec) -> bool:
@@ -63,14 +138,14 @@ class Echelon:
         res = self.reduce(vec)
         if not res:
             return False
+        field = self.field
         pivot = min(res)
-        scale = -res.pop(pivot).inverse()
-        tail = {k: scale * x for k, x in res.items()}
+        tail = field.scaled(field.neg_inverse(res.pop(pivot)), res)
         # back-eliminate the new pivot from existing rows
         for r in self.rows.values():
             c = r.pop(pivot, None)
             if c is not None:
-                axpy(r, c, tail)
+                field.axpy(r, c, tail)
         self.rows[pivot] = tail
         return True
 

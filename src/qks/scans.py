@@ -3,8 +3,9 @@ endomorphism check, Molien cross-checks, and deterministic reports.
 
 Reports render to a fixed-width human table or to JSON with stable keys
 {"case", "params", "seed", "conductor", "points", "verdict", "expected_d",
-"pass"}; wall-clock timings are kept on the in-memory report only so that
-emitted bytes are identical for identical inputs and seed.
+"pass"}; wall-clock timings and the counters in `Report.diagnostics` are
+kept on the in-memory report only so that emitted bytes are identical for
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .catalog import (
 )
 from .cyclotomic import Cyclo
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
-from .linalg import Echelon, acc
+from .linalg import CYCLO, GF, Echelon, NotReducible
 from .planes import apply_automorphism
 from .series import (
     compare_with_counts,
@@ -55,6 +56,7 @@ class Report:
     verdict: str
     passed: bool | None
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # counters, never emitted
 
     def to_json_dict(self) -> dict:
         out = {"case": self.case, "params": self.params, "seed": self.seed,
@@ -219,64 +221,122 @@ def _invariant_algebra_generators(algebra, group, upto: int):
     return gens
 
 
-def _hom_dimension(algebra, group, gens, j: int, cap: int) -> int:
-    """dim of degree-j truncated right-A^G-module endomorphisms of A_{<=cap}."""
-    basis = {i: _graded_basis(algebra, i) for i in range(cap + max(g.degree() for g in gens) + j + 1)}
-    # columns ordered by descending domain degree: equation rows express the
-    # high-degree block phi(b s) through lower blocks, so pivoting there keeps
-    # the elimination close to forward substitution
+# Modulus of the certified Hom dimensions: a prime, so that GF(PRIME) is a
+# field, and large, so that a rank drop mod p (which only sends a system to
+# exact elimination) is rare.
+PRIME = 2**31 - 1
+
+
+def _hom_layout(j: int, cap: int) -> tuple:
+    """Columns of the degree-j maps phi on A_{<=cap}: (offsets, total).
+
+    A_d has the d + 1 monomials of `_graded_basis`.  The coordinate of
+    phi(b) at c, for b the b_idx-th monomial of A_i and c the c_idx-th of
+    A_{i+j}, is column offsets[i] + b_idx * (i + j + 1) + c_idx.  Blocks
+    run by descending domain degree: equation rows express the high-degree
+    block phi(b s) through lower blocks, so pivoting there keeps the
+    elimination close to forward substitution."""
     offsets, total = {}, 0
     for i in range(cap, -1, -1):
         offsets[i] = total
-        total += len(basis[i]) * len(basis[i + j])
+        total += (i + 1) * (i + j + 1)
+    return offsets, total
 
-    def col(i, b_idx, c_idx):
-        return offsets[i] + b_idx * len(basis[i + j]) + c_idx
 
-    ech = Echelon()
+def _hom_rows(algebra, gens, j: int, cap: int, field=CYCLO):
+    """Equations phi(b s) = phi(b) s of the truncated Hom system, one row per
+    (s, b, target monomial), with entries in `field`."""
+    basis = {i: _graded_basis(algebra, i) for i in range(cap + max(g.degree() for g in gens) + j + 1)}
+    offsets, _ = _hom_layout(j, cap)
+    convert = field.from_cyclo
     for s in gens:
-        t = s.degree()
+        t = s.degree()  # >= 1: phi(b s) and phi(b) lie in different blocks
         for i in range(cap - t + 1):
             target = basis[i + t + j]
             tindex = {m: x for x, m in enumerate(target)}
-            mid = basis[i + t]
-            mindex = {m: x for x, m in enumerate(mid)}
+            mindex = {m: x for x, m in enumerate(basis[i + t])}
+            # -(c s) in target coordinates, for each c in A_{i+j}: the same
+            # for every b, so computed once per (s, i)
+            minus_cs = []
+            for c in basis[i + j]:
+                cs = algebra.monomial(*c) * s
+                minus_cs.append([(tindex[mono], convert(-coeff))
+                                 for mono, coeff in cs.terms.items()])
             for b_idx, b in enumerate(basis[i]):
                 bs = algebra.monomial(*b) * s
                 rows: dict = {}
                 for mono, ce in bs.terms.items():
-                    e_idx = mindex[mono]
-                    for star in range(len(target)):
-                        rows.setdefault(star, {})[col(i + t, e_idx, star)] = ce
-                for c_idx, c in enumerate(basis[i + j]):
-                    cs = algebra.monomial(*c) * s
-                    for mono, coeff in cs.terms.items():
-                        acc(rows.setdefault(tindex[mono], {}), col(i, b_idx, c_idx), -coeff)
+                    ce = convert(ce)
+                    if ce:
+                        first = offsets[i + t] + mindex[mono] * len(target)
+                        for star in range(len(target)):
+                            rows.setdefault(star, {})[first + star] = ce
+                first = offsets[i] + b_idx * (i + j + 1)
+                for c_idx, entries in enumerate(minus_cs):
+                    for star, ce in entries:
+                        if ce:
+                            rows.setdefault(star, {})[first + c_idx] = ce
                 for row in rows.values():
                     if row:
-                        ech.add(row)
-    return total - ech.rank
+                        yield row
 
 
-def _natural_map_rank(algebra, group, j: int, cap: int) -> int:
-    """Rank of (A#G)_j -> truncated endomorphisms, a f -> (x -> a (f.x))."""
+def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> int:
+    """dim of degree-j truncated right-A^G-module endomorphisms of A_{<=cap}.
+
+    Over a `GF` field this is an upper bound on the exact dimension, and
+    `NotReducible` escapes when an entry has no residue."""
+    ech = Echelon(field)
+    for row in _hom_rows(algebra, gens, j, cap, field):
+        ech.add(row)
+    return _hom_layout(j, cap)[1] - ech.rank
+
+
+def _natural_map_images(algebra, group, j: int, cap: int):
+    """Images of the basis a f of (A#G)_j, x -> a (f.x), in the columns of
+    `_hom_layout`."""
     basis = {i: _graded_basis(algebra, i) for i in range(cap + j + 1)}
-    ech = Echelon()
+    offsets, _ = _hom_layout(j, cap)
     for m in basis[j]:
         a_poly = algebra.monomial(*m)
         for f in group.elements():
             vec: dict = {}
-            pos = 0
             for i in range(cap + 1):
                 tindex = {mm: x for x, mm in enumerate(basis[i + j])}
-                width = len(basis[i + j])
-                for b in basis[i]:
+                for b_idx, b in enumerate(basis[i]):
                     image = a_poly * apply_automorphism(group, f, algebra.monomial(*b))
+                    first = offsets[i] + b_idx * (i + j + 1)
                     for mono, c in image.terms.items():
-                        vec[pos + tindex[mono]] = c
-                    pos += width
-            ech.add(vec)
+                        vec[first + tindex[mono]] = c
+            yield vec
+
+
+def _natural_map_rank(algebra, group, j: int, cap: int) -> int:
+    """Rank of (A#G)_j -> truncated endomorphisms, a f -> (x -> a (f.x))."""
+    ech = Echelon()
+    for vec in _natural_map_images(algebra, group, j, cap):
+        ech.add(vec)
     return ech.rank
+
+
+def _certified_hom_dimension(algebra, group, gens, j: int, cap: int, lower,
+                             diagnostics: dict) -> int:
+    """`_hom_dimension` over Q(zeta), taken mod `PRIME` where that is exact.
+
+    `lower` is a proven lower bound on the exact dimension, or None: with an
+    injective natural map, whose images satisfy phi(x s) = phi(x) s because
+    s is invariant, it is dim (A#G)_j.  The dimension mod p is an upper
+    bound, so where the two meet the exact value is known; every other
+    outcome (a gap, an entry with no residue) solves the system exactly."""
+    if lower is not None:
+        try:
+            if _hom_dimension(algebra, group, gens, j, cap, GF(PRIME)) == lower:
+                diagnostics["hom_certified"] += 1
+                return lower
+        except NotReducible:
+            pass
+    diagnostics["hom_fallbacks"] += 1
+    return _hom_dimension(algebra, group, gens, j, cap)
 
 
 def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
@@ -300,12 +360,16 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     rows = []
     any_unstable = False
     all_agree = True
+    diagnostics = {"hom_certified": 0, "hom_fallbacks": 0}
     for j in range(degree + 1):
         dim_skew = (j + 1) * group.order
-        hom_lo = _hom_dimension(algebra, group, gens, j, caps[0])
-        hom_hi = _hom_dimension(algebra, group, gens, j, caps[1])
-        stable = hom_lo == hom_hi
+        # injective at the lower cap implies injective at the higher one
         injective = _natural_map_rank(algebra, group, j, caps[0]) == dim_skew
+        hom_lo, hom_hi = (
+            _certified_hom_dimension(algebra, group, gens, j, cap,
+                                     dim_skew if injective else None, diagnostics)
+            for cap in caps)
+        stable = hom_lo == hom_hi
         row = {"j": j, "dim_skew_ring": dim_skew,
                "dim_hom": hom_lo if stable else None,
                "stable": stable, "injective": injective}
@@ -323,7 +387,8 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     body = {"degrees": rows, "guards": list(caps),
             "invariant_generator_degrees": sorted(g.degree() for g in gens)}
     return Report("auslander", case.label, case.params(), None, case.conductor,
-                  body, verdict, passed, {"total_s": time.perf_counter() - t0})
+                  body, verdict, passed, {"total_s": time.perf_counter() - t0},
+                  diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,89 @@
+"""The field parameter of `Echelon`: GF(p) ranks against exact ranks."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qks.cyclotomic import Cyclo, root_of_unity
+from qks.linalg import CYCLO, GF, Echelon, NotReducible
+
+BIG = GF(2**31 - 1)
+
+
+def _rank(rows, field=CYCLO) -> int:
+    ech = Echelon(field)
+    for row in rows:
+        ech.add({k: r for k, x in row.items() if (r := field.from_cyclo(x))})
+    return ech.rank
+
+
+def _matrix(entries) -> list:
+    """Sparse Cyclo rows of an integer matrix given as nested lists."""
+    return [{k: Cyclo.rational(x) for k, x in enumerate(row) if x} for row in entries]
+
+
+def _random_matrix(rng, nrows, ncols, rank) -> list:
+    """A seeded small-integer nrows x ncols matrix of rank at most `rank`."""
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    return _matrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                    for row in left])
+
+
+def test_default_field_is_exact():
+    assert Echelon().field is CYCLO
+
+
+def test_gf_ranks_agree_with_exact_on_random_integer_matrices():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        assert _rank(rows, BIG) == _rank(rows)
+
+
+def test_gf_rank_never_exceeds_exact_rank_at_small_primes():
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            rows = _random_matrix(rng, 5, 5, rng.randint(1, 5))
+            assert _rank(rows, GF(p)) <= _rank(rows)
+
+
+def test_rank_drops_mod_a_prime_dividing_the_determinant():
+    rows = _matrix([[1, 2], [3, 1]])   # determinant -5
+    assert _rank(rows) == 2
+    assert _rank(rows, GF(5)) == 1
+    assert _rank(rows, GF(7)) == 2
+
+
+def test_gf_echelon_reduces_to_canonical_residues():
+    f = GF(7)
+    ech = Echelon(f)
+    assert ech.add({0: 2, 1: 3})
+    assert ech.add({1: 1, 2: 5})
+    assert not ech.add({0: 4, 1: 6})          # twice the first row
+    assert ech.contains({0: 2, 1: 4, 2: 5})   # first plus second
+    residue = ech.reduce({2: 1, 3: 6})
+    assert residue == {2: 1, 3: 6}
+    assert all(0 < x < 7 for row in ech.rows.values() for x in row.values())
+
+
+def test_residues_of_p_integral_rationals():
+    f = GF(7)
+    assert f.from_cyclo(Cyclo.rational(Fraction(3, 2))) == 3 * 4 % 7
+    assert f.from_cyclo(Cyclo.rational(-1)) == 6
+    assert f.from_cyclo(Cyclo.rational(14)) == 0
+    # a rational scalar at a higher conductor is still rational
+    assert f.from_cyclo(Cyclo.rational(Fraction(1, 3), 4)) == 5
+
+
+@pytest.mark.parametrize("value", [
+    root_of_unity(1, 3),                      # not rational
+    Cyclo.rational(Fraction(1, 14)),          # 7 divides the denominator
+    Cyclo.rational(Fraction(5, 49), 4),
+])
+def test_values_without_a_residue_are_refused(value):
+    with pytest.raises(NotReducible):
+        GF(7).from_cyclo(value)

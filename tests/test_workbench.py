@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qks import scans
 from qks.catalog import (
     CatalogError,
     make_case,
@@ -13,7 +14,9 @@ from qks.catalog import (
     sample_za_values,
 )
 from qks.cli import main
+from qks.cyclotomic import Cyclo
 from qks.fiber import build_fiber
+from qks.linalg import GF, NotReducible
 from qks.scans import (
     auslander_check,
     azumaya_scan,
@@ -216,6 +219,65 @@ def test_auslander_positive_small():
         for row in rep.body["degrees"]:
             assert row["dim_hom"] == row["dim_skew_ring"] == 2 * (row["j"] + 1)
             assert row["stable"] and row["injective"]
+
+
+@pytest.mark.parametrize("cid", ["ii", "iv", "0"])
+def test_natural_map_images_solve_the_hom_system(cid):
+    # the lower half of the mod-p sandwich: an injective natural map puts
+    # dim (A#G)_j independent solutions into the Hom system, so every image
+    # must satisfy every equation row exactly, in the same column layout
+    case = make_case(cid, localization="none")
+    algebra, group = case.ring.algebra, case.ring.group
+    gens = scans._invariant_algebra_generators(algebra, group, 4)
+    for j in range(3):
+        for cap in range(min(g.degree() for g in gens), 5):
+            rows = list(scans._hom_rows(algebra, gens, j, cap))
+            images = list(scans._natural_map_images(algebra, group, j, cap))
+            assert rows and len(images) == (j + 1) * group.order
+            for image in images:
+                for row in rows:
+                    assert sum((c * image[k] for k, c in row.items() if k in image),
+                               Cyclo.zero()).is_zero(), (cid, j, cap)
+
+
+def _auslander_json(cid):
+    rep = auslander_check(make_case(cid, localization="none"), degree=2, guard=4)
+    return rep, emit_report(rep, "json")
+
+
+class _NoResidues(GF):
+    """A GF(p) that refuses every entry, as for p dividing a denominator."""
+
+    def from_cyclo(self, x):
+        raise NotReducible("refused")
+
+
+@pytest.mark.parametrize("cid,attr,value", [
+    # mod 2 the (-1)-plane is commutative (q = -1 = 1): the ranks drop
+    ("ii", "PRIME", 2),
+    # the Jordan plane's systems keep their rank at every small prime, so
+    # the other fallback is forced: no entry has a residue
+    ("iv", "GF", _NoResidues),
+], ids=["ii-prime-2", "iv-no-residues"])
+def test_auslander_forced_fallback_gives_the_same_report(monkeypatch, cid, attr, value):
+    rep, text = _auslander_json(cid)
+    assert rep.diagnostics == {"hom_certified": 6, "hom_fallbacks": 0}
+    monkeypatch.setattr(scans, attr, value)
+    exact, exact_text = _auslander_json(cid)
+    assert exact.diagnostics == {"hom_certified": 0, "hom_fallbacks": 6}
+    assert (exact_text, exact.exit_code) == (text, rep.exit_code)
+    assert "hom_" not in exact_text
+
+
+def test_auslander_negative_control_takes_the_exact_path():
+    # k[u,v]#S2: the reflection makes Hom larger than A#G, so the mod-p
+    # dimension never meets the lower bound and every system is solved exactly
+    rep, text = _auslander_json("0")
+    assert rep.verdict == "mismatch" and rep.exit_code == 1
+    assert [row["dim_hom"] for row in rep.body["degrees"]] == [3, 5, 7]
+    assert all(row["injective"] for row in rep.body["degrees"])
+    assert rep.diagnostics == {"hom_certified": 0, "hom_fallbacks": 6}
+    assert "hom_" not in text
 
 
 def test_auslander_requires_graded_case():
