@@ -7,7 +7,7 @@ finite-dimensional central fibers T/mT, and certify or refute the
 matrix-algebra property of each fiber -- all in exact cyclotomic arithmetic.
 """
 
-from .cyclotomic import Cyclo, coerce_conductor, parse_cyclo, root_of_unity
+from .cyclotomic import Cyclo, parse_cyclo, root_of_unity
 from .planes import (
     Algebra,
     Group,
@@ -15,9 +15,6 @@ from .planes import (
     apply_automorphism,
     check_action_well_defined,
     check_inner_by,
-    graded_component,
-    group_multiply,
-    nc_multiply,
 )
 from .skew import (
     CentralPoint,
@@ -27,7 +24,6 @@ from .skew import (
     center_basis,
     invariant_basis,
     is_central,
-    skew_multiply,
     stabilizer_of_point,
     verify_generating_set,
 )
@@ -64,11 +60,9 @@ __all__ = [
     "RationalSeries", "SkewElement", "SkewRing", "apply_automorphism",
     "auslander_check", "azumaya_scan", "build_fiber", "center_basis",
     "center_dimension", "check_action_well_defined", "check_inner_by",
-    "coerce_conductor", "compare_with_counts", "emit_report", "freeness_scan",
-    "graded_component", "group_multiply", "invariant_basis", "is_central",
-    "jacobson_radical_dim", "make_case", "matrix_algebra_certificate",
-    "molien_series", "nc_multiply", "parse_cyclo", "recipe_for",
+    "compare_with_counts", "emit_report", "freeness_scan", "invariant_basis",
+    "is_central", "jacobson_radical_dim", "make_case",
+    "matrix_algebra_certificate", "molien_series", "parse_cyclo", "recipe_for",
     "root_of_unity", "sample_point", "series_check", "series_expand",
-    "skew_multiply", "stabilizer_of_point", "trace_form_rank",
-    "verify_generating_set",
+    "stabilizer_of_point", "trace_form_rank", "verify_generating_set",
 ]

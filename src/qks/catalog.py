@@ -42,7 +42,7 @@ from math import gcd, lcm
 from typing import Callable
 
 from .cyclotomic import Cyclo, root_of_unity
-from .fiber import FiberRecipe, inverse_power_rule, swap_uv
+from .fiber import FiberRecipe, swap_uv
 from .planes import Algebra, AlgebraError, Group
 from .skew import CentralPoint, Presentation, SkewRing
 
@@ -128,17 +128,22 @@ def _orbit_recipe(pres: Presentation, point: CentralPoint, sigma: Cyclo, m: int)
 
     U has m rotation images and V = v^2 as many, so the orbit polynomial is
     (X^m - U^m)(X^m - V^m) = X^2m - sigma X^m + y^m and u^4m = sigma u^2m - y^m.
-    With u inverted v^2 = y u^-2; otherwise v takes the swapped u-rule."""
+    With u inverted v^2 = y u^-2, and u^2m (sigma - u^2m) = y^m gives
+    u^-4m = ((sigma^2 - y^m) - sigma u^2m) / y^2m; otherwise v takes the
+    swapped u-rule."""
     A = pres.ring.algebra
     y = point.values["y"]
-    u_pow = A.poly({(2 * m, 0): sigma, (0, 0): -(y ** m)})
+    ym = y ** m
+    u_pow = A.poly({(2 * m, 0): sigma, (0, 0): -ym})
     residuals = [pres.gens[name] - pres.ring.one() * point.values[name] for name in pres.names]
     if "u" not in A.inverted:
         return FiberRecipe(ku=4 * m, kv=4 * m, u_pow=u_pow, v_pow=swap_uv(u_pow),
                            residuals=residuals)
+    y2m_inv = (ym * ym).inverse()
     return FiberRecipe(
         ku=4 * m, kv=2, u_pow=u_pow, v_pow=A.poly({(-2, 0): y}),
-        u_inv=inverse_power_rule(u_pow, 4 * m), v_inv=A.poly({(2, 0): y.inverse()}),
+        u_inv=A.poly({(2 * m, 0): -sigma * y2m_inv, (0, 0): (sigma * sigma - ym) * y2m_inv}),
+        v_inv=A.poly({(2, 0): y.inverse()}),
         residuals=residuals,
     )
 
@@ -203,6 +208,8 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
         # q not a root of unity: not PI, no pointwise scan
         if k is not None:
             raise CatalogError("case i takes k (order of q) or a rational q, not both")
+        if q in (1, -1):
+            raise CatalogError(f"q = {q} is a root of unity: give its order with --k")
         A = Algebra("quantum", q=Cyclo.rational(q),
                     inverted=frozenset({"u", "v"}) if localization == "torus" else frozenset())
         T = SkewRing(A, Group("cyclic", n, root_of_unity(1, n)))
@@ -216,6 +223,8 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
         )
     if k is None:
         raise CatalogError("case i needs k (order of q) or an explicit rational q")
+    if k < 1:
+        raise CatalogError(f"case i needs k >= 1 (the order of q), not {k}")
     l = lcm(n, k)
     eps = root_of_unity(1, l)
     omega = eps ** (l // n)

@@ -47,7 +47,10 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 
 def _build_case(args):
-    q = Fraction(args.q) if getattr(args, "q", None) else None
+    try:
+        q = Fraction(args.q) if getattr(args, "q", None) else None
+    except ZeroDivisionError:
+        raise CatalogError(f"--q {args.q} divides by zero") from None
     return make_case(args.case, n=args.n, k=args.k, q=q, localization=args.localization)
 
 

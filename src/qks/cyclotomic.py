@@ -368,10 +368,6 @@ def root_of_unity(j: int, n: int) -> Cyclo:
     return Cyclo(n, _power_table(n)[j % n])
 
 
-def coerce_conductor(a: Cyclo, m: int) -> Cyclo:
-    return a.coerce(m)
-
-
 def multiplicative_order(a: Cyclo, bound: int = 10_000) -> int:
     acc = a
     one = Cyclo.one(a.n)

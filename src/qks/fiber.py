@@ -65,49 +65,6 @@ class FiberRecipe:
         return self
 
 
-def inverse_power_rule(poly: NCPoly, k: int) -> NCPoly:
-    """Given u^k == poly(u) (u-only, nonzero constant term), return u^(-k).
-
-    Works in the commutative quotient k[u]/(u^k - poly); also used for v by
-    swapping exponent roles before and after.
-    """
-    algebra = poly.algebra
-    coeffs = {a: c for (a, b), c in poly.terms.items() if not b}
-    if len(coeffs) != len(poly.terms):
-        raise FiberError("inverse rule needs a single-variable replacement")
-    c0 = coeffs.get(0)
-    if c0 is None or c0.is_zero():
-        raise FiberError("replacement has zero constant term; u is not a unit")
-    # u * (u^(k-1) - sum_{j>=1} c_j u^(j-1)) = c0, so invert once and power up
-    c0inv = c0.inverse()
-    minus_c0inv = -c0inv
-    inv1 = {(k - 1, 0): c0inv}
-    for j, cj in coeffs.items():
-        if j >= 1:
-            acc(inv1, (j - 1, 0), cj * minus_c0inv)
-    # reduce (u^-1)^k modulo u^k = poly, staying u-only
-    def reduce_u(terms: dict) -> dict:
-        out: dict = {}
-        work = list(terms.items())
-        while work:
-            (a, b), c = work.pop()
-            if a >= k:
-                for (j, _z), pj in poly.terms.items():
-                    work.append(((a - k + j, b), c * pj))
-            else:
-                acc(out, (a, b), c)
-        return out
-
-    power = {(0, 0): Cyclo.one(algebra.conductor)}
-    for _ in range(k):
-        nxt: dict = {}
-        for (a, _b), c in power.items():
-            for (j, _z), d in inv1.items():
-                acc(nxt, (a + j, 0), c * d)
-        power = reduce_u(nxt)
-    return NCPoly(algebra, power)
-
-
 def swap_uv(poly: NCPoly) -> NCPoly:
     """Exchange exponent roles (u-only polynomial <-> v-only); helper for rules."""
     return NCPoly(poly.algebra, {(b, a): c for (a, b), c in poly.terms.items()})

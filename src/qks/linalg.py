@@ -6,8 +6,8 @@ vector); every sparse sum goes through them except those in `series`, whose
 invariant counts stay an independent oracle for the code here.  The
 workhorse is `Echelon`, an incrementally built reduced row echelon basis;
 everything else (rank, nullspace, span comparison, reduction modulo a
-subspace, and the `kernel` builder for commutator and fixed-point systems) is
-phrased through it.
+subspace, and the `kernel` builder for commutator systems) is phrased
+through it.
 
 `Echelon` takes a field: `CYCLO`, exact `Cyclo` values and the default, or
 `GF(p)`, ints mod a prime p.  A field supplies only the kernels the

@@ -318,14 +318,6 @@ def _dict_mul(algebra: Algebra, t1: dict, t2: dict) -> dict:
     return out
 
 
-def nc_multiply(x: NCPoly, y: NCPoly) -> NCPoly:
-    return x * y
-
-
-def graded_component(x: NCPoly, d: int) -> NCPoly:
-    return x.graded_component(d)
-
-
 def is_central_in_algebra(x: NCPoly) -> bool:
     """True iff x commutes with u and v."""
     A = x.algebra
@@ -419,10 +411,6 @@ class Group:
         if j:
             bits.append("h")
         return "*".join(bits) if bits else "e"
-
-
-def group_multiply(group: Group, x: GroupElt, y: GroupElt) -> GroupElt:
-    return group.mul(x, y)
 
 
 def act_mono(algebra: Algebra, group: Group, f: GroupElt, mono: Mono):

@@ -1,10 +1,11 @@
 """Skew group rings T = A # G and their graded center machinery.
 
 Elements are finite maps from group elements to coefficients in A, multiplied
-by the rule (r g)(s h) = r (g.s) gh.  Centers and invariant rings are computed
-degree by degree as nullspaces of exact commutator / fixed-point systems over
-a bounded exponent window; claimed generating sets are certified by comparing
-spans against those windows.
+by the rule (r g)(s h) = r (g.s) gh.  The center Z(T), the invariant ring A^G
+and the center Z(A) are all commutants in T, computed by one builder degree
+by degree as nullspaces of exact commutator systems over a bounded exponent
+window; claimed generating sets are certified by comparing spans against
+those windows.
 """
 
 from __future__ import annotations
@@ -191,16 +192,12 @@ class SkewElement:
         return " + ".join(bits)
 
 
-def skew_multiply(x: SkewElement, y: SkewElement) -> SkewElement:
-    return x * y
-
-
 def is_central(x: SkewElement) -> bool:
     return all(x * w == w * x for w in x.ring.commutation_generators())
 
 
 # ---------------------------------------------------------------------------
-# windowed bases: centers and invariants
+# windowed bases: commutants in A # G
 
 
 def _exponent_range(algebra: Algebra, var: str, window: int):
@@ -230,18 +227,18 @@ def _skew_coords(x, index: dict) -> dict:
             for f, poly in comps.items() for (a, b), c in poly.terms.items()}
 
 
-def center_basis(ring: SkewRing, window: int) -> list:
-    """Basis of central elements, homogeneous, with exponents in the window.
+def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
+    """Basis of the elements of T that commute with every element of `gens`,
+    homogeneous, with exponents in the window and group part in `support`.
 
-    Solves [x, u] = [x, v] = [x, f] = 0 degree by degree; for Laurent algebras
-    the degrees and both exponents run over [-window, window].
-    """
+    Solves [x, w] = 0 for w in gens degree by degree over the candidates
+    u^a v^b f, f in support; for Laurent algebras the degrees and both
+    exponents run over [-window, window]."""
     out = []
-    gens = ring.commutation_generators()
     for d in _degree_range(ring.algebra, window):
         cands = [ring.monomial(a, b, f)
                  for (a, b) in _monomials_of_degree(ring.algebra, d, window)
-                 for f in ring.group.elements()]
+                 for f in support]
         entries = (((gi, mono, f), col, c)
                    for col, cand in enumerate(cands)
                    for gi, w in enumerate(gens)
@@ -255,46 +252,19 @@ def center_basis(ring: SkewRing, window: int) -> list:
     return out
 
 
+def center_basis(ring: SkewRing, window: int) -> list:
+    """Basis of Z(T) over the window: the commutant of u, v and G.  Z(A) is
+    the center of A # C1."""
+    return _commutant(ring, window, ring.commutation_generators(), ring.group.elements())
+
+
 def invariant_basis(algebra: Algebra, group: Group, window: int) -> list:
-    """Basis of the fixed ring A^G degree by degree up to the window."""
-    if not check_action_well_defined(algebra, group):
-        raise AlgebraError(f"{group} does not act on {algebra}")
-    gens = group.generators()
-    minus_one = -Cyclo.one(algebra.conductor)
-
-    def entries(monos):
-        for col, mono in enumerate(monos):
-            for gi, f in enumerate(gens):
-                image, scalar = act_mono(algebra, group, f, mono)
-                yield (gi, image), col, scalar
-                yield (gi, mono), col, minus_one
-
-    return _graded_kernel(algebra, window, entries)
-
-
-def algebra_center_basis(algebra: Algebra, window: int) -> list:
-    """Basis of Z(A) degree by degree (commutators against u and v only)."""
-    gens = (algebra.u(), algebra.v())
-
-    def entries(monos):
-        for col, mono in enumerate(monos):
-            x = algebra.monomial(*mono)
-            for gi, w in enumerate(gens):
-                for m2, c in (x * w - w * x).terms.items():
-                    yield (gi, m2), col, c
-
-    return _graded_kernel(algebra, window, entries)
-
-
-def _graded_kernel(algebra: Algebra, window: int, entries) -> list:
-    """Solutions in A, degree by degree, of the system `entries(monos)`
-    posed on the window's monomials of each degree."""
-    out = []
-    for d in _degree_range(algebra, window):
-        monos = _monomials_of_degree(algebra, d, window)
-        for sol in kernel(entries(monos), len(monos)):
-            out.append(NCPoly(algebra, {monos[col]: c for col, c in sol.items()}))
-    return out
+    """Basis of the fixed ring A^G over the window: the part of A in T = A # G
+    that commutes with G."""
+    ring = SkewRing(algebra, group)
+    gens = [ring.group_element(f) for f in group.generators()]
+    identity = group.identity()
+    return [x.comps[identity] for x in _commutant(ring, window, gens, [identity])]
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +298,16 @@ class Presentation:
         return self
 
     def eval_relation(self, rel: NamePoly) -> SkewElement:
-        total = self.ring.zero()
-        for expo, coeff in rel.items():
-            term = self.ring.one() * coeff
-            for name, e in zip(self.names, expo):
-                if e:
-                    term = term * (self.gens[name] ** e)
-            total = total + term
-        return total
+        return self._evaluate(rel, self.gens, self.ring.zero(), self.ring.one())
 
     def eval_namepoly_at(self, np_: NamePoly, values: dict) -> Cyclo:
-        total = Cyclo.zero()
+        return self._evaluate(np_, values, Cyclo.zero(), Cyclo.one())
+
+    def _evaluate(self, np_: NamePoly, values: dict, zero, one):
+        """np_ with each generator name replaced by values[name]."""
+        total = zero
         for expo, coeff in np_.items():
-            term = coeff
+            term = one * coeff
             for name, e in zip(self.names, expo):
                 if e:
                     term = term * (values[name] ** e)
@@ -437,16 +404,19 @@ def verify_generating_set(pres: Presentation, window: int,
     pres.validate()
     if center is None:
         center = center_basis(pres.ring, window)
+    return _spans_match_by_degree([(x.degree(), x) for x in center],
+                                  _enumerate_products(pres, window))
+
+
+def _spans_match_by_degree(have: list, claim: list) -> bool:
+    """True iff the (degree, element) pairs of `have` and of `claim` span the
+    same space in every degree."""
     index: dict = {}
-    center_by_deg: dict = {}
-    for elt in center:
-        center_by_deg.setdefault(elt.degree(), []).append(_skew_coords(elt, index))
-    claimed_by_deg: dict = {}
-    for deg, prod in _enumerate_products(pres, window):
-        claimed_by_deg.setdefault(deg, []).append(_skew_coords(prod, index))
-    degrees = set(center_by_deg) | set(claimed_by_deg)
-    return all(spans_equal(center_by_deg.get(d, []), claimed_by_deg.get(d, []))
-               for d in degrees)
+    by_deg: dict = {}
+    for side, pairs in enumerate((have, claim)):
+        for deg, x in pairs:
+            by_deg.setdefault(deg, ([], []))[side].append(_skew_coords(x, index))
+    return all(spans_equal(a, b) for a, b in by_deg.values())
 
 
 def subalgebra_basis_by_degree(algebra: Algebra, gens: list, window: int,
@@ -486,19 +456,12 @@ def subalgebra_basis_by_degree(algebra: Algebra, gens: list, window: int,
 
 def verify_invariant_generating_set(algebra: Algebra, group: Group, gens: list,
                                     window: int) -> bool:
-    """True iff the subalgebra generated by `gens` matches A^G up to the window."""
+    """True iff the subalgebra generated by `gens` matches A^G in the degrees
+    0..window."""
     fixed = invariant_basis(algebra, group, window)
-    by_deg: dict = {}
-    for x in fixed:
-        by_deg.setdefault(x.degree(), []).append(x)
     prods = subalgebra_basis_by_degree(algebra, gens, window)
-    index: dict = {}
-    for d in range(window + 1):
-        have = [_skew_coords(p, index) for p in by_deg.get(d, [])]
-        claim = [_skew_coords(p, index) for p in prods.get(d, [])]
-        if not spans_equal(have, claim):
-            return False
-    return True
+    return _spans_match_by_degree([(x.degree(), x) for x in fixed if x.degree() >= 0],
+                                  [(d, x) for d, xs in prods.items() for x in xs])
 
 
 def stabilizer_of_point(algebra: Algebra, group: Group, za_gens: list,

@@ -1,22 +1,29 @@
 """Pinned JSON bytes for a fixed list of commands.
 
-The first six digests were recorded before the sparse kernels were
-merged, the next ten before the catalog's per-case samplers and recipes
-moved into the case builders, the next two (fibers of dim 100 and 144,
-where associativity is sampled) before fibers took their center and
-associativity at their generators, the next two (the benchmark's C2 k=4
-and S2 full scans) before the structure table reused the box part of each
-product across group elements, the next one (D4 torus) when the (-1)-plane
-cases took the orbit-polynomial fiber rule, and the last three (centers
-and a scan on the full localizations, whose algebras declare a
-denominator) before elements stopped carrying denominator tags, and the
-last two (an agreeing auslander check and the case-0 control, whose Hom
-systems take the certified mod-p path and the exact fallback) before the
-Hom dimensions were certified mod p; a refactor of linalg, planes, skew,
-fiber, catalog or scans must reproduce them.  The D2 torus scan was
-re-recorded with the orbit-polynomial rule: its old digest recorded a
-sampler that drew only points with u^2 and v^2 at the same value.  Together the scan, freeness and molien commands reach
-every case's sampler, Z(A) sampler and fiber recipe.
+Each group of digests was recorded at the parent of the change named:
+- the first six, before the sparse kernels were merged;
+- the next ten, before the catalog's per-case samplers and recipes moved
+  into the case builders;
+- the next two (fibers of dim 100 and 144, where associativity is sampled),
+  before fibers took their center and associativity at their generators;
+- the next two (the benchmark's C2 k=4 and S2 full scans), before the
+  structure table reused the box part of each product across group elements;
+- the next one (D4 torus), when the (-1)-plane cases took the
+  orbit-polynomial fiber rule;
+- the next three (centers and a scan on the full localizations, whose
+  algebras declare a denominator), before elements stopped carrying
+  denominator tags;
+- the next two (an agreeing auslander check and the case-0 control, whose
+  Hom systems take the certified mod-p path and the exact fallback), before
+  the Hom dimensions were certified mod p;
+- the last three (a Laurent and a cyclic invariant ring, and the Jordan
+  center), before Z(T), A^G and Z(A) became commutants from one builder.
+
+A refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
+them.  The D2 torus scan was re-recorded with the orbit-polynomial rule: its
+old digest recorded a sampler that drew only points with u^2 and v^2 at the
+same value.  Together the scan, freeness and molien commands reach every
+case's sampler, Z(A) sampler and fiber recipe.
 """
 
 import hashlib
@@ -78,6 +85,12 @@ PINNED = [
      "6ce8ea796619dad0b65ae2987eed3a848a628b70a6cd82febeb1e689d15e7f01"),
     ("auslander --case 0 --localization none --degree 2 --guard 4",
      "af2c75989c8da8f7b1b423abe44c2afcb4eb84c6e9fe29ad1008a1b2bc688789"),
+    ("invariants --case iii --n 4 --localization torus --degree 6",
+     "1a1ed3272e58a8241511180ca0aa95a84a73e1cbf0daf93c71f22c336eb902ec"),
+    ("invariants --case i --n 3 --k 2 --degree 6",
+     "fff74e5b778be8ae5d08a6d9ae427e45be24e06d43e717e8a013c9470e991d16"),
+    ("center --case iv --degree 8",
+     "7ec12669b521991b8ae0a71c61e7de64a07d0d6cb6904ec27536ecf66bf28afc"),
 ]
 
 # pinned commands whose verdict is a failure: the case-0 control's mismatch

@@ -7,7 +7,6 @@ import pytest
 
 from qks.cyclotomic import (
     Cyclo,
-    coerce_conductor,
     cyclotomic_polynomial,
     euler_phi,
     multiplicative_order,
@@ -65,13 +64,13 @@ def test_multiplicative_orders_exhaustive():
 
 def test_coerce_conductor_roundtrip():
     one = Cyclo.rational(1)
-    assert coerce_conductor(one, 12).n == 12
-    assert coerce_conductor(one, 12) == one
+    assert one.coerce(12).n == 12
+    assert one.coerce(12) == one
     z2 = root_of_unity(1, 2)
-    z2_at_6 = coerce_conductor(z2, 6)
+    z2_at_6 = z2.coerce(6)
     assert z2_at_6 == root_of_unity(3, 6)
     with pytest.raises(ValueError):
-        coerce_conductor(root_of_unity(1, 4), 6)
+        root_of_unity(1, 4).coerce(6)
 
 
 def _random_cyclo(rng, n):

@@ -15,12 +15,10 @@ from qks.fiber import (
     center_dimension,
     check_associativity,
     dual_numbers_algebra,
-    inverse_power_rule,
     jacobson_radical_dim,
     matrix_algebra_certificate,
     matrix_units_algebra,
     semisimple_quotient,
-    swap_uv,
     trace_form_rank,
 )
 from qks.catalog import make_case, recipe_for, sample_point
@@ -158,19 +156,19 @@ def test_inconsistent_point_collapses():
 
 
 def test_inverse_power_rule():
-    A = Algebra("quantum", q=Cyclo.rational(-1), inverted={"u", "v"})
-    S, Y = A.scalar(5), A.scalar(3)
-    u_pow = A.poly({(2, 0): S, (0, 0): -Y})  # u^4 = S u^2 - Y
-    u_inv = inverse_power_rule(u_pow, 4)
-    ring = SkewRing(A, Group("cyclic", 1))
-    recipe = FiberRecipe(ku=4, kv=4, u_pow=u_pow, v_pow=swap_uv(u_pow),
-                         u_inv=u_inv, v_inv=swap_uv(u_inv))
-    from qks.fiber import _Reducer
-    reducer = _Reducer(ring, recipe)
-    prod = u_pow * u_inv  # u^4 * u^-4 must reduce to 1
-    assert reducer.reduce_terms(prod.terms) == {(0, 0): Cyclo.one(A.conductor)}
-    # and the reducer inverts single u factors consistently
-    assert reducer.reduce_terms((A.u(-1) * A.u(1)).terms) == {(0, 0): Cyclo.one(A.conductor)}
+    # the orbit recipe's closed-form u^-4m is the inverse of u^4m modulo its
+    # own rules, for odd and even m and with and without the extra denominator
+    for case_id, kwargs in [("ii", dict(localization="full")),
+                            ("iii", dict(n=3, localization="full")),
+                            ("iii", dict(n=4, localization="torus"))]:
+        case = make_case(case_id, **kwargs)
+        recipe = recipe_for(case, sample_point(case, random.Random(1)))
+        reducer = _Reducer(case.ring, recipe)
+        A = case.ring.algebra
+        one = {(0, 0): Cyclo.one(A.conductor)}
+        assert reducer.reduce_terms((recipe.u_pow * recipe.u_inv).terms) == one
+        # and the reducer inverts single u factors consistently
+        assert reducer.reduce_terms((A.u(-1) * A.u(1)).terms) == one
 
 
 def test_certificate_str():

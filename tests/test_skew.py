@@ -7,16 +7,14 @@ import pytest
 
 from qks.cyclotomic import Cyclo, root_of_unity
 from qks.linalg import spans_equal, nullspace
-from qks.planes import Algebra, Group
+from qks.planes import Algebra, AlgebraError, Group
 from qks.skew import (
     Presentation,
     SkewRing,
     _skew_coords,
-    algebra_center_basis,
     center_basis,
     invariant_basis,
     is_central,
-    skew_multiply,
     stabilizer_of_point,
     verify_generating_set,
     verify_invariant_generating_set,
@@ -57,7 +55,7 @@ def test_skew_multiply_rule():
         w = T.group.omega
         ug = T.monomial(1, 0, (1, 0))
         ve = T.monomial(0, 1)
-        assert skew_multiply(ug, ve) == T.monomial(1, 1, (1, 0), w ** -1)
+        assert ug * ve == T.monomial(1, 1, (1, 0), w ** -1)
 
 
 def test_reflection_squares_to_identity():
@@ -208,7 +206,8 @@ def test_outer_action_centre_is_invariant_subring():
     cases = [ring_case_ii(), ring_case_iii(3), ring_case_iv()]
     for T in cases:
         A, G = T.algebra, T.group
-        za = algebra_center_basis(A, 8)
+        # Z(A) is the center of A # C1
+        za = [x.comps[(0, 0)] for x in center_basis(SkewRing(A, Group("cyclic", 1)), 8)]
         za_by_deg = {}
         for p in za:
             za_by_deg.setdefault(p.degree(), []).append(p)
@@ -264,6 +263,12 @@ def test_invariant_basis_examples():
     inv2 = [p for p in invariant_basis(T.algebra, T.group, 3) if p.degree() == 2]
     assert len(inv2) == 1
     assert set(inv2[0].terms) == {(1, 1)}
+
+
+def test_invariant_basis_rejects_a_group_that_does_not_act():
+    # the swap u <-> v does not respect the Jordan relation vu = uv + u^2
+    with pytest.raises(AlgebraError, match="does not act"):
+        invariant_basis(Algebra("jordan"), Group("sym2"), 4)
 
 
 def test_invariant_generating_set_dihedral_plane():

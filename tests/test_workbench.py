@@ -411,6 +411,10 @@ def test_cli_point_rejects_underscore_names(capsys):
     (["molien", "--case", "i", "--m", "4", "--degree", "-1"], "degree"),
     (["molien", "--case", "iii", "--m", "-1", "--degree", "2"], "m"),
     (["molien", "--case", "i", "--m", "0", "--degree", "2"], "m"),
+    (["center", "--case", "i", "--n", "2", "--q", "2/0"], "q"),
+    (["scan", "--case", "i", "--n", "2", "--k", "-3"], "k >= 1"),
+    (["scan", "--case", "i", "--n", "2", "--q", "-1"], "--k"),
+    (["scan", "--case", "i", "--n", "2", "--q", "1"], "--k"),
 ])
 def test_cli_rejects_empty_inputs(capsys, argv, name):
     assert main(argv) == 2
