@@ -202,6 +202,8 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
     localization = localization or "torus"
     if n is None:
         raise CatalogError("case i needs n")
+    if n < 1:
+        raise CatalogError(f"case i needs n >= 1 (the order of the cyclic group), not {n}")
     if localization not in ("none", "torus"):
         raise CatalogError("case i supports localizations none | torus")
     if q is not None:
@@ -333,6 +335,8 @@ def _case_ii(localization: str | None = None) -> CaseSpec:
 def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
     if n is None:
         raise CatalogError("case iii needs n")
+    if n < 1:
+        raise CatalogError(f"case iii needs n >= 1 (the dihedral group has order 2n), not {n}")
     odd = n % 2 == 1
     if localization is None:
         localization = "full" if odd else "torus"

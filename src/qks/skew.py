@@ -11,6 +11,7 @@ those windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .cyclotomic import Cyclo
 from .linalg import Echelon, acc, kernel, spans_equal
@@ -227,28 +228,91 @@ def _skew_coords(x, index: dict) -> dict:
             for f, poly in comps.items() for (a, b), c in poly.terms.items()}
 
 
+def _commutator_terms(ring: SkewRing, gens: list):
+    """[x, w] for a candidate x = u^a v^b f (coefficient 1) and w = gens[gi],
+    as a function (mono, f, gi) -> {group element: {mono: coeff}}.
+
+    Each term c2 m2 f2 of w adds c2 m (f.m2) at f f2 and subtracts
+    c2 m2 (f2.m) at f2 f: one `act_mono` and one `Algebra.mono_mul` per
+    product, in the order `cand * w - w * cand` builds them, with the same
+    coefficients at the same conductors.  The scaled images are cached for
+    the life of the returned function, and multiplications by an exact one
+    are skipped."""
+    algebra, group = ring.algebra, ring.group
+    mono_mul, gmul = algebra.mono_mul, group.mul
+    n0 = algebra.conductor
+    one = Cyclo.one(n0).c
+
+    # every scalar met here has a conductor divisible by n0, so dropping a
+    # factor 1 at conductor n0 leaves a product's conductor as it was
+    def is_one(c):
+        return c.n == n0 and c.c == one
+
+    terms = [[(f2, m2, _at_conductor(c2, n0)) for f2, poly in w.comps.items()
+              for m2, c2 in poly.terms.items()] for w in gens]
+    images: dict = {}
+
+    def scaled(f, mono, gi, ti, sign):
+        # sign * c2 * (f.mono) for the term ti of gens[gi], as (image, coefficient)
+        key = (f, mono, gi, ti, sign)
+        img = images.get(key)
+        if img is None:
+            c2 = terms[gi][ti][2]
+            image, s = act_mono(algebra, group, f, mono)
+            k = s if is_one(c2) else c2 * s
+            img = images[key] = (image, k if sign > 0 else -k)
+        return img
+
+    def add_product(out, g, left, scaled_image):
+        image, k = scaled_image
+        part = out.setdefault(g, {})
+        for m, factor in mono_mul(left, image).items():
+            acc(part, m, k if is_one(factor) else k * factor)
+
+    def commutator(mono, f, gi) -> dict:
+        out: dict = {}
+        for ti, (f2, m2, _) in enumerate(terms[gi]):
+            add_product(out, gmul(f, f2), mono, scaled(f, m2, gi, ti, 1))
+        for ti, (f2, m2, _) in enumerate(terms[gi]):
+            add_product(out, gmul(f2, f), m2, scaled(f2, mono, gi, ti, -1))
+        return {g: part for g, part in out.items() if part}
+
+    return commutator
+
+
+def _at_conductor(c: Cyclo, n0: int) -> Cyclo:
+    """c as the product 1 * c with 1 taken at conductor n0."""
+    return c.coerce(lcm(c.n, n0))
+
+
 def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
     """Basis of the elements of T that commute with every element of `gens`,
     homogeneous, with exponents in the window and group part in `support`.
 
     Solves [x, w] = 0 for w in gens degree by degree over the candidates
-    u^a v^b f, f in support; for Laurent algebras the degrees and both
-    exponents run over [-window, window]."""
+    u^a v^b f, f in support, with the rows built from monomial products by
+    `_commutator_terms`; for Laurent algebras the degrees and both exponents
+    run over [-window, window]."""
+    algebra = ring.algebra
+    n0 = algebra.conductor
     out = []
-    for d in _degree_range(ring.algebra, window):
-        cands = [ring.monomial(a, b, f)
-                 for (a, b) in _monomials_of_degree(ring.algebra, d, window)
+    for d in _degree_range(algebra, window):
+        # a builder per degree: its cache then holds one degree's images
+        commutator = _commutator_terms(ring, gens)
+        cands = [(mono, f) for mono in _monomials_of_degree(algebra, d, window)
                  for f in support]
-        entries = (((gi, mono, f), col, c)
-                   for col, cand in enumerate(cands)
-                   for gi, w in enumerate(gens)
-                   for f, poly in (cand * w - w * cand).comps.items()
-                   for mono, c in poly.terms.items())
+        entries = (((gi, m, g), col, c)
+                   for col, (mono, f) in enumerate(cands)
+                   for gi in range(len(gens))
+                   for g, part in commutator(mono, f, gi).items()
+                   for m, c in part.items())
         for sol in kernel(entries, len(cands)):
-            elt = ring.zero()
+            comps: dict = {}
             for col, coeff in sorted(sol.items()):
-                elt = elt + cands[col] * coeff
-            out.append(elt)
+                mono, f = cands[col]
+                comps.setdefault(f, {})[mono] = _at_conductor(coeff, n0)
+            out.append(SkewElement(ring, {f: NCPoly(algebra, terms)
+                                          for f, terms in comps.items()}))
     return out
 
 

@@ -16,8 +16,11 @@ Each group of digests was recorded at the parent of the change named:
 - the next two (an agreeing auslander check and the case-0 control, whose
   Hom systems take the certified mod-p path and the exact fallback), before
   the Hom dimensions were certified mod p;
-- the last three (a Laurent and a cyclic invariant ring, and the Jordan
-  center), before Z(T), A^G and Z(A) became commutants from one builder.
+- the next three (a Laurent and a cyclic invariant ring, and the Jordan
+  center), before Z(T), A^G and Z(A) became commutants from one builder;
+- the last two (the D3 center with both variables inverted, conductor 6,
+  and the quantum-plane center), before the commutant rows were built from
+  monomial products.
 
 A refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
 them.  The D2 torus scan was re-recorded with the orbit-polynomial rule: its
@@ -91,6 +94,10 @@ PINNED = [
      "fff74e5b778be8ae5d08a6d9ae427e45be24e06d43e717e8a013c9470e991d16"),
     ("center --case iv --degree 8",
      "7ec12669b521991b8ae0a71c61e7de64a07d0d6cb6904ec27536ecf66bf28afc"),
+    ("center --case iii --n 3 --localization full --degree 6",
+     "7c9ecef50e8913a2885a33635e97e8b420d8d64563497785bd63c76e58f0731f"),
+    ("center --case i --n 3 --k 2 --degree 6",
+     "de83b4be5b50f36a85d8ed328e69bcfa94d642ed9827080611f47694b71cc4f9"),
 ]
 
 # pinned commands whose verdict is a failure: the case-0 control's mismatch

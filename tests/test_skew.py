@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
 from qks.linalg import spans_equal, nullspace
 from qks.planes import Algebra, AlgebraError, Group
 from qks.skew import (
     Presentation,
     SkewRing,
+    _commutator_terms,
+    _degree_range,
+    _monomials_of_degree,
     _skew_coords,
     center_basis,
     invariant_basis,
@@ -375,3 +379,44 @@ def test_skew_associativity_randomized(make):
         x, y, z = (_random_skew(rng, T) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert x * one == x and one * x == x
+
+
+def _exact_terms(parts: dict) -> list:
+    """{f: {mono: Cyclo}} as an ordered list that also pins each conductor."""
+    return [(f, [(m, c.n, c.c) for m, c in terms.items()]) for f, terms in parts.items()]
+
+
+@pytest.mark.parametrize("case", [
+    ("0", {}),
+    ("i", {"n": 3, "k": 2}),
+    ("ii", {"localization": "full"}),
+    ("iii", {"n": 3, "localization": "full"}),
+    ("iii", {"n": 4, "localization": "torus"}),
+    ("iv", {}),
+], ids=["0", "C3k2", "S2full", "D3full", "D4torus", "jordan"])
+@pytest.mark.parametrize("whole_group", [True, False], ids=["G", "e"])
+def test_commutator_rows_match_skew_products(case, whole_group):
+    """The monomial row builder gives the terms of cand * w - w * cand, in
+    the same order and at the same conductors, for every window-4 candidate
+    u^a v^b f and every commutation generator w."""
+    T = make_case(case[0], **case[1]).ring
+    gens = T.commutation_generators()
+    support = T.group.elements() if whole_group else [T.group.identity()]
+    commutator = _commutator_terms(T, gens)
+    checked = 0
+    for d in _degree_range(T.algebra, 4):
+        for mono in _monomials_of_degree(T.algebra, d, 4):
+            for f in support:
+                cand = T.monomial(*mono, f)
+                for gi, w in enumerate(gens):
+                    oracle = {g: poly.terms for g, poly in (cand * w - w * cand).comps.items()}
+                    rows = commutator(mono, f, gi)
+                    assert _exact_terms(rows) == _exact_terms(oracle), (mono, f, gi)
+                    checked += 1
+                    if rows:
+                        # mutation: one coefficient with its sign flipped
+                        g, terms = next(iter(rows.items()))
+                        m, c = next(iter(terms.items()))
+                        flipped = {**rows, g: {**terms, m: -c}}
+                        assert _exact_terms(flipped) != _exact_terms(oracle)
+    assert checked >= 4 * len(support) * len(gens)

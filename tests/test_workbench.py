@@ -415,6 +415,12 @@ def test_cli_point_rejects_underscore_names(capsys):
     (["scan", "--case", "i", "--n", "2", "--k", "-3"], "k >= 1"),
     (["scan", "--case", "i", "--n", "2", "--q", "-1"], "--k"),
     (["scan", "--case", "i", "--n", "2", "--q", "1"], "--k"),
+    (["scan", "--case", "i", "--n", "0", "--k", "2"], "n >= 1"),
+    (["center", "--case", "i", "--n", "-2", "--k", "2", "--degree", "2"], "n >= 1"),
+    (["center", "--case", "i", "--n", "0", "--q", "2", "--degree", "2"], "n >= 1"),
+    (["center", "--case", "iii", "--n", "-3", "--localization", "none",
+      "--degree", "2"], "n >= 1"),
+    (["scan", "--case", "iii", "--n", "0"], "n >= 1"),
 ])
 def test_cli_rejects_empty_inputs(capsys, argv, name):
     assert main(argv) == 2
