@@ -31,7 +31,6 @@ from .series import (
     RationalSeries,
     compare_with_counts,
     molien_series,
-    series_expand,
 )
 from .fiber import (
     Certificate,
@@ -63,6 +62,6 @@ __all__ = [
     "compare_with_counts", "emit_report", "freeness_scan", "invariant_basis",
     "is_central", "jacobson_radical_dim", "make_case",
     "matrix_algebra_certificate", "molien_series", "parse_cyclo", "recipe_for",
-    "root_of_unity", "sample_point", "series_check", "series_expand",
+    "root_of_unity", "sample_point", "series_check",
     "stabilizer_of_point", "trace_form_rank", "verify_generating_set",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from fractions import Fraction
 
 from .catalog import CatalogError, make_case
@@ -122,6 +123,7 @@ def main(argv=None) -> int:
     _add_output_args(p)
 
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
         if args.command == "molien":
             report = series_check(args.case, args.m, args.degree)
@@ -145,14 +147,17 @@ def main(argv=None) -> int:
     except (CatalogError, AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit_report(report, args.format, args.out)
+    elapsed = time.perf_counter() - t0
+    try:
+        text = emit_report(report, args.format, args.out)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     if args.out is None:
         sys.stdout.write(text)
     else:
         print(f"wrote {args.out}", file=sys.stderr)
-    total = report.timings.get("total_s")
-    if total is not None:
-        print(f"elapsed: {total:.3f}s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return report.exit_code
 
 

@@ -329,7 +329,7 @@ class Cyclo:
 
     # -- formatting --------------------------------------------------------
 
-    def to_str(self, var: str = "z") -> str:
+    def to_str(self) -> str:
         """Render as 'c0 + c1*z + c2*z^2 + ...' with zero terms dropped."""
         parts = []
         for e, coeff in enumerate(self.c):
@@ -338,7 +338,7 @@ class Cyclo:
             if e == 0:
                 parts.append(str(coeff))
                 continue
-            zpow = var if e == 1 else f"{var}^{e}"
+            zpow = "z" if e == 1 else f"z^{e}"
             if coeff == 1:
                 parts.append(zpow)
             elif coeff == -1:

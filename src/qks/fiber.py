@@ -55,7 +55,7 @@ class FiberRecipe:
     v_inv: NCPoly | None = None
     residuals: list = field(default_factory=list)  # central SkewElements to kill
 
-    def validate(self, ring: SkewRing):
+    def validate(self):
         if self.ku < 1 or self.kv < 1:
             raise FiberError("reduction exponents must be >= 1")
         if any(b >= self.kv for (_a, b) in self.v_pow.terms):
@@ -126,7 +126,6 @@ class FiniteDimAlgebra:
     """
 
     dim: int
-    labels: list
     sc: list          # sc[i][j]: sparse product vector of basis_i * basis_j
     unit: dict        # coordinates of 1
     gens: list | None = None
@@ -145,8 +144,7 @@ def _combine(vec: dict, rows) -> dict:
     return out
 
 
-def _quotient(ech: Echelon, dim: int, labels: list, product, unit: dict,
-              gens: list) -> FiniteDimAlgebra:
+def _quotient(ech: Echelon, dim: int, product, unit: dict, gens: list) -> FiniteDimAlgebra:
     """The algebra on the non-pivot columns of `ech`, whose row space is an
     ideal; product(i, j) is the old basis_i * basis_j."""
     keep = [i for i in range(dim) if i not in ech.rows]
@@ -155,7 +153,7 @@ def _quotient(ech: Echelon, dim: int, labels: list, product, unit: dict,
     def project(vec: dict) -> dict:
         return {new_index[i]: c for i, c in ech.reduce(vec).items()}
 
-    return FiniteDimAlgebra(dim=len(keep), labels=[labels[i] for i in keep],
+    return FiniteDimAlgebra(dim=len(keep),
                             sc=[[project(product(i, j)) for j in keep] for i in keep],
                             unit=project(unit), gens=[project(g) for g in gens])
 
@@ -164,7 +162,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     """The quotient of T at the recipe's reductions and residual relations."""
     if point is not None:
         point.validate()
-    recipe.validate(ring)
+    recipe.validate()
     group = ring.group
     algebra = ring.algebra
     reducer = _Reducer(ring, recipe)
@@ -214,25 +212,11 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     if not killed.reduce(unit):
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
-    fiber = _quotient(killed, dim, [_label(ring, m) for m in basis],
-                      lambda i, j: mono_product(basis[i], basis[j]), unit,
+    fiber = _quotient(killed, dim, lambda i, j: mono_product(basis[i], basis[j]), unit,
                       [skew_to_vec(ring.monomial(*m)) for m in gen_monos])
     if not check_associativity(fiber):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")
     return fiber
-
-
-def _label(ring: SkewRing, mono) -> str:
-    a, b, f = mono
-    bits = []
-    if a:
-        bits.append("u" if a == 1 else f"u^{a}")
-    if b:
-        bits.append("v" if b == 1 else f"v^{b}")
-    fs = ring.group.element_str(f)
-    if fs != "e":
-        bits.append(fs)
-    return "*".join(bits) if bits else "1"
 
 
 def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
@@ -338,7 +322,7 @@ def quotient_by_subspace(F: FiniteDimAlgebra, vectors) -> FiniteDimAlgebra:
     ech = Echelon()
     for v in vectors:
         ech.add(v)
-    return _quotient(ech, F.dim, F.labels, lambda i, j: F.sc[i][j], F.unit, F.gens)
+    return _quotient(ech, F.dim, lambda i, j: F.sc[i][j], F.unit, F.gens)
 
 
 def semisimple_quotient(F: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -392,12 +376,11 @@ def matrix_units_algebra(d: int) -> FiniteDimAlgebra:
                     if j == k:
                         sc[idx(i, j)][idx(k, l)] = {idx(i, l): one}
     unit = {idx(i, i): one for i in range(d)}
-    labels = [f"E{i}{j}" for i in range(d) for j in range(d)]
-    return FiniteDimAlgebra(dim=dim, labels=labels, sc=sc, unit=unit)
+    return FiniteDimAlgebra(dim=dim, sc=sc, unit=unit)
 
 
 def dual_numbers_algebra() -> FiniteDimAlgebra:
     """k[t]/t^2 (reference object for tests)."""
     one = Cyclo.rational(1)
     sc = [[{0: one}, {1: one}], [{1: one}, {}]]
-    return FiniteDimAlgebra(dim=2, labels=["1", "t"], sc=sc, unit={0: one})
+    return FiniteDimAlgebra(dim=2, sc=sc, unit={0: one})

@@ -20,6 +20,7 @@ g.u = w u, g.v = w^{-1} v, h.u = v, h.v = u for a fixed primitive root w.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import Cyclo, multiplicative_order
 from .linalg import acc
@@ -54,8 +55,8 @@ class Algebra:
         if kind == "jordan" and "v" in inverted:
             raise AlgebraError("the Jordan plane only admits inverting u")
         self.kind = kind
-        self.q = q.coerce(_lcm(q.n, conductor)) if q is not None else None
-        self.conductor = conductor if q is None else _lcm(q.n, conductor)
+        self.q = q.coerce(lcm(q.n, conductor)) if q is not None else None
+        self.conductor = conductor if q is None else lcm(q.n, conductor)
         self.inverted = inverted
         self.denominators: tuple[NCPoly, ...] = ()
         self._qpow_cache: dict[int, Cyclo] = {}
@@ -173,11 +174,6 @@ class Algebra:
         return inv_mono, s * coeff.inverse()
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
 class NCPoly:
     """Normal-form Laurent polynomial in one of the base algebras.
 
@@ -209,9 +205,6 @@ class NCPoly:
         if len(degs) != 1:
             raise AlgebraError("element is zero or not homogeneous")
         return degs[0]
-
-    def coefficient(self, a: int, b: int) -> Cyclo:
-        return self.terms.get((a, b), Cyclo.zero(self.algebra.conductor))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -3,16 +3,15 @@ endomorphism check, Molien cross-checks, and deterministic reports.
 
 Reports render to a fixed-width human table or to JSON with stable keys
 {"case", "params", "seed", "conductor", "points", "verdict", "expected_d",
-"pass"}; wall-clock timings and the counters in `Report.diagnostics` are
-kept on the in-memory report only so that emitted bytes are identical for
-identical inputs and seed.
+"pass"}, so that emitted bytes are identical for identical inputs and seed.
+`cli` prints the elapsed time to stderr, and the counters in
+`Report.diagnostics` are the only side record, kept on the in-memory report.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 
 from .catalog import (
@@ -22,7 +21,6 @@ from .catalog import (
     sample_point,
     sample_za_values,
 )
-from .cyclotomic import Cyclo
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
 from .linalg import CYCLO, GF, Echelon, NotReducible
 from .planes import apply_automorphism
@@ -34,7 +32,6 @@ from .series import (
     invariant_dimensions,
     kleinian_a_series,
     molien_series,
-    series_expand,
 )
 from .skew import (
     center_basis,
@@ -55,7 +52,6 @@ class Report:
     body: dict
     verdict: str
     passed: bool | None
-    timings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)  # counters, never emitted
 
     def to_json_dict(self) -> dict:
@@ -75,13 +71,9 @@ class Report:
         return 2
 
 
-def _fmt_value(c: Cyclo) -> str:
-    return c.to_str()
-
-
 def _certify_point(case: CaseSpec, point) -> dict:
     """Build the point's fiber and certify it: the point's report record."""
-    rec = {"values": {name: _fmt_value(v) for name, v in sorted(point.values.items())}}
+    rec = {"values": {name: v.to_str() for name, v in sorted(point.values.items())}}
     try:
         fiber = build_fiber(case.ring, point, recipe_for(case, point))
         cert = matrix_algebra_certificate(fiber)
@@ -103,7 +95,6 @@ def _certify_point(case: CaseSpec, point) -> dict:
 def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                  stabilized: bool = False) -> Report:
     """Sample admissible central points, build fibers, certify, aggregate."""
-    t0 = time.perf_counter()
     if samples < 1:
         raise CatalogError("samples must be >= 1")
     if stabilized and not case.keeps_stabilized:
@@ -112,8 +103,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
     base = {"expected_d": case.expected_d, "points": []}
     if case.azumaya_expected is None:
         return Report("scan", case.label, case.params(), seed, case.conductor,
-                      base, f"not-applicable: {case.scan_reason}", None,
-                      {"total_s": time.perf_counter() - t0})
+                      base, f"not-applicable: {case.scan_reason}", None)
     rng = random.Random(seed)
     mix = case.azumaya_expected is False and case.keeps_stabilized
     # a sampler give-up is no witness: it never counts as a failure
@@ -156,7 +146,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
         passed = False
     base["points"] = points
     return Report("scan", case.label, case.params(), seed, case.conductor, base,
-                  verdict, passed, {"total_s": time.perf_counter() - t0})
+                  verdict, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +159,13 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     Verdict "free" iff all sampled stabilizers are trivial; cross-referenced
     against the case's Azumaya expectation (the two must agree for X-outer
     actions with an Azumaya coefficient ring)."""
-    t0 = time.perf_counter()
     if samples < 1:
         raise CatalogError("samples must be >= 1")
     body = {"points": [], "azumaya_expected": case.azumaya_expected}
     if not case.x_outer or case.za_gens is None:
         reason = case.scan_reason or "the action is not X-outer on this localization"
         return Report("freeness", case.label, case.params(), seed, case.conductor,
-                      body, f"not-applicable: {reason}", None,
-                      {"total_s": time.perf_counter() - t0})
+                      body, f"not-applicable: {reason}", None)
     rng = random.Random(seed)
     group = case.ring.group
     mix = case.keeps_stabilized
@@ -187,7 +175,7 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
         drew_stabilized |= stab_draw
         values = sample_za_values(case, rng, stabilized=stab_draw)
         stab = stabilizer_of_point(case.ring.algebra, group, case.za_gens, values)
-        rec = {"values": {f"z{i}": _fmt_value(v) for i, v in enumerate(values)},
+        rec = {"values": {f"z{i}": v.to_str() for i, v in enumerate(values)},
                "stabilizer_order": len(stab),
                "stabilizer": [group.element_str(f) for f in stab]}
         if len(stab) > 1:
@@ -202,15 +190,11 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
         # as in azumaya_scan: a negative control's witnesses are stabilized draws
         verdict, passed = "inconclusive(no stabilized point drawn)", None
     return Report("freeness", case.label, case.params(), seed, case.conductor,
-                  body, verdict, passed, {"total_s": time.perf_counter() - t0})
+                  body, verdict, passed)
 
 
 # ---------------------------------------------------------------------------
 # graded endomorphism-ring check
-
-
-def _graded_basis(algebra, d: int) -> list:
-    return [(a, d - a) for a in range(d + 1)]
 
 
 def _invariant_algebra_generators(algebra, group, upto: int):
@@ -230,8 +214,8 @@ PRIME = 2**31 - 1
 def _hom_layout(j: int, cap: int) -> tuple:
     """Columns of the degree-j maps phi on A_{<=cap}: (offsets, total).
 
-    A_d has the d + 1 monomials of `_graded_basis`.  The coordinate of
-    phi(b) at c, for b the b_idx-th monomial of A_i and c the c_idx-th of
+    A_d has the d + 1 monomials u^x v^(d-x), indexed by x.  The coordinate
+    of phi(b) at c, for b the b_idx-th monomial of A_i and c the c_idx-th of
     A_{i+j}, is column offsets[i] + b_idx * (i + j + 1) + c_idx.  Blocks
     run by descending domain degree: equation rows express the high-degree
     block phi(b s) through lower blocks, so pivoting there keeps the
@@ -246,30 +230,27 @@ def _hom_layout(j: int, cap: int) -> tuple:
 def _hom_rows(algebra, gens, j: int, cap: int, field=CYCLO):
     """Equations phi(b s) = phi(b) s of the truncated Hom system, one row per
     (s, b, target monomial), with entries in `field`."""
-    basis = {i: _graded_basis(algebra, i) for i in range(cap + max(g.degree() for g in gens) + j + 1)}
     offsets, _ = _hom_layout(j, cap)
     convert = field.from_cyclo
     for s in gens:
         t = s.degree()  # >= 1: phi(b s) and phi(b) lie in different blocks
         for i in range(cap - t + 1):
-            target = basis[i + t + j]
-            tindex = {m: x for x, m in enumerate(target)}
-            mindex = {m: x for x, m in enumerate(basis[i + t])}
+            width = i + t + j + 1  # the monomials of the target A_{i+t+j}
             # -(c s) in target coordinates, for each c in A_{i+j}: the same
             # for every b, so computed once per (s, i)
             minus_cs = []
-            for c in basis[i + j]:
-                cs = algebra.monomial(*c) * s
-                minus_cs.append([(tindex[mono], convert(-coeff))
+            for x in range(i + j + 1):
+                cs = algebra.monomial(x, i + j - x) * s
+                minus_cs.append([(mono[0], convert(-coeff))
                                  for mono, coeff in cs.terms.items()])
-            for b_idx, b in enumerate(basis[i]):
-                bs = algebra.monomial(*b) * s
+            for b_idx in range(i + 1):
+                bs = algebra.monomial(b_idx, i - b_idx) * s
                 rows: dict = {}
                 for mono, ce in bs.terms.items():
                     ce = convert(ce)
                     if ce:
-                        first = offsets[i + t] + mindex[mono] * len(target)
-                        for star in range(len(target)):
+                        first = offsets[i + t] + mono[0] * width
+                        for star in range(width):
                             rows.setdefault(star, {})[first + star] = ce
                 first = offsets[i] + b_idx * (i + j + 1)
                 for c_idx, entries in enumerate(minus_cs):
@@ -295,19 +276,17 @@ def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> int:
 def _natural_map_images(algebra, group, j: int, cap: int):
     """Images of the basis a f of (A#G)_j, x -> a (f.x), in the columns of
     `_hom_layout`."""
-    basis = {i: _graded_basis(algebra, i) for i in range(cap + j + 1)}
     offsets, _ = _hom_layout(j, cap)
-    for m in basis[j]:
-        a_poly = algebra.monomial(*m)
+    for a in range(j + 1):
+        a_poly = algebra.monomial(a, j - a)
         for f in group.elements():
             vec: dict = {}
             for i in range(cap + 1):
-                tindex = {mm: x for x, mm in enumerate(basis[i + j])}
-                for b_idx, b in enumerate(basis[i]):
-                    image = a_poly * apply_automorphism(group, f, algebra.monomial(*b))
-                    first = offsets[i] + b_idx * (i + j + 1)
+                for x in range(i + 1):
+                    image = a_poly * apply_automorphism(group, f, algebra.monomial(x, i - x))
+                    first = offsets[i] + x * (i + j + 1)
                     for mono, c in image.terms.items():
-                        vec[first + tindex[mono]] = c
+                        vec[first + mono[0]] = c
             yield vec
 
 
@@ -345,7 +324,6 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     Dimensions are computed at truncation caps degree+guard and
     degree+guard+2; degrees whose value moves between the caps are flagged
     inconclusive rather than reported."""
-    t0 = time.perf_counter()
     if case.localization != "none":
         raise CatalogError("the endomorphism check uses the graded, unlocalized ring")
     if degree < 0:
@@ -387,8 +365,7 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     body = {"degrees": rows, "guards": list(caps),
             "invariant_generator_degrees": sorted(g.degree() for g in gens)}
     return Report("auslander", case.label, case.params(), None, case.conductor,
-                  body, verdict, passed, {"total_s": time.perf_counter() - t0},
-                  diagnostics)
+                  body, verdict, passed, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +381,6 @@ SERIES = {
 
 def series_check(case_id: str, m: int, degree: int) -> Report:
     """Molien series of the catalog representation vs closed form vs counts."""
-    t0 = time.perf_counter()
     case_id = str(case_id)
     entry = SERIES.get(case_id)
     if entry is None:
@@ -419,15 +395,14 @@ def series_check(case_id: str, m: int, degree: int) -> Report:
     closed_ok = mol == closed
     counts = invariant_dimensions(rep, degree)
     counts_ok = compare_with_counts(mol, counts)
-    expansion = [str(c.as_fraction()) for c in series_expand(mol, degree)]
+    expansion = [str(c.as_fraction()) for c in mol.expand(degree)]
     verdict = "match" if (closed_ok and counts_ok) else "mismatch"
     body = {"representation": label, "molien": repr(mol),
             "closed_form": repr(closed), "closed_form_equal": closed_ok,
             "invariant_counts": counts, "expansion": expansion,
             "counts_equal": counts_ok}
     return Report("series", f"case {case_id}", {"m": m, "degree": degree}, None,
-                  max(m, 1), body, verdict, closed_ok and counts_ok,
-                  {"total_s": time.perf_counter() - t0})
+                  m, body, verdict, closed_ok and counts_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +423,6 @@ def _check_window(window: int):
 
 
 def center_report(case: CaseSpec, window: int | None = None) -> Report:
-    t0 = time.perf_counter()
     window = window if window is not None else default_window(case)
     _check_window(window)
     basis = center_basis(case.ring, window)
@@ -469,11 +443,10 @@ def center_report(case: CaseSpec, window: int | None = None) -> Report:
     else:
         verdict, passed = "catalog-generators-mismatch", False
     return Report("center", case.label, case.params(), None, case.conductor,
-                  body, verdict, passed, {"total_s": time.perf_counter() - t0})
+                  body, verdict, passed)
 
 
 def invariants_report(case: CaseSpec, window: int | None = None) -> Report:
-    t0 = time.perf_counter()
     window = window if window is not None else 8
     _check_window(window)
     basis = invariant_basis(case.ring.algebra, case.ring.group, window)
@@ -484,11 +457,10 @@ def invariants_report(case: CaseSpec, window: int | None = None) -> Report:
             "dims": {str(d): dims[d] for d in sorted(dims)},
             "basis": [repr(p) for p in basis]}
     return Report("invariants", case.label, case.params(), None, case.conductor,
-                  body, "computed", True, {"total_s": time.perf_counter() - t0})
+                  body, "computed", True)
 
 
 def fiber_report(case: CaseSpec, values: dict) -> Report:
-    t0 = time.perf_counter()
     if case.presentation is None:
         raise CatalogError(f"case {case.label} has no central presentation")
     names = case.presentation.names
@@ -508,7 +480,7 @@ def fiber_report(case: CaseSpec, values: dict) -> Report:
         verdict, passed = f"build-failed: {rec['witness']}", False
     body = {"expected_d": case.expected_d, "points": [rec]}
     return Report("fiber", case.label, case.params(), None, case.conductor,
-                  body, verdict, passed, {"total_s": time.perf_counter() - t0})
+                  body, verdict, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,6 @@ class RationalSeries:
         return f"({fmt(self.num)}) / ({fmt(self.denom)})"
 
 
-def series_expand(f: RationalSeries, d: int) -> list:
-    return f.expand(d)
-
-
 def compare_with_counts(f: RationalSeries, counts) -> bool:
     got = f.expand(len(counts) - 1)
     return all(c == Cyclo.rational(want) for c, want in zip(got, counts))
@@ -128,18 +124,6 @@ def mat_mul(a, b):
 
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_det(a) -> Cyclo:
-    n = len(a)
-    total = Cyclo.zero()
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = Cyclo.rational(sign)
-        for i in range(n):
-            prod = prod * a[i][perm[i]]
-        total = total + prod
-    return total
 
 
 def _perm_sign(perm) -> int:
@@ -185,10 +169,12 @@ def molien_series(matrices) -> RationalSeries:
     if not matrices:
         raise SeriesError("empty matrix list")
     n = len(matrices[0])
+    dets = []
     for m in matrices:
         if len(m) != n or any(len(row) != n for row in m):
             raise SeriesError("matrices must be square and of one size")
-        if mat_det(m).is_zero():
+        dets.append(_det_one_minus_t(m))
+        if len(dets[-1]) <= n:  # its t^n coefficient is (-1)^n det m
             raise SeriesError("singular matrix in the list")
     for a in matrices:
         for b in matrices:
@@ -196,8 +182,7 @@ def molien_series(matrices) -> RationalSeries:
             if not any(mat_eq(prod, c) for c in matrices):
                 raise SeriesError("matrix list is not multiplicatively closed")
     num, denom = (), pt_one()
-    for alpha in matrices:
-        d = _det_one_minus_t(alpha)
+    for d in dets:
         # num/denom + 1/d = (num*d + denom)/(denom*d)
         num = pt_add(pt_mul(num, d), denom)
         denom = pt_mul(denom, d)

@@ -30,8 +30,8 @@ from .planes import (
 class SkewRing:
     """The pair (A, G) together with elementwise arithmetic in A # G."""
 
-    def __init__(self, algebra: Algebra, group: Group, check_action: bool = True):
-        if check_action and not check_action_well_defined(algebra, group):
+    def __init__(self, algebra: Algebra, group: Group):
+        if not check_action_well_defined(algebra, group):
             raise AlgebraError(f"{group} does not act on {algebra}")
         self.algebra = algebra
         self.group = group
@@ -49,9 +49,6 @@ class SkewRing:
         return f"{self.algebra!r} # {self.group!r}"
 
     # -- constructors -------------------------------------------------------
-
-    def element(self, comps: dict) -> "SkewElement":
-        return SkewElement(self, comps)
 
     def zero(self) -> "SkewElement":
         return SkewElement(self, {})

@@ -31,7 +31,6 @@ from qks.series import (
     dihedral_invariant_series,
     invariant_dimensions,
     molien_series,
-    series_expand,
     trivial_rep,
 )
 from qks.skew import center_basis, is_central, verify_generating_set
@@ -229,7 +228,7 @@ def test_criterion_8_kernel_property_suites():
         # Molien nonnegativity on the catalog groups
         for rep in (cyclic_diag_rep(2), cyclic_diag_rep(4), cyclic_diag_rep(6),
                     dihedral_3dim_rep(2), dihedral_3dim_rep(3), trivial_rep(3)):
-            for coeff in series_expand(molien_series(rep), 20):
+            for coeff in molien_series(rep).expand(20):
                 value = coeff.as_fraction()
                 assert value.denominator == 1 and value >= 0
         # fiber associativity: one small (full triple check) and one large fiber

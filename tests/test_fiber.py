@@ -70,7 +70,7 @@ def test_split_semisimple_center():
     # k x k: central idempotents e1, e2
     one = Cyclo.rational(1)
     F = matrix_units_algebra(1)
-    kxk = type(F)(dim=2, labels=["e1", "e2"],
+    kxk = type(F)(dim=2,
                   sc=[[{0: one}, {}], [{}, {1: one}]],
                   unit={0: one, 1: one})
     assert center_dimension(kxk) == 2

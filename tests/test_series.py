@@ -17,7 +17,6 @@ from qks.series import (
     one_minus_t_pow,
     pt_mul,
     pt_one,
-    series_expand,
     trivial_rep,
 )
 
@@ -39,13 +38,13 @@ def test_dihedral_rep_closed_form():
 
 def test_expand_geometric():
     f = RationalSeries(pt_one(), one_minus_t_pow(1))
-    assert series_expand(f, 3) == [Cyclo.rational(1)] * 4
+    assert f.expand(3) == [Cyclo.rational(1)] * 4
 
 
 def test_expand_a1_series():
     # (1 - t^4)/((1 - t^2)(1 - t^2)^2): even coefficients 1, 3, 5 (odd ones 0)
     f = kleinian_a_series(2)
-    assert [c.as_fraction() for c in series_expand(f, 4)] == [1, 0, 3, 0, 5]
+    assert [c.as_fraction() for c in f.expand(4)] == [1, 0, 3, 0, 5]
 
 
 def test_expand_matches_invariant_counts_d2():
@@ -79,14 +78,14 @@ def test_molien_expansion_nonnegative_integers():
     reps = [cyclic_diag_rep(2), cyclic_diag_rep(6), dihedral_3dim_rep(2),
             dihedral_3dim_rep(3), trivial_rep(2)]
     for rep in reps:
-        for c in series_expand(molien_series(rep), 20):
+        for c in molien_series(rep).expand(20):
             value = c.as_fraction()
             assert value.denominator == 1 and value >= 0
 
 
 def test_constant_and_linear_coefficients():
     for rep in (cyclic_diag_rep(3), dihedral_3dim_rep(2)):
-        coeffs = series_expand(molien_series(rep), 1)
+        coeffs = molien_series(rep).expand(1)
         assert coeffs[0] == Cyclo.rational(1)
         fixed_dim = invariant_dimensions(rep, 1)[1]
         assert coeffs[1] == Cyclo.rational(fixed_dim)

@@ -11,6 +11,7 @@ from qks.linalg import spans_equal, nullspace
 from qks.planes import Algebra, AlgebraError, Group
 from qks.skew import (
     Presentation,
+    SkewElement,
     SkewRing,
     _commutator_terms,
     _degree_range,
@@ -359,7 +360,7 @@ def _random_skew(rng, T):
             b = rng.randint(lo if "v" in A.inverted else 0, 2)
             terms[(a, b)] = A.scalar(rng.randint(-2, 2))
         comps[f] = A.poly(terms)
-    return T.element(comps)
+    return SkewElement(T, comps)
 
 
 @pytest.mark.parametrize("make", [

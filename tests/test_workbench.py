@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -360,7 +361,26 @@ def test_cli_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["pass"] is True
 
 
+def test_cli_prints_elapsed_time_to_stderr(capsys):
+    code = main(["molien", "--case", "i", "--m", "2", "--degree", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["verdict"] == "match"
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", captured.err)
+
+
 # -- inputs that must end in exit status 2, never a traceback or a vacuous pass
+
+@pytest.mark.parametrize("out", [lambda tmp: tmp / "missing" / "x.json", lambda tmp: tmp],
+                         ids=["missing-directory", "directory"])
+def test_cli_unwritable_out_is_an_error(tmp_path, capsys, out):
+    path = str(out(tmp_path))
+    assert main(["center", "--case", "ii", "--localization", "none", "--degree", "2",
+                 "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f"--out {path}" in captured.err
+
 
 def test_cli_point_division_by_zero_is_an_error(capsys):
     assert main(["fiber", "--case", "0", "--point", "s=1/0,m=2"]) == 2
