@@ -1,10 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is a vector of rationals of length phi(N) giving its coordinates in
-the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N), reduced modulo the N-th
-cyclotomic polynomial.  Representations are canonical: two values at the same
-conductor are equal iff their coordinate vectors are equal, and mixed
-conductors are coerced to the lcm before comparing.
+A value holds its coordinates in the power basis 1, z, ..., z^(phi(N)-1) of
+Q(zeta_N), reduced modulo the N-th cyclotomic polynomial, as integer
+numerators over one positive denominator with no common factor.
+Representations are canonical: two values at the same conductor are equal iff
+their numerators and denominators are equal, and mixed conductors are coerced
+to the lcm before comparing.  Since Phi_N is monic over Z, products are
+integer convolutions folded through an integer power table; an inverse is the
+product of the other Galois conjugates over the norm, which is an integer.
+`Fraction` appears only at the boundary: the public constructor, `rational`
+and the rational operands it converts, `as_fraction`, `to_str`, parsing and
+the cyclotomic polynomials.
 
 Values are immutable; all operations return new objects.
 """
@@ -12,7 +18,7 @@ Values are immutable; all operations return new objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,22 +94,24 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return result
 
 
-_power_table_cache: dict[int, list[tuple[Fraction, ...]]] = {}
+_power_table_cache: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _power_table(n: int) -> list[tuple[Fraction, ...]]:
-    """x^e reduced mod Phi_n, for e = 0 .. n-1, as phi(n)-vectors."""
+def _power_table(n: int) -> list[tuple[int, ...]]:
+    """x^e reduced mod Phi_n, for e = 0 .. n-1, as integer phi(n)-vectors.
+
+    Phi_n is monic with integer coefficients, so every row is integral."""
     if n in _power_table_cache:
         return _power_table_cache[n]
     phi = euler_phi(n)
-    f = cyclotomic_polynomial(n)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [_ONE] + [_ZERO] * (phi - 1)
+    f = [int(x) for x in cyclotomic_polynomial(n)]
+    rows: list[tuple[int, ...]] = []
+    cur = [1] + [0] * (phi - 1)
     for _ in range(n):
         rows.append(tuple(cur))
         # multiply by x, fold the overflow using x^phi = -(f_0 + ... + f_{phi-1} x^{phi-1})
         top = cur[phi - 1]
-        nxt = [_ZERO] + cur[: phi - 1]
+        nxt = [0] + cur[: phi - 1]
         if top:
             for j in range(phi):
                 nxt[j] -= top * f[j]
@@ -112,56 +120,100 @@ def _power_table(n: int) -> list[tuple[Fraction, ...]]:
     return rows
 
 
-def _xgcd_poly(a: list[Fraction], b: list[Fraction]):
-    """Extended gcd in Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], [_ZERO]
-    t0, t1 = [_ZERO], [_ONE]
+def _mul_nums(n: int, a, b) -> list[int]:
+    """Product of two integer power-basis vectors at conductor n, mod Phi_n."""
+    phi = len(a)
+    if phi == 1:
+        return [a[0] * b[0]]
+    if phi == 2:
+        # z^2 = r0 + r1 z
+        (a0, a1), (b0, b1) = a, b
+        r0, r1 = _power_table(n)[2]
+        t = a1 * b1
+        return [a0 * b0 + t * r0, a0 * b1 + a1 * b0 + t * r1]
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+    out = conv[:phi]
+    table = _power_table(n)
+    for e in range(phi, 2 * phi - 1):
+        ce = conv[e]
+        if ce:
+            for k, r in enumerate(table[e % n]):
+                out[k] += ce * r
+    return out
 
-    def _sub_mul(p, q, quo):
-        # p - q * quo
-        out = list(p) + [_ZERO] * max(0, len(q) + len(quo) - 1 - len(p))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, cj in enumerate(quo):
-                    if cj:
-                        out[i + j] -= qi * cj
-        while len(out) > 1 and not out[-1]:
-            out.pop()
-        return out
 
-    while len(r1) > 1 or r1[0]:
-        quo, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _sub_mul(s0, s1, quo)
-        t0, t1 = t1, _sub_mul(t0, t1, quo)
-    return r0, s0, t0
+def _power_map(m: int, a, j: int) -> list[int]:
+    """sum_k a_k z^(j k) at conductor m, for an integer power-basis vector a.
+
+    With j = m / n this re-expresses a conductor-n vector at m; with m = n and
+    gcd(j, n) = 1 it is the Galois conjugate sigma_j: z -> z^j."""
+    table = _power_table(m)
+    out = [0] * euler_phi(m)
+    for k, x in enumerate(a):
+        if x:
+            for i, r in enumerate(table[j * k % m]):
+                out[i] += x * r
+    return out
+
+
+_new = object.__new__
+
+
+def _make(n: int, nums, den: int) -> "Cyclo":
+    """The canonical value nums/den at conductor n (den > 0); no length check."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    value = _new(Cyclo)
+    value.n = n
+    value.c = tuple(nums)
+    value.den = den
+    return value
 
 
 class Cyclo:
     """An exact element of Q(zeta_n).
 
+    Stored as a tuple `c` of integer numerators, one per power-basis slot
+    1, z, ..., z^(phi(n)-1), over one denominator `den`.  The form is
+    canonical: den > 0, gcd(den, *c) == 1, and zero is (0, ..., 0) over 1,
+    so equality at one conductor is a tuple compare.  Products convolve the
+    integer vectors and fold through the power table of the monic Phi_n; a
+    non-rational inverse is den * P / N(a), with P the product of the other
+    Galois conjugates of the integral numerator a and N(a) = a * P its norm.
+
     Use `Cyclo.rational` and `root_of_unity` to construct values, and ordinary
-    operators for field arithmetic.  Operands at different conductors are
-    coerced to the lcm, so scalars built at conductor 1 mix freely with
-    genuine roots of unity.
+    operators for field arithmetic.  `Cyclo(n, coeffs)` takes a vector of
+    rationals.  Operands at different conductors are coerced to the lcm, so
+    scalars built at conductor 1 mix freely with genuine roots of unity.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "den")
 
     def __init__(self, n: int, coeffs):
-        self.n = n
-        self.c = tuple(coeffs)
-        if len(self.c) != euler_phi(n):
+        coeffs = [Fraction(x) for x in coeffs]
+        if len(coeffs) != euler_phi(n):
             raise ValueError("coefficient vector has wrong length for conductor")
+        # the lcm of reduced denominators shares no factor with every numerator
+        den = lcm(*(x.denominator for x in coeffs))
+        self.n = n
+        self.c = tuple(x.numerator * (den // x.denominator) for x in coeffs)
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(value, conductor: int = 1) -> "Cyclo":
+        rest = (0,) * (euler_phi(conductor) - 1)
+        if type(value) is int:
+            return _make(conductor, (value,) + rest, 1)
         r = Fraction(value)
-        phi = euler_phi(conductor)
-        return Cyclo(conductor, (r,) + (_ZERO,) * (phi - 1))
+        return _make(conductor, (r.numerator,) + rest, r.denominator)
 
     @staticmethod
     def zero(conductor: int = 1) -> "Cyclo":
@@ -182,7 +234,7 @@ class Cyclo:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.c[0], self.den)
 
     # -- conductor handling ------------------------------------------------
 
@@ -192,22 +244,12 @@ class Cyclo:
             return self
         if m % self.n != 0:
             raise ValueError(f"conductor {self.n} does not divide {m}")
-        step = m // self.n
-        table = _power_table(m)
-        phi_m = euler_phi(m)
-        out = [_ZERO] * phi_m
-        for j, cj in enumerate(self.c):
-            if cj:
-                row = table[(j * step) % m]
-                for k in range(phi_m):
-                    if row[k]:
-                        out[k] += cj * row[k]
-        return Cyclo(m, out)
+        return _make(m, _power_map(m, self.c, m // self.n), self.den)
 
     def _pair(self, other: "Cyclo"):
         if self.n == other.n:
             return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
+        m = lcm(self.n, other.n)
         return self.coerce(m), other.coerce(m)
 
     # -- arithmetic --------------------------------------------------------
@@ -217,19 +259,25 @@ class Cyclo:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        return Cyclo(a.n, tuple(x + y for x, y in zip(a.c, b.c)))
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.n, [x + y for x, y in zip(a.c, b.c)], da)
+        return _make(a.n, [x * db + y * da for x, y in zip(a.c, b.c)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, tuple(-x for x in self.c))
+        return _make(self.n, [-x for x in self.c], self.den)
 
     def __sub__(self, other):
         other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        return Cyclo(a.n, tuple(x - y for x, y in zip(a.c, b.c)))
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.n, [x - y for x, y in zip(a.c, b.c)], da)
+        return _make(a.n, [x * db - y * da for x, y in zip(a.c, b.c)], da * db)
 
     def __rsub__(self, other):
         other = _as_cyclo(other)
@@ -238,53 +286,31 @@ class Cyclo:
         return other - self
 
     def __mul__(self, other):
-        other = _as_cyclo(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Cyclo:
+            other = _as_cyclo(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._pair(other)
-        n, phi = a.n, len(a.c)
-        if phi == 1:
-            return Cyclo(n, (a.c[0] * b.c[0],))
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:phi])
-        table = _power_table(n)
-        for e in range(phi, 2 * phi - 1):
-            if conv[e]:
-                row = table[e % n]
-                ce = conv[e]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += ce * row[k]
-        return Cyclo(n, out)
+        return _make(a.n, _mul_nums(a.n, a.c, b.c), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta)")
-        if self.is_rational():
-            return Cyclo(self.n, (1 / self.c[0],) + (_ZERO,) * (len(self.c) - 1))
-        a = list(self.c)
-        while len(a) > 1 and not a[-1]:
-            a.pop()
-        g, s, _t = _xgcd_poly(a, list(cyclotomic_polynomial(self.n)))
-        # g is a nonzero constant since Phi_n is irreducible over Q
-        ginv = 1 / g[0]
-        phi = euler_phi(self.n)
-        table = _power_table(self.n)
-        out = [_ZERO] * phi
-        for e, ce in enumerate(s):
-            if ce:
-                row = table[e % self.n]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += ce * ginv * row[k]
-        return Cyclo(self.n, out)
+        n, nums, den = self.n, self.c, self.den
+        if not any(nums[1:]):
+            a = nums[0]
+            if not a:
+                raise ZeroDivisionError("division by zero in Q(zeta)")
+            return _make(n, (den if a > 0 else -den,) + nums[1:], abs(a))
+        # self = nums/den with nums integral, and nums * P = N(nums) is an
+        # integer, positive since Q(zeta_n) with phi(n) > 1 is totally imaginary
+        prod = None
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                conj = _power_map(n, nums, j)
+                prod = conj if prod is None else _mul_nums(n, prod, conj)
+        norm = _mul_nums(n, nums, prod)[0]
+        return _make(n, [den * x for x in prod], norm)
 
     def __truediv__(self, other):
         other = _as_cyclo(other)
@@ -317,7 +343,7 @@ class Cyclo:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        return a.c == b.c
+        return a.c == b.c and a.den == b.den
 
     __hash__ = None  # no cross-conductor canonical form; not hashable
 
@@ -332,9 +358,10 @@ class Cyclo:
     def to_str(self) -> str:
         """Render as 'c0 + c1*z + c2*z^2 + ...' with zero terms dropped."""
         parts = []
-        for e, coeff in enumerate(self.c):
-            if not coeff:
+        for e, num in enumerate(self.c):
+            if not num:
                 continue
+            coeff = Fraction(num, self.den)
             if e == 0:
                 parts.append(str(coeff))
                 continue
@@ -365,7 +392,7 @@ def root_of_unity(j: int, n: int) -> Cyclo:
     """zeta_n^j at conductor n; its multiplicative order is n/gcd(j, n)."""
     if n < 1:
         raise ValueError("order must be positive")
-    return Cyclo(n, _power_table(n)[j % n])
+    return _make(n, _power_table(n)[j % n], 1)
 
 
 def multiplicative_order(a: Cyclo, bound: int = 10_000) -> int:

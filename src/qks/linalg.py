@@ -13,13 +13,14 @@ through it.
 `GF(p)`, ints mod a prime p.  A field supplies only the kernels the
 elimination calls once per row (`axpy`, `scaled`, `neg_inverse`), so the
 row reduction is written once and the `Cyclo` loop does no per-entry
-dispatch.  `GF.from_cyclo` maps a rational with no p in its denominator to
-its residue and raises `NotReducible` for anything else, never a wrong
-residue.  The sandwich contract: for rows whose entries all reduce, the rank
-mod p is at most the rank over Q(zeta) (reduction mod p is a ring map, so
-every minor that vanishes over Q vanishes mod p).  A mod-p rank therefore
-gives an upper bound on a nullity and proves nothing alone; a caller pairs
-it with an exact lower bound, and falls back to `CYCLO` when they differ.
+dispatch.  `GF.from_cyclo` maps a rational c/d (`Cyclo`'s integer numerator
+over its denominator) with p not dividing d to c * d^-1 mod p, and raises
+`NotReducible` for anything else, never a wrong residue.  The sandwich
+contract: for rows whose entries all reduce, the rank mod p is at most the
+rank over Q(zeta) (reduction mod p is a ring map, so every minor that
+vanishes over Q vanishes mod p).  A mod-p rank therefore gives an upper
+bound on a nullity and proves nothing alone; a caller pairs it with an exact
+lower bound, and falls back to `CYCLO` when they differ.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ class GF:
         """Residue of a p-integral rational; `NotReducible` otherwise."""
         if not x.is_rational():
             raise NotReducible(f"{x!r} is not rational")
-        r = x.as_fraction()
-        if r.denominator % self.p == 0:
-            raise NotReducible(f"{self.p} divides the denominator of {r}")
-        return r.numerator * pow(r.denominator, -1, self.p) % self.p
+        if x.den % self.p == 0:
+            raise NotReducible(f"{self.p} divides the denominator of {x.c[0]}/{x.den}")
+        return x.c[0] * pow(x.den, -1, self.p) % self.p
 
     def axpy(self, out: Vec, c: int, vec: Vec) -> None:
         p = self.p

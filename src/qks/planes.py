@@ -73,12 +73,13 @@ class Algebra:
         self.denominators = self.denominators + (poly,)
 
     def key(self):
-        qkey = None if self.q is None else (self.q.n, self.q.c)
-        dens = tuple(tuple(sorted((m, c.c) for m, c in d.terms.items())) for d in self.denominators)
+        qkey = None if self.q is None else (self.q.n, self.q.c, self.q.den)
+        dens = tuple(tuple(sorted((m, c.c, c.den) for m, c in d.terms.items()))
+                     for d in self.denominators)
         return (self.kind, qkey, self.inverted, dens)
 
     def __eq__(self, other):
-        return isinstance(other, Algebra) and self.key() == other.key()
+        return self is other or isinstance(other, Algebra) and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.kind, self.inverted, len(self.denominators)))
@@ -385,10 +386,10 @@ class Group:
         return c
 
     def key(self):
-        return (self.kind, self.n, self.omega.n, self.omega.c)
+        return (self.kind, self.n, self.omega.n, self.omega.c, self.omega.den)
 
     def __eq__(self, other):
-        return isinstance(other, Group) and self.key() == other.key()
+        return self is other or isinstance(other, Group) and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.kind, self.n))

@@ -40,7 +40,7 @@ class SkewRing:
         return (self.algebra.key(), self.group.key())
 
     def __eq__(self, other):
-        return isinstance(other, SkewRing) and self.key() == other.key()
+        return self is other or isinstance(other, SkewRing) and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.algebra, self.group))
@@ -243,7 +243,7 @@ def _commutator_terms(ring: SkewRing, gens: list):
     # every scalar met here has a conductor divisible by n0, so dropping a
     # factor 1 at conductor n0 leaves a product's conductor as it was
     def is_one(c):
-        return c.n == n0 and c.c == one
+        return c.n == n0 and c.den == 1 and c.c == one
 
     terms = [[(f2, m2, _at_conductor(c2, n0)) for f2, poly in w.comps.items()
               for m2, c2 in poly.terms.items()] for w in gens]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -128,3 +129,149 @@ def test_str_and_parse_roundtrip():
     assert parse_cyclo("1/2 + z^2", 12) == Cyclo.rational(Fraction(1, 2)) + root_of_unity(2, 12)
     assert parse_cyclo("-z", 4) == -root_of_unity(1, 4)
     assert Cyclo.zero(4).to_str() == "0"
+
+
+# -- reference oracle: the power-basis arithmetic on plain Fraction vectors --
+
+ORACLE_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 10, 12, 24]
+
+
+def _ref_reduce(n, poly):
+    """A Fraction coefficient list reduced mod Phi_n, as a phi(n)-vector."""
+    f, phi = cyclotomic_polynomial(n), euler_phi(n)
+    poly = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
+    for e in range(len(poly) - 1, phi - 1, -1):
+        c, poly[e] = poly[e], 0
+        for j in range(phi):
+            poly[e - phi + j] -= c * f[j]
+    return poly[:phi]
+
+
+def _ref_mul(n, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(n, conv)
+
+
+def _ref_coerce(n, a, m):
+    poly = [Fraction(0)] * ((len(a) - 1) * (m // n) + 1)
+    for j, x in enumerate(a):
+        poly[j * (m // n)] += x
+    return _ref_reduce(m, poly)
+
+
+def _ref_inverse(n, a):
+    """Solve a * x = 1 by Gaussian elimination on the multiplication matrix."""
+    phi = len(a)
+    cols = [_ref_mul(n, a, [Fraction(int(i == k)) for i in range(phi)]) for k in range(phi)]
+    rows = [[cols[k][i] for k in range(phi)] + [Fraction(int(i == 0))] for i in range(phi)]
+    for k in range(phi):
+        p = next(i for i in range(k, phi) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(phi):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    return [r[phi] for r in rows]
+
+
+def _ref_str(a):
+    parts = []
+    for e, c in enumerate(a):
+        if c:
+            zpow = "" if e == 0 else ("z" if e == 1 else f"z^{e}")
+            body = str(abs(c)) if not zpow else zpow if abs(c) == 1 else f"{abs(c)}*{zpow}"
+            parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def _as_ref(x):
+    """The value's coordinates as Fractions, after checking the canonical form."""
+    assert len(x.c) == euler_phi(x.n) and all(type(v) is int for v in x.c)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.c) == 1
+    if not any(x.c):
+        assert x.den == 1
+    return [Fraction(v, x.den) for v in x.c]
+
+
+def _ref_value(rng, n):
+    phi = euler_phi(n)
+    kind = rng.random()
+    if kind < 0.15:  # zero, rational and sparse values exercise the edge paths
+        return [Fraction(0)] * phi
+    if kind < 0.3:
+        return [Fraction(rng.randint(-20, 20), rng.randint(1, 12))] + [Fraction(0)] * (phi - 1)
+    return [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) if rng.random() < 0.8
+            else Fraction(0) for _ in range(phi)]
+
+
+def test_cyclo_matches_fraction_reference():
+    rng = random.Random(12)
+    for trial in range(400):
+        na, nb = rng.choice(ORACLE_CONDUCTORS), rng.choice(ORACLE_CONDUCTORS)
+        if trial % 2:
+            nb = na
+        m = lcm(na, nb)
+        ra, rb = _ref_value(rng, na), _ref_value(rng, nb)
+        a, b = Cyclo(na, ra), Cyclo(nb, rb)
+        assert _as_ref(a) == ra and _as_ref(b) == rb
+        ca, cb = _ref_coerce(na, ra, m), _ref_coerce(nb, rb, m)
+        assert _as_ref(a.coerce(m)) == ca and _as_ref(b.coerce(m)) == cb
+        for got, want in ((a + b, [x + y for x, y in zip(ca, cb)]),
+                          (a - b, [x - y for x, y in zip(ca, cb)]),
+                          (-a, [-x for x in ra]),
+                          (a * b, _ref_mul(m, ca, cb))):
+            assert _as_ref(got) == want
+        assert (a == b) == (ca == cb)
+        assert a.to_str() == _ref_str(ra)
+        assert parse_cyclo(a.to_str(), na) == a
+        if any(ra) and euler_phi(na) <= 8:
+            assert _as_ref(a.inverse()) == _ref_inverse(na, ra)
+
+
+def test_cyclo_inverse_matches_reference_at_mixed_conductors():
+    rng = random.Random(5)
+    for _ in range(20):
+        na, nb = rng.sample([3, 4, 5, 8, 10, 12], 2)
+        m = lcm(na, nb)
+        a = Cyclo(na, _ref_value(rng, na)) + Cyclo(nb, _ref_value(rng, nb))
+        if a.is_zero():
+            continue
+        assert a.n == m
+        assert _as_ref(a.inverse()) == _ref_inverse(m, _as_ref(a))
+        assert a * a.inverse() == 1
+
+
+# -- the parts of the representation that bench/frozen.py and bench/tracing.py use --
+
+def test_public_constructor_takes_rationals_and_checks_length():
+    rng = random.Random(21)
+    for n in ORACLE_CONDUCTORS:
+        coeffs = [rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9)])
+                  for _ in range(euler_phi(n))]
+        built = Cyclo.zero(n)
+        for j, c in enumerate(coeffs):
+            built = built + Cyclo.rational(c) * root_of_unity(j, n)
+        assert Cyclo(n, coeffs) == built
+        assert Cyclo(n, coeffs).n == built.n == n
+        with pytest.raises(ValueError):
+            Cyclo(n, coeffs + [1])
+        if len(coeffs) > 1:
+            with pytest.raises(ValueError):
+                Cyclo(n, coeffs[:-1])
+
+
+def test_rationality_read_from_numerator_slots():
+    rng = random.Random(22)
+    for _ in range(300):
+        n = rng.choice(ORACLE_CONDUCTORS)
+        x = Cyclo(n, _ref_value(rng, n))
+        if rng.random() < 0.5:
+            x = x * x
+        assert (not any(x.c[1:])) == x.is_rational()

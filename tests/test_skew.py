@@ -384,7 +384,7 @@ def test_skew_associativity_randomized(make):
 
 def _exact_terms(parts: dict) -> list:
     """{f: {mono: Cyclo}} as an ordered list that also pins each conductor."""
-    return [(f, [(m, c.n, c.c) for m, c in terms.items()]) for f, terms in parts.items()]
+    return [(f, [(m, c.n, c.c, c.den) for m, c in terms.items()]) for f, terms in parts.items()]
 
 
 @pytest.mark.parametrize("case", [
