@@ -255,17 +255,25 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
     return True
 
 
-def _trace_vector(F: FiniteDimAlgebra) -> list:
-    """tau[j] = trace of left multiplication by basis_j."""
-    tau = []
+def _trace_vector(F: FiniteDimAlgebra) -> dict:
+    """{j: tau_j} over the j with tau_j, the trace of left multiplication by
+    basis_j, nonzero."""
+    tau = {}
     for j in range(F.dim):
-        t = Cyclo.zero()
-        for k in range(F.dim):
-            c = F.sc[j][k].get(k)
-            if c is not None:
-                t = t + c
-        tau.append(t)
+        t = _sum(F.sc[j][k].get(k) for k in range(F.dim))
+        if t is not None and not t.is_zero():
+            tau[j] = t
     return tau
+
+
+def _sum(terms):
+    """Sum of the terms that are not None, or None if there are none; it
+    starts from the first term, not from a conductor-1 zero."""
+    total = None
+    for x in terms:
+        if x is not None:
+            total = x if total is None else total + x
+    return total
 
 
 def trace_form_matrix(F: FiniteDimAlgebra) -> list:
@@ -274,11 +282,8 @@ def trace_form_matrix(F: FiniteDimAlgebra) -> list:
     for i in range(F.dim):
         row = {}
         for j in range(F.dim):
-            t = Cyclo.zero()
-            for l, c in F.sc[i][j].items():
-                if not tau[l].is_zero():
-                    t = t + c * tau[l]
-            if not t.is_zero():
+            t = _sum(c * tau[l] for l, c in F.sc[i][j].items() if l in tau)
+            if t is not None and not t.is_zero():
                 row[j] = t
         rows.append(row)
     return rows

@@ -7,7 +7,9 @@ invariant counts stay an independent oracle for the code here.  The
 workhorse is `Echelon`, an incrementally built reduced row echelon basis;
 everything else (rank, nullspace, span comparison, reduction modulo a
 subspace, and the `kernel` builder for commutator systems) is phrased
-through it.
+through it.  `Echelon` keeps an index from each column to the rows that may
+hold it, so a new pivot's back-elimination visits only those rows instead of
+sweeping the whole basis.
 
 `Echelon` takes a field: `CYCLO`, exact `Cyclo` values and the default, or
 `GF(p)`, ints mod a prime p.  A field supplies only the kernels the
@@ -113,11 +115,19 @@ class Echelon:
     and no pivot column occurs in any tail.  Eliminating a pivot hit is then
     one multiply and one add per entry, with no negation.  Entries live in
     `field` (`CYCLO` or a `GF`), which supplies the per-row kernels.
+
+    A new pivot is back-eliminated only from the rows listed for its column
+    in `_holders` (column -> pivots whose tail may hold it).  A row is listed
+    under each key of its tail when stored and under each key that
+    back-elimination adds to it later, and is not unlisted when an entry
+    cancels.  Each row gets the same updates in the same order as a sweep of
+    all rows would give it, so `rows`, key order included, is unchanged.
     """
 
     def __init__(self, field=CYCLO):
         self.field = field
         self.rows: dict = {}  # pivot column -> negated tail of its row
+        self._holders: dict = {}  # column -> pivots whose tail may hold it
 
     @property
     def rank(self) -> int:
@@ -141,12 +151,20 @@ class Echelon:
         field = self.field
         pivot = min(res)
         tail = field.scaled(field.neg_inverse(res.pop(pivot)), res)
-        # back-eliminate the new pivot from existing rows
-        for r in self.rows.values():
+        # back-eliminate the new pivot from the rows that may hold it; a
+        # holder whose entry cancelled since it was registered is a miss
+        rows, holders = self.rows, self._holders
+        for p in holders.pop(pivot, ()):
+            r = rows[p]
             c = r.pop(pivot, None)
             if c is not None:
+                fresh = tail.keys() - r.keys()
                 field.axpy(r, c, tail)
-        self.rows[pivot] = tail
+                for k in fresh:
+                    holders.setdefault(k, []).append(p)
+        rows[pivot] = tail
+        for k in tail:
+            holders.setdefault(k, []).append(pivot)
         return True
 
     def contains(self, vec: Vec) -> bool:

@@ -3,8 +3,8 @@
 Rational functions are kept as numerator/denominator pairs of polynomials
 over Q(zeta_N), normalized only so that the denominator has constant term 1;
 equality is tested by cross-multiplication.  The independent oracle for
-Molien output is a brute-force count of invariant monomials under the same
-matrices.
+Molien output is a brute-force count of invariants: the common fixed space,
+degree by degree, of a generating subset of the same matrices.
 """
 
 from __future__ import annotations
@@ -244,27 +244,60 @@ def free_series(dim: int) -> RationalSeries:
 # -- brute-force invariant counting (the independent oracle) ------------------
 
 def invariant_dimensions(matrices, upto: int) -> list:
-    """dim of degree-d invariants of Sym(V) for d = 0..upto, by linear algebra."""
+    """dim of degree-d invariants of Sym(V) for d = 0..upto, by linear algebra.
+
+    `matrices` lists a finite matrix group.  The equations g.x = x are imposed
+    for a generating subset of it only (`_generating_subset`): a vector fixed
+    by every generator is fixed by the group they generate.
+    """
     n = len(matrices[0])
+    gens = _generating_subset(matrices)
     dims = []
     for d in range(upto + 1):
         monos = _monomials(n, d)
         index = {m: i for i, m in enumerate(monos)}
         rows = []
-        for alpha in matrices:
-            for mono in monos:
-                image = _act_on_monomial(alpha, mono, n)
-                row = dict(image)
-                col = index[mono]
+        for alpha in gens:
+            for col, mono in enumerate(monos):
+                row = _act_on_monomial(alpha, mono, index)
                 cur = row.get(col, Cyclo.zero()) - Cyclo.one()
                 if cur.is_zero():
                     row.pop(col, None)
                 else:
                     row[col] = cur
                 if row:
-                    rows.append({index_key: c for index_key, c in row.items()})
+                    rows.append(row)
         dims.append(len(nullspace(rows, len(monos))))
     return dims
+
+
+def _generating_subset(matrices) -> list:
+    """Generators of the group listed in `matrices`, picked greedily in list
+    order: the identity and every matrix already in the closure of those
+    picked are skipped.  The closure is kept as positions in the list, so a
+    product outside the list raises `SeriesError` instead of looping."""
+    identity = trivial_rep(len(matrices[0]))[0]
+
+    def position(a) -> int:
+        for i, c in enumerate(matrices):
+            if mat_eq(a, c):
+                return i
+        raise SeriesError("matrix list is not multiplicatively closed")
+
+    gens, closure = [], set()
+    for i, g in enumerate(matrices):
+        if i in closure or mat_eq(g, identity):
+            continue
+        gens.append(g)
+        closure, frontier = set(), list(gens)
+        while frontier:
+            a = frontier.pop()
+            for s in gens:
+                j = position(mat_mul(a, s))
+                if j not in closure:
+                    closure.add(j)
+                    frontier.append(matrices[j])
+    return gens
 
 
 def _monomials(n: int, d: int) -> list:
@@ -276,8 +309,10 @@ def _monomials(n: int, d: int) -> list:
     return out
 
 
-def _act_on_monomial(alpha, mono, n) -> dict:
-    """Image of x^mono under x_i -> sum_j alpha[j][i] x_j, as {index: coeff}."""
+def _act_on_monomial(alpha, mono, index) -> dict:
+    """Image of x^mono under x_i -> sum_j alpha[j][i] x_j, as {index: coeff}
+    with `index` numbering the monomials of its degree."""
+    n = len(mono)
     acc = {tuple([0] * n): Cyclo.one()}
     for i, e in enumerate(mono):
         for _ in range(e):
@@ -295,6 +330,4 @@ def _act_on_monomial(alpha, mono, n) -> dict:
                     else:
                         nxt[key] = cur
             acc = nxt
-    # re-key by monomial index within the degree
-    index = {m: i for i, m in enumerate(_monomials(n, sum(mono)))}
     return {index[m]: c for m, c in acc.items()}

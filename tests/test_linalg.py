@@ -1,4 +1,5 @@
-"""The field parameter of `Echelon`: GF(p) ranks against exact ranks."""
+"""The field parameter of `Echelon` (GF(p) ranks against exact ranks) and its
+column index (against a full sweep of the stored rows)."""
 
 import random
 from fractions import Fraction
@@ -87,3 +88,63 @@ def test_residues_of_p_integral_rationals():
 def test_values_without_a_residue_are_refused(value):
     with pytest.raises(NotReducible):
         GF(7).from_cyclo(value)
+
+
+def _sweep_rows(vectors, field) -> dict:
+    """Reference `Echelon.add` loop: back-eliminate each new pivot from every
+    stored row, with no column index."""
+    ech = Echelon(field)   # only its `reduce` is used, which reads `rows`
+    rows = ech.rows
+    for vec in vectors:
+        res = ech.reduce(vec)
+        if not res:
+            continue
+        pivot = min(res)
+        tail = field.scaled(field.neg_inverse(res.pop(pivot)), res)
+        for r in rows.values():
+            c = r.pop(pivot, None)
+            if c is not None:
+                field.axpy(r, c, tail)
+        rows[pivot] = tail
+    return rows
+
+
+def _random_sparse(rng, field, conductor, nvec, ncols) -> list:
+    """Seeded sparse vectors, some of them sums of earlier ones so that
+    back-elimination both fills rows and cancels entries."""
+    def scalar():
+        x = rng.choice([-3, -2, -1, 1, 2, 3])
+        if field is CYCLO:
+            return Cyclo.rational(x) * root_of_unity(rng.randrange(conductor), conductor)
+        return x % field.p
+
+    out = []
+    for _ in range(nvec):
+        if out and rng.random() < 0.3:
+            a, b = rng.sample(out, 2) if len(out) > 1 else (out[0], out[0])
+            vec = dict(a)
+            field.axpy(vec, scalar(), b)
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, 4))
+            vec = {k: scalar() for k in cols}
+        vec = {k: x for k, x in vec.items() if x}
+        if vec:
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("field, conductor", [(CYCLO, 1), (CYCLO, 3), (GF(7), 1)])
+def test_holders_index_matches_a_full_sweep(field, conductor):
+    rng = random.Random(1300 + conductor)
+    for _ in range(25):
+        vectors = _random_sparse(rng, field, conductor, rng.randint(4, 24), rng.randint(4, 16))
+        ech = Echelon(field)
+        for vec in vectors:
+            ech.add(vec)
+        want = _sweep_rows(vectors, field)
+        assert ech.rows == want
+        assert list(ech.rows) == list(want)
+        assert [list(r) for r in ech.rows.values()] == [list(r) for r in want.values()]
+        assert all(k not in ech.rows for r in ech.rows.values() for k in r)
+        for p, r in ech.rows.items():
+            assert all(p in ech._holders[k] for k in r)

@@ -3,6 +3,7 @@
 import pytest
 
 from qks.cyclotomic import Cyclo
+from qks.linalg import nullspace
 from qks.series import (
     RationalSeries,
     SeriesError,
@@ -18,6 +19,10 @@ from qks.series import (
     pt_mul,
     pt_one,
     trivial_rep,
+    _act_on_monomial,
+    _generating_subset,
+    _monomials,
+    mat_eq,
 )
 
 
@@ -114,3 +119,42 @@ def test_equality_cross_multiplication():
     num = (Cyclo.one(), Cyclo.zero(), Cyclo.one())
     rhs = RationalSeries(num, pt_mul(one_minus_t_pow(2), one_minus_t_pow(2)))
     assert lhs == rhs
+
+
+def _all_elements_counts(matrices, upto: int) -> list:
+    """Invariant counts imposing g.x = x for every listed matrix."""
+    n = len(matrices[0])
+    dims = []
+    for d in range(upto + 1):
+        monos = _monomials(n, d)
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for alpha in matrices:
+            for col, mono in enumerate(monos):
+                row = _act_on_monomial(alpha, mono, index)
+                row[col] = row.get(col, Cyclo.zero()) - Cyclo.one()
+                rows.append({k: c for k, c in row.items() if not c.is_zero()})
+        dims.append(len(nullspace(rows, len(monos))))
+    return dims
+
+
+def test_generating_subset_counts_equal_all_elements_counts():
+    reps = [cyclic_diag_rep(m) for m in range(1, 7)]
+    reps += [dihedral_3dim_rep(m) for m in range(1, 6)]
+    for rep in reps:
+        assert invariant_dimensions(rep, 8) == _all_elements_counts(rep, 8)
+
+
+def test_dihedral_generating_subset_is_rotation_and_reflection():
+    rep = dihedral_3dim_rep(3)
+    gens = _generating_subset(rep)
+    assert len(gens) == 2
+    assert not any(mat_eq(g, trivial_rep(3)[0]) for g in gens)
+    # the rotations alone fix more: dropping the reflection changes the counts
+    rotations = rep[:3]
+    assert invariant_dimensions(rotations, 8) != invariant_dimensions(rep, 8)
+
+
+def test_counts_refuse_a_list_that_is_not_closed():
+    with pytest.raises(SeriesError, match="closed"):
+        invariant_dimensions(cyclic_diag_rep(4)[1:], 2)
