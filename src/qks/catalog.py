@@ -106,21 +106,19 @@ def make_case(case_id: str, n: int | None = None, k: int | None = None,
 # shared sampling and recipe pieces
 
 
-def _pool_value(rng, conductor: int, nonzero: bool = True, allow_roots: bool = False) -> Cyclo:
-    for _ in range(64):
-        r = Cyclo.rational(rng.choice(RATIONAL_POOL), conductor)
-        if allow_roots and conductor > 2 and rng.random() < 0.3:
-            r = r * root_of_unity(rng.randrange(conductor), conductor)
-        if not (nonzero and r.is_zero()):
-            return r
-    raise CatalogError("could not draw an admissible pool value")
+def _pool_value(rng, conductor: int, allow_roots: bool = False) -> Cyclo:
+    """A nonzero pool rational at the conductor, times a random root of unity
+    with probability 0.3 when `allow_roots` (and conductor > 2)."""
+    r = Cyclo.rational(rng.choice(RATIONAL_POOL), conductor)
+    if allow_roots and conductor > 2 and rng.random() < 0.3:
+        r = r * root_of_unity(rng.randrange(conductor), conductor)
+    return r
 
 
-def _pool_pair(rng, conductor: int, stabilized: bool, nonzero: bool = True,
-               allow_roots: bool = False) -> list:
+def _pool_pair(rng, conductor: int, stabilized: bool, allow_roots: bool = False) -> list:
     """Values for the Z(A) generators (u^j, v^j); equal on the stabilized locus."""
-    a = _pool_value(rng, conductor, nonzero, allow_roots)
-    return [a, a if stabilized else _pool_value(rng, conductor, nonzero, allow_roots)]
+    a = _pool_value(rng, conductor, allow_roots)
+    return [a, a if stabilized else _pool_value(rng, conductor, allow_roots)]
 
 
 def _orbit_recipe(pres: Presentation, point: CentralPoint, sigma: Cyclo, m: int) -> FiberRecipe:
@@ -168,7 +166,7 @@ def _case_zero(localization: str | None = None) -> CaseSpec:
     ).validate()
 
     def draw_za(rng, stabilized):
-        a, b = _pool_pair(rng, 1, stabilized, nonzero=False)
+        a, b = _pool_pair(rng, 1, stabilized)
         return None if localization == "full" and a == b else [a, b]
 
     def draw(rng, stabilized):
@@ -307,7 +305,7 @@ def _case_ii(localization: str | None = None) -> CaseSpec:
         if stabilized:
             w = _pool_value(rng, 1)
             return {"s2": w * 2, "y": w * w}
-        return {"s2": _pool_value(rng, 1, nonzero=False), "y": _pool_value(rng, 1)}
+        return {"s2": _pool_value(rng, 1), "y": _pool_value(rng, 1)}
 
     def draw_za(rng, stabilized):
         alpha, beta = _pool_pair(rng, 1, stabilized)
@@ -377,7 +375,7 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
                 w = _pool_value(rng, conductor)
                 return {"y": w * w, "q2n": (w ** n) * 2}
             return {"y": _pool_value(rng, conductor),
-                    "q2n": _pool_value(rng, conductor, nonzero=False)}
+                    "q2n": _pool_value(rng, conductor)}
 
         def recipe(point):
             return _orbit_recipe(pres, point, point.values["q2n"], n)

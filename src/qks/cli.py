@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .catalog import CatalogError, make_case
 from .cyclotomic import parse_cyclo
-from .planes import AlgebraError
 from .scans import (
     auslander_check,
     azumaya_scan,
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
                 report = auslander_check(case, args.degree, args.guard)
             else:  # pragma: no cover
                 parser.error(f"unhandled command {args.command}")
-    except (CatalogError, AlgebraError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0

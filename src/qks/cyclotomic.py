@@ -412,9 +412,9 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty cyclotomic literal")
-    terms, cur, depth = [], "", 0
+    terms, cur = [], ""
     for ch in s:
-        if ch in "+-" and cur and cur[-1] not in "+-*/^" and depth == 0:
+        if ch in "+-" and cur and cur[-1] not in "+-*/^":
             terms.append(cur)
             cur = ch
         else:
@@ -433,7 +433,10 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
             coeff_part, _, zpart = term.partition("z")
             coeff_part = coeff_part.rstrip("*")
             coeff = Fraction(coeff_part) if coeff_part else Fraction(1)
-            exp = int(zpart[1:]) if zpart.startswith("^") else (1 if not zpart else None)
+            try:
+                exp = int(zpart[1:]) if zpart.startswith("^") else (1 if not zpart else None)
+            except ValueError:
+                exp = None
             if exp is None:
                 raise ValueError(f"malformed power in {text!r}")
             total = total + Cyclo.rational(sign * coeff) * root_of_unity(exp, conductor)

@@ -198,8 +198,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     # residual two-sided ideal: close the span under generator multiplication
     killed = Echelon()
     frontier = [vec for vec in map(skew_to_vec, recipe.residuals) if killed.add(vec)]
-    gen_monos = [(1, 0, group.identity()), (0, 1, group.identity())]
-    gen_monos += [(0, 0, f) for f in group.generators()]
+    gen_monos = [(*mono, f) for mono, f in ring.commutation_generators()]
     if frontier:
         # by_gen[2n][i] = g_n basis_i and by_gen[2n + 1][i] = basis_i g_n
         by_gen = [[mono_product(g, m) if left else mono_product(m, g) for m in basis]

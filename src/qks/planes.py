@@ -81,9 +81,6 @@ class Algebra:
     def __eq__(self, other):
         return self is other or isinstance(other, Algebra) and self.key() == other.key()
 
-    def __hash__(self):
-        return hash((self.kind, self.inverted, len(self.denominators)))
-
     def __repr__(self):
         names = {"commutative": "k[u,v]", "quantum": "k_q[u,v]", "jordan": "k_J[u,v]"}
         tag = names[self.kind]
@@ -198,9 +195,6 @@ class NCPoly:
     def degrees(self):
         return sorted({a + b for a, b in self.terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self):
         degs = self.degrees()
         if len(degs) != 1:
@@ -237,9 +231,6 @@ class NCPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -384,15 +375,6 @@ class Group:
             c = self.omega ** e
             self._wpow[e] = c
         return c
-
-    def key(self):
-        return (self.kind, self.n, self.omega.n, self.omega.c, self.omega.den)
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, Group) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((self.kind, self.n))
 
     def __repr__(self):
         return {"cyclic": f"C{self.n}", "sym2": "S2", "dihedral": f"D{self.n}"}[self.kind]

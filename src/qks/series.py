@@ -9,8 +9,6 @@ degree by degree, of a generating subset of the same matrices.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .cyclotomic import Cyclo
 from .linalg import nullspace
 
@@ -126,39 +124,23 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _det_one_minus_t(alpha) -> tuple:
-    """det(I - alpha t) as a polynomial in t."""
-    n = len(alpha)
-    # entries are linear polynomials delta_ij - alpha_ij t
-    total = ()
-    one = Cyclo.one()
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = (Cyclo.rational(sign),)
-        for i in range(n):
-            entry = (one if i == perm[i] else Cyclo.zero(), -alpha[i][perm[i]])
-            prod = pt_mul(prod, pt_trim(entry))
-            if not prod:
-                break
-        total = pt_add(total, prod)
-    return total
+    """det(I - alpha t) as a polynomial in t, by cofactor expansion."""
+
+    def minor(rows, cols):
+        # expand along the first row over the remaining columns
+        if not rows:
+            return pt_one()
+        i, total = rows[0], ()
+        for k, j in enumerate(cols):
+            entry = pt_trim((Cyclo.one() if i == j else Cyclo.zero(), -alpha[i][j]))
+            if entry:
+                term = pt_mul(entry, minor(rows[1:], cols[:k] + cols[k + 1:]))
+                total = pt_add(total, pt_scale(term, Cyclo.rational(-1)) if k % 2 else term)
+        return total
+
+    indices = tuple(range(len(alpha)))
+    return minor(indices, indices)
 
 
 def molien_series(matrices) -> RationalSeries:
@@ -176,11 +158,7 @@ def molien_series(matrices) -> RationalSeries:
         dets.append(_det_one_minus_t(m))
         if len(dets[-1]) <= n:  # its t^n coefficient is (-1)^n det m
             raise SeriesError("singular matrix in the list")
-    for a in matrices:
-        for b in matrices:
-            prod = mat_mul(a, b)
-            if not any(mat_eq(prod, c) for c in matrices):
-                raise SeriesError("matrix list is not multiplicatively closed")
+    _generating_subset(matrices)  # raises unless the list is closed under products
     num, denom = (), pt_one()
     for d in dets:
         # num/denom + 1/d = (num*d + denom)/(denom*d)

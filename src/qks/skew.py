@@ -36,18 +36,6 @@ class SkewRing:
         self.algebra = algebra
         self.group = group
 
-    def key(self):
-        return (self.algebra.key(), self.group.key())
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, SkewRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((self.algebra, self.group))
-
-    def __repr__(self):
-        return f"{self.algebra!r} # {self.group!r}"
-
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "SkewElement":
@@ -66,9 +54,9 @@ class SkewRing:
         return self.from_poly(self.algebra.one(), f)
 
     def commutation_generators(self) -> list:
-        gens = [self.from_poly(self.algebra.u()), self.from_poly(self.algebra.v())]
-        gens.extend(self.group_element(f) for f in self.group.generators())
-        return gens
+        """The generators u, v and those of G, as monomials (mono, f)."""
+        e = self.group.identity()
+        return [((1, 0), e), ((0, 1), e)] + [((0, 0), f) for f in self.group.generators()]
 
 
 class SkewElement:
@@ -85,10 +73,8 @@ class SkewElement:
 
     def _check(self, other):
         if not isinstance(other, SkewElement):
-            if isinstance(other, NCPoly):
-                return self.ring.from_poly(other)
             return NotImplemented
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise AlgebraError("operands live in different skew group rings")
         return other
 
@@ -176,9 +162,6 @@ class SkewElement:
             raise AlgebraError("element is zero or not homogeneous")
         return degs[0]
 
-    def graded_component(self, d: int) -> "SkewElement":
-        return SkewElement(self.ring, {f: x.graded_component(d) for f, x in self.comps.items()})
-
     def __repr__(self):
         if not self.comps:
             return "0"
@@ -191,7 +174,9 @@ class SkewElement:
 
 
 def is_central(x: SkewElement) -> bool:
-    return all(x * w == w * x for w in x.ring.commutation_generators())
+    ring = x.ring
+    gens = [ring.monomial(*mono, f) for mono, f in ring.commutation_generators()]
+    return all(x * w == w * x for w in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -225,66 +210,54 @@ def _skew_coords(x, index: dict) -> dict:
             for f, poly in comps.items() for (a, b), c in poly.terms.items()}
 
 
-def _commutator_terms(ring: SkewRing, gens: list):
-    """[x, w] for a candidate x = u^a v^b f (coefficient 1) and w = gens[gi],
-    as a function (mono, f, gi) -> {group element: {mono: coeff}}.
+def _commutator_terms(ring: SkewRing):
+    """[x, w] for a candidate x = u^a v^b f and a monomial w = u^a2 v^b2 f2,
+    both with coefficient 1, as a function (mono, f, (m2, f2)) ->
+    {group element: {mono: coeff}}.
 
-    Each term c2 m2 f2 of w adds c2 m (f.m2) at f f2 and subtracts
-    c2 m2 (f2.m) at f2 f: one `act_mono` and one `Algebra.mono_mul` per
-    product, in the order `cand * w - w * cand` builds them, with the same
-    coefficients at the same conductors.  The scaled images are cached for
-    the life of the returned function, and multiplications by an exact one
-    are skipped."""
+    It adds m (f.m2) at f f2 and subtracts m2 (f2.m) at f2 f: one `act_mono`
+    and one `Algebra.mono_mul` per product, in the order `x * w - w * x`
+    builds them, with the same coefficients at the same conductors.  The
+    signed images are cached for the life of the returned function, and
+    multiplications by an exact one are skipped."""
     algebra, group = ring.algebra, ring.group
     mono_mul, gmul = algebra.mono_mul, group.mul
     n0 = algebra.conductor
     one = Cyclo.one(n0).c
-
-    # every scalar met here has a conductor divisible by n0, so dropping a
-    # factor 1 at conductor n0 leaves a product's conductor as it was
-    def is_one(c):
-        return c.n == n0 and c.den == 1 and c.c == one
-
-    terms = [[(f2, m2, _at_conductor(c2, n0)) for f2, poly in w.comps.items()
-              for m2, c2 in poly.terms.items()] for w in gens]
     images: dict = {}
 
-    def scaled(f, mono, gi, ti, sign):
-        # sign * c2 * (f.mono) for the term ti of gens[gi], as (image, coefficient)
-        key = (f, mono, gi, ti, sign)
+    def signed_image(f, mono, sign):
+        # sign * (f.mono), as (image, coefficient)
+        key = (f, mono, sign)
         img = images.get(key)
         if img is None:
-            c2 = terms[gi][ti][2]
             image, s = act_mono(algebra, group, f, mono)
-            k = s if is_one(c2) else c2 * s
-            img = images[key] = (image, k if sign > 0 else -k)
+            img = images[key] = (image, s if sign > 0 else -s)
         return img
 
-    def add_product(out, g, left, scaled_image):
-        image, k = scaled_image
+    def add_product(out, g, left, image_k):
+        image, k = image_k
         part = out.setdefault(g, {})
         for m, factor in mono_mul(left, image).items():
-            acc(part, m, k if is_one(factor) else k * factor)
+            # every factor has a conductor divisible by n0, so skipping a
+            # factor 1 at n0 leaves the product's conductor as it was
+            exact_one = factor.n == n0 and factor.den == 1 and factor.c == one
+            acc(part, m, k if exact_one else k * factor)
 
-    def commutator(mono, f, gi) -> dict:
+    def commutator(mono, f, gen) -> dict:
+        m2, f2 = gen
         out: dict = {}
-        for ti, (f2, m2, _) in enumerate(terms[gi]):
-            add_product(out, gmul(f, f2), mono, scaled(f, m2, gi, ti, 1))
-        for ti, (f2, m2, _) in enumerate(terms[gi]):
-            add_product(out, gmul(f2, f), m2, scaled(f2, mono, gi, ti, -1))
+        add_product(out, gmul(f, f2), mono, signed_image(f, m2, 1))
+        add_product(out, gmul(f2, f), m2, signed_image(f2, mono, -1))
         return {g: part for g, part in out.items() if part}
 
     return commutator
 
 
-def _at_conductor(c: Cyclo, n0: int) -> Cyclo:
-    """c as the product 1 * c with 1 taken at conductor n0."""
-    return c.coerce(lcm(c.n, n0))
-
-
 def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
-    """Basis of the elements of T that commute with every element of `gens`,
-    homogeneous, with exponents in the window and group part in `support`.
+    """Basis of the elements of T that commute with every monomial (mono, f)
+    of `gens`, homogeneous, with exponents in the window and group part in
+    `support`.
 
     Solves [x, w] = 0 for w in gens degree by degree over the candidates
     u^a v^b f, f in support, with the rows built from monomial products by
@@ -295,19 +268,19 @@ def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
     out = []
     for d in _degree_range(algebra, window):
         # a builder per degree: its cache then holds one degree's images
-        commutator = _commutator_terms(ring, gens)
+        commutator = _commutator_terms(ring)
         cands = [(mono, f) for mono in _monomials_of_degree(algebra, d, window)
                  for f in support]
         entries = (((gi, m, g), col, c)
                    for col, (mono, f) in enumerate(cands)
-                   for gi in range(len(gens))
-                   for g, part in commutator(mono, f, gi).items()
+                   for gi, gen in enumerate(gens)
+                   for g, part in commutator(mono, f, gen).items()
                    for m, c in part.items())
         for sol in kernel(entries, len(cands)):
             comps: dict = {}
             for col, coeff in sorted(sol.items()):
                 mono, f = cands[col]
-                comps.setdefault(f, {})[mono] = _at_conductor(coeff, n0)
+                comps.setdefault(f, {})[mono] = coeff.coerce(lcm(coeff.n, n0))
             out.append(SkewElement(ring, {f: NCPoly(algebra, terms)
                                           for f, terms in comps.items()}))
     return out
@@ -323,7 +296,7 @@ def invariant_basis(algebra: Algebra, group: Group, window: int) -> list:
     """Basis of the fixed ring A^G over the window: the part of A in T = A # G
     that commutes with G."""
     ring = SkewRing(algebra, group)
-    gens = [ring.group_element(f) for f in group.generators()]
+    gens = [((0, 0), f) for f in group.generators()]
     identity = group.identity()
     return [x.comps[identity] for x in _commutant(ring, window, gens, [identity])]
 

@@ -10,6 +10,7 @@ from qks.fiber import (
     Certificate,
     FiberError,
     FiberRecipe,
+    FiniteDimAlgebra,
     _Reducer,
     build_fiber,
     center_dimension,
@@ -169,6 +170,34 @@ def test_inverse_power_rule():
         assert reducer.reduce_terms((recipe.u_pow * recipe.u_inv).terms) == one
         # and the reducer inverts single u factors consistently
         assert reducer.reduce_terms((A.u(-1) * A.u(1)).terms) == one
+
+
+def test_certificate_reports_a_split_center():
+    # k^4 by orthogonal idempotents: dim 4 = 2^2 and a nondegenerate trace
+    # form, so only the center test fails
+    one = Cyclo.rational(1)
+    k4 = FiniteDimAlgebra(dim=4, sc=[[{i: one} if i == j else {} for j in range(4)]
+                                     for i in range(4)],
+                          unit={i: one for i in range(4)})
+    assert trace_form_rank(k4) == 4
+    assert str(matrix_algebra_certificate(k4)) == "not-central-simple: center has dimension 4"
+
+
+def test_sampled_associativity_rejects_a_doubled_table():
+    # M_7 with e_ij e_jk doubled for i != j != k: products with the unit are
+    # untouched, but (e_01 e_10) e_02 = 2 e_02 and e_01 (e_10 e_02) = 4 e_02
+    d = 7
+    M7 = matrix_units_algebra(d)
+    assert M7.dim > 40 and check_associativity(M7)
+    sc = [[dict(v) for v in row] for row in M7.sc]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if i != j and j != k:
+                    sc[i * d + j][j * d + k] = {i * d + k: Cyclo.rational(2)}
+    doubled = replace(M7, sc=sc)
+    assert check_associativity(doubled, samples=0)  # unit and generation hold
+    assert not check_associativity(doubled)
 
 
 def test_certificate_str():

@@ -403,16 +403,17 @@ def test_commutator_rows_match_skew_products(case, whole_group):
     T = make_case(case[0], **case[1]).ring
     gens = T.commutation_generators()
     support = T.group.elements() if whole_group else [T.group.identity()]
-    commutator = _commutator_terms(T, gens)
+    commutator = _commutator_terms(T)
     checked = 0
     for d in _degree_range(T.algebra, 4):
         for mono in _monomials_of_degree(T.algebra, d, 4):
             for f in support:
                 cand = T.monomial(*mono, f)
-                for gi, w in enumerate(gens):
+                for m2, f2 in gens:
+                    w = T.monomial(*m2, f2)
                     oracle = {g: poly.terms for g, poly in (cand * w - w * cand).comps.items()}
-                    rows = commutator(mono, f, gi)
-                    assert _exact_terms(rows) == _exact_terms(oracle), (mono, f, gi)
+                    rows = commutator(mono, f, (m2, f2))
+                    assert _exact_terms(rows) == _exact_terms(oracle), (mono, f, m2, f2)
                     checked += 1
                     if rows:
                         # mutation: one coefficient with its sign flipped

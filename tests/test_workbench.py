@@ -16,7 +16,7 @@ from qks.catalog import (
 )
 from qks.cli import main
 from qks.cyclotomic import Cyclo
-from qks.fiber import build_fiber
+from qks.fiber import FiberError, build_fiber
 from qks.linalg import GF, NotReducible
 from qks.scans import (
     auslander_check,
@@ -385,6 +385,34 @@ def test_cli_unwritable_out_is_an_error(tmp_path, capsys, out):
 def test_cli_point_division_by_zero_is_an_error(capsys):
     assert main(["fiber", "--case", "0", "--point", "s=1/0,m=2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["z^", "2*z^x"])
+def test_cli_point_malformed_power_is_an_error(capsys, value):
+    assert main(["fiber", "--case", "0", "--localization", "full",
+                 "--point", f"s={value},m=2"]) == 2
+    assert capsys.readouterr().err == f"error: malformed power in {value!r}\n"
+
+
+def test_cli_fiber_without_a_central_simple_fiber(capsys):
+    # the graded D3 ring at y=1, q2n=2: no Azumaya claim, so no verdict
+    assert main(["fiber", "--case", "iii", "--n", "3", "--localization", "none",
+                 "--point", "y=1,q2n=2", "--format", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "not-central-simple: trace form rank 72 < 144"
+    assert data["pass"] is None
+
+
+def test_cli_fiber_build_failure_fails(capsys, monkeypatch):
+    def fail(*args):
+        raise FiberError("recipe is inconsistent")
+
+    monkeypatch.setattr(scans, "build_fiber", fail)
+    assert main(["fiber", "--case", "ii", "--localization", "full", "--point", "s2=5,y=3",
+                 "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "build-failed: recipe is inconsistent"
+    assert data["pass"] is False
 
 
 def test_cli_point_rejects_unknown_names(capsys):
