@@ -9,8 +9,8 @@ to the lcm before comparing.  Since Phi_N is monic over Z, products are
 integer convolutions folded through an integer power table; an inverse is the
 product of the other Galois conjugates over the norm, which is an integer.
 `Fraction` appears only at the boundary: the public constructor, `rational`
-and the rational operands it converts, `as_fraction`, `to_str`, parsing and
-the cyclotomic polynomials.
+and the rational operands it converts, `as_fraction`, `to_str` and parsing;
+the cyclotomic polynomials are computed over the integers.
 
 Values are immutable; all operations return new objects.
 """
@@ -18,19 +18,12 @@ Values are immutable; all operations return new objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-_phi_cache: dict[int, int] = {}
-
-
+@cache
 def euler_phi(n: int) -> int:
-    cached = _phi_cache.get(n)
-    if cached is not None:
-        return cached
     if n < 1:
         raise ValueError("conductor must be positive")
     result, m, p = n, n, 2
@@ -42,7 +35,6 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         result -= result // m
-    _phi_cache[n] = result
     return result
 
 
@@ -59,14 +51,14 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (internal)
+# dense integer polynomial helpers (internal)
 
-def _poly_divmod(num: list[Fraction], divisor: list[Fraction]):
+def _poly_divmod(num: list[int], divisor: list[int]):
+    """Quotient and remainder of integer polynomials by a monic divisor."""
     num = list(num)
-    q = [_ZERO] * max(1, len(num) - len(divisor) + 1)
-    inv_lead = 1 / divisor[-1]
+    q = [0] * max(1, len(num) - len(divisor) + 1)
     for i in range(len(num) - len(divisor), -1, -1):
-        c = num[i + len(divisor) - 1] * inv_lead
+        c = num[i + len(divisor) - 1]
         if c:
             q[i] = c
             for j, dj in enumerate(divisor):
@@ -76,35 +68,25 @@ def _poly_divmod(num: list[Fraction], divisor: list[Fraction]):
     return q, num
 
 
-_cyclo_poly_cache: dict[int, tuple[Fraction, ...]] = {}
-
-
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+@cache
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    if n in _cyclo_poly_cache:
-        return _cyclo_poly_cache[n]
     # Phi_n = (x^n - 1) / prod of Phi_d for proper divisors d
-    poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d < n:
             poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert rem == [_ZERO], "cyclotomic division must be exact"
-    result = tuple(poly)
-    _cyclo_poly_cache[n] = result
-    return result
+            assert rem == [0], "cyclotomic division must be exact"
+    return tuple(poly)
 
 
-_power_table_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
+@cache
 def _power_table(n: int) -> list[tuple[int, ...]]:
     """x^e reduced mod Phi_n, for e = 0 .. n-1, as integer phi(n)-vectors.
 
     Phi_n is monic with integer coefficients, so every row is integral."""
-    if n in _power_table_cache:
-        return _power_table_cache[n]
     phi = euler_phi(n)
-    f = [int(x) for x in cyclotomic_polynomial(n)]
+    f = cyclotomic_polynomial(n)
     rows: list[tuple[int, ...]] = []
     cur = [1] + [0] * (phi - 1)
     for _ in range(n):
@@ -116,7 +98,6 @@ def _power_table(n: int) -> list[tuple[int, ...]]:
             for j in range(phi):
                 nxt[j] -= top * f[j]
         cur = nxt
-    _power_table_cache[n] = rows
     return rows
 
 
@@ -279,12 +260,6 @@ class Cyclo:
             return _make(a.n, [x - y for x, y in zip(a.c, b.c)], da)
         return _make(a.n, [x * db - y * da for x, y in zip(a.c, b.c)], da * db)
 
-    def __rsub__(self, other):
-        other = _as_cyclo(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if other.__class__ is not Cyclo:
             other = _as_cyclo(other)
@@ -318,23 +293,10 @@ class Cyclo:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = _as_cyclo(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyclo.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, Cyclo.one(self.n))
 
     # -- comparison --------------------------------------------------------
 
@@ -386,6 +348,17 @@ def _as_cyclo(x):
     if isinstance(x, (int, Fraction)):
         return Cyclo.rational(x)
     return NotImplemented
+
+
+def power(x, k: int, one):
+    """x^k for k >= 0 by square-and-multiply, starting from `one`."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
 
 
 def root_of_unity(j: int, n: int) -> Cyclo:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import Cyclo, multiplicative_order
+from .cyclotomic import Cyclo, multiplicative_order, power
 from .linalg import acc
 
 Mono = tuple  # (exponent of u, exponent of v)
@@ -248,19 +248,16 @@ class NCPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            if len(self.terms) != 1:
-                raise AlgebraError("only unit monomials can be inverted")
-            ((mono, coeff),) = self.terms.items()
-            inv_mono, inv_coeff = self.algebra.mono_inverse(mono, coeff)
-            return NCPoly(self.algebra, {inv_mono: inv_coeff}) ** (-k)
-        result = self.algebra.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return self.inverse() ** (-k)
+        return power(self, k, self.algebra.one())
+
+    def inverse(self) -> "NCPoly":
+        """Inverse of a unit monomial coeff * u^a v^b; raises for anything else."""
+        if len(self.terms) != 1:
+            raise AlgebraError("only unit monomials can be inverted")
+        ((mono, coeff),) = self.terms.items()
+        inv_mono, inv_coeff = self.algebra.mono_inverse(mono, coeff)
+        return NCPoly(self.algebra, {inv_mono: inv_coeff})
 
     def __eq__(self, other):
         other = self._coerce_other(other)
@@ -477,11 +474,7 @@ def check_action_well_defined(algebra: Algebra, group: Group) -> bool:
 
 def check_inner_by(algebra: Algebra, group: Group, f: GroupElt, c: NCPoly) -> bool:
     """True iff conjugation by the unit c realizes the action of f."""
-    if len(c.terms) == 1:
-        ((mono, coeff),) = c.terms.items()
-        algebra.mono_inverse(mono, coeff)  # raises if not a unit
-    else:
-        raise AlgebraError("conjugator must be a unit monomial")
+    c.inverse()  # raises if c is not a unit monomial
     fu = apply_automorphism(group, f, algebra.u())
     fv = apply_automorphism(group, f, algebra.v())
     return (c * algebra.u() == fu * c) and (c * algebra.v() == fv * c)

@@ -426,16 +426,11 @@ def center_report(case: CaseSpec, window: int | None = None) -> Report:
     window = window if window is not None else default_window(case)
     _check_window(window)
     basis = center_basis(case.ring, window)
-    dims: dict = {}
-    for e in basis:
-        dims[e.degree()] = dims.get(e.degree(), 0) + 1
     verified = None
     if case.presentation is not None:
         verified = verify_generating_set(case.presentation, window, center=basis)
-    body = {"window": window,
-            "dims": {str(d): dims[d] for d in sorted(dims)},
-            "basis": [repr(e) for e in basis],
-            "generators_verified": verified}
+    body = _graded_body(window, basis)
+    body["generators_verified"] = verified
     if verified is None:
         verdict, passed = "computed", True
     elif verified:
@@ -450,14 +445,18 @@ def invariants_report(case: CaseSpec, window: int | None = None) -> Report:
     window = window if window is not None else 8
     _check_window(window)
     basis = invariant_basis(case.ring.algebra, case.ring.group, window)
-    dims: dict = {}
-    for p in basis:
-        dims[p.degree()] = dims.get(p.degree(), 0) + 1
-    body = {"window": window,
-            "dims": {str(d): dims[d] for d in sorted(dims)},
-            "basis": [repr(p) for p in basis]}
     return Report("invariants", case.label, case.params(), None, case.conductor,
-                  body, "computed", True)
+                  _graded_body(window, basis), "computed", True)
+
+
+def _graded_body(window: int, basis: list) -> dict:
+    """The window, the number of basis elements in each degree and the basis."""
+    dims: dict = {}
+    for x in basis:
+        dims[x.degree()] = dims.get(x.degree(), 0) + 1
+    return {"window": window,
+            "dims": {str(d): dims[d] for d in sorted(dims)},
+            "basis": [repr(x) for x in basis]}
 
 
 def fiber_report(case: CaseSpec, values: dict) -> Report:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, power
 from .linalg import Echelon, acc, kernel, spans_equal
 from .planes import (
     Algebra,
@@ -21,6 +21,7 @@ from .planes import (
     Group,
     GroupElt,
     NCPoly,
+    _pow_str,
     act_mono,
     apply_automorphism,
     check_action_well_defined,
@@ -116,31 +117,18 @@ class SkewElement:
 
     def __pow__(self, k: int):
         if k < 0:
-            inv = self.inverse_of_unit()
-            return inv ** (-k)
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return self.inverse_of_unit() ** (-k)
+        return power(self, k, self.ring.one())
 
     def inverse_of_unit(self) -> "SkewElement":
         """Inverse of coeff * u^a v^b * f; raises for anything else."""
         if len(self.comps) != 1:
             raise AlgebraError("only unit monomials can be inverted")
         ((f, x),) = self.comps.items()
-        if len(x.terms) != 1:
-            raise AlgebraError("only unit monomials can be inverted")
         group = self.ring.group
         finv = group.inv(f)
-        ((mono, coeff),) = x.terms.items()
-        inv_mono, inv_coeff = self.ring.algebra.mono_inverse(mono, coeff)
         # (x f)^{-1} = f^{-1} x^{-1} = (f^{-1} . x^{-1}) f^{-1}
-        back_mono, back_scal = act_mono(self.ring.algebra, group, finv, inv_mono)
-        return self.ring.monomial(*back_mono, finv, inv_coeff * back_scal)
+        return self.ring.from_poly(apply_automorphism(group, finv, x.inverse()), finv)
 
     def __eq__(self, other):
         other = self._check(other)
@@ -351,17 +339,13 @@ class Presentation:
     def relation_str(self, rel: NamePoly) -> str:
         bits = []
         for expo, coeff in sorted(rel.items()):
-            mono = "*".join(_name_pow(n, e) for n, e in zip(self.names, expo) if e) or "1"
+            mono = "*".join(_pow_str(n, e) for n, e in zip(self.names, expo) if e) or "1"
             cs = coeff.to_str()
             bits.append(mono if cs == "1" else f"({cs})*{mono}")
         return " + ".join(bits)
 
     def point(self, values: dict) -> "CentralPoint":
         return CentralPoint(self, values).validate()
-
-
-def _name_pow(name, e):
-    return name if e == 1 else f"{name}^{e}"
 
 
 @dataclass

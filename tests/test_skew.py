@@ -8,7 +8,7 @@ import pytest
 from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
 from qks.linalg import spans_equal, nullspace
-from qks.planes import Algebra, AlgebraError, Group
+from qks.planes import Algebra, AlgebraError, Group, check_inner_by
 from qks.skew import (
     Presentation,
     SkewElement,
@@ -82,6 +82,43 @@ def test_unit_inverses():
     x = T.monomial(1, 1, (1, 0), Cyclo.rational(Fraction(2, 3)))
     assert x * x ** -1 == T.one()
     assert x ** -1 * x == T.one()
+
+
+def _unit_monomials():
+    """A root of unity, a unit monomial of the quantum torus at q = zeta_3,
+    and a unit monomial of the (-1)-torus # D3 with group part g h."""
+    w = root_of_unity(1, 3)
+    A = Algebra("quantum", q=w, conductor=3, inverted={"u", "v"})
+    T = SkewRing(Algebra("quantum", q=Cyclo.rational(-1), conductor=3, inverted={"u", "v"}),
+                 Group("dihedral", 3, w))
+    coeff = Cyclo.rational(Fraction(-2, 3))
+    return [(root_of_unity(5, 12), Cyclo.one()),
+            (A.monomial(2, -1, coeff), A.one()),
+            (T.monomial(1, -2, (1, 1), coeff), T.one())]
+
+
+@pytest.mark.parametrize("x, one", _unit_monomials())
+def test_integer_powers_of_units(x, one):
+    for a in range(-4, 5):
+        assert x ** a * x ** -a == one
+        for b in range(-4, 5):
+            assert x ** a * x ** b == x ** (a + b)
+
+
+def test_only_unit_monomials_invert():
+    A = Algebra("quantum", q=Cyclo.rational(-1), inverted={"u", "v"})
+    G = Group("cyclic", 2, Cyclo.rational(-1))
+    T = SkewRing(A, G)
+    with pytest.raises(AlgebraError, match="only unit monomials"):
+        (A.u() + A.v()).inverse()
+    for x in (T.monomial(1, 0) + T.monomial(0, 1),
+              T.monomial(1, 0) + T.group_element((1, 0))):
+        with pytest.raises(AlgebraError, match="only unit monomials"):
+            x.inverse_of_unit()
+    with pytest.raises(AlgebraError, match="only unit monomials"):
+        check_inner_by(A, G, (1, 0), A.u() + A.v())
+    with pytest.raises(AlgebraError, match="negative power of u"):
+        Algebra("quantum", q=Cyclo.rational(-1)).u().inverse()
 
 
 def test_is_central_examples():

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -549,3 +550,42 @@ def test_scan_sampler_giveup_is_not_a_witness(monkeypatch):
     rep = azumaya_scan(make_case("ii", localization="torus"), samples=3, seed=2)
     assert rep.verdict == "not-azumaya(witnessed)" and rep.passed is True
     assert any(p["certificate"] == "not-central-simple" for p in rep.body["points"])
+
+
+def test_cli_auslander_truncation_instability_is_inconclusive(capsys):
+    code = main(["auslander", "--case", "0", "--localization", "none", "--degree", "0",
+                 "--guard", "0", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert data["verdict"] == "inconclusive(truncation instability)" and data["pass"] is None
+
+
+def test_azumaya_scan_inconsistent_ranks_fail(monkeypatch):
+    ds = iter([2, 4, 2])
+    monkeypatch.setattr(scans, "_certify_point",
+                        lambda case, point: {"certificate": "central-simple", "d": next(ds)})
+    rep = azumaya_scan(make_case("0", localization="full"), samples=3, seed=2)
+    assert rep.verdict == "inconsistent-rank"
+    assert rep.passed is False and rep.exit_code == 1
+
+
+def test_center_report_generator_mismatch_fails(monkeypatch):
+    monkeypatch.setattr(scans, "verify_generating_set", lambda *args, **kwargs: False)
+    rep = center_report(make_case("ii", localization="none"), 4)
+    assert rep.verdict == "catalog-generators-mismatch"
+    assert rep.body["generators_verified"] is False and rep.exit_code == 1
+
+
+def test_emit_report_rejects_unknown_format():
+    rep = invariants_report(make_case("ii", localization="none"), 2)
+    with pytest.raises(CatalogError, match="unknown format"):
+        emit_report(rep, "xml")
+
+
+def test_readme_library_block(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(block, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "144 central-simple(12)"
+    assert [line.split()[0] for line in lines[1:]] == ["0", "2", "4", "4", "6", "6"]
