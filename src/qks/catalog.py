@@ -4,25 +4,25 @@ point samplers and fiber recipes.
 Case ids
   0    k[u,v] # S_2           (swap action; the motivating commutative example)
   i    k_q[u,v] # C_n         (q of root-of-unity order k, or a non-root rational)
-  ii   k_{-1}[u,v] # S_2
+  ii   k_{-1}[u,v] # S_2      (case iii at n = 1, since S_2 = D_1)
   iii  k_{-1}[u,v] # D_n
   iv   k_J[u,v] # C_2
 
 Localizations: "none" (the graded ring), "torus" (u, v inverted), "full"
 (torus plus the case's extra central denominator).  Expected fiber ranks were
 filled in from the brute-force fiber oracle and agree with the crossed-product
-rank bookkeeping: d = lcm(n, k) in case (i), d = |G| * 2 in cases (ii)/(iii).
+rank bookkeeping: d = lcm(n, k) in (i), 2|G| in (ii) and odd (iii), else |G|.
 
 Samplers draw from a fixed pool of small rationals (and conductor roots of
 unity where the center is a Laurent ring), rejecting inadmissible points;
 everything is driven by a seeded rng, so scans are reproducible.
 
-The (-1)-plane cases (ii and iii) build every fiber from one rule, the orbit
-polynomial of U = u^2 under G.  Its coefficients, sigma = U^m + V^m and
-y^m = (UV)^m, are symmetric in the orbit, hence G-invariant elements of the
-center Z(A); so they lie in Z(A)^G, which is central in T, and the point
-gives them values.  Case ii has sigma = s2 and m = 1, odd n has sigma = q2n
-and m = n, even n has sigma = u^n + v^n = -2i x and m = n/2.
+The (-1)-plane cases share one builder; case ii is its n = 1 member under its
+own names.  Every fiber follows one rule, the orbit polynomial of U = u^2
+under G.  Its coefficients sigma = U^m + V^m and y^m = (UV)^m are symmetric
+in the orbit, hence G-invariant elements of Z(A); so they lie in Z(A)^G,
+which is central in T, and the point gives them values.  Odd n has sigma =
+q2n (s2 in case ii) and m = n; even n has sigma = u^n + v^n = -2i x, m = n/2.
 
 Each case is one builder returning a CaseSpec that carries, next to its
 presentation, the point sampler `draw`, the fiber `recipe` and the Z(A)
@@ -63,7 +63,6 @@ class CaseSpec:
     k: int | None
     q_value: Fraction | None
     localization: str
-    conductor: int
     ring: SkewRing
     presentation: Presentation | None
     x_outer: bool | None
@@ -75,6 +74,10 @@ class CaseSpec:
     draw: Callable | None = None     # (rng, stabilized) -> generator values or None
     recipe: Callable | None = None   # CentralPoint -> FiberRecipe
     draw_za: Callable | None = None  # (rng, stabilized) -> Z(A) generator values or None
+
+    @property
+    def conductor(self) -> int:
+        return lcm(self.ring.algebra.conductor, self.ring.group.omega.n)
 
     def params(self) -> dict:
         out = {"localization": self.localization}
@@ -183,7 +186,7 @@ def _case_zero(localization: str | None = None) -> CaseSpec:
 
     return CaseSpec(
         case_id="0", label="k[u,v]#S2", n=None, k=None, q_value=None,
-        localization=localization, conductor=1, ring=T, presentation=pres,
+        localization=localization, ring=T, presentation=pres,
         x_outer=True, expected_d=2,
         azumaya_expected=(localization == "full"), scan_reason=None,
         za_gens=[A.u(), A.v()], keeps_stabilized=(localization == "none"),
@@ -215,7 +218,7 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
         T = SkewRing(A, Group("cyclic", n, root_of_unity(1, n)))
         return CaseSpec(
             case_id="i", label=f"k_q[u,v]#C{n} (q={q})", n=n, k=None, q_value=q,
-            localization=localization, conductor=n, ring=T, presentation=None,
+            localization=localization, ring=T, presentation=None,
             x_outer=True, expected_d=None, azumaya_expected=None,
             scan_reason="q is not a root of unity: T is not finite over its centre, "
                         "no pointwise fiber scan applies",
@@ -261,7 +264,7 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
 
     return CaseSpec(
         case_id="i", label=f"k_q[u,v]#C{n} (ord q = {k})", n=n, k=k, q_value=None,
-        localization=localization, conductor=l, ring=T, presentation=pres,
+        localization=localization, ring=T, presentation=pres,
         x_outer=(gcd(n, k) == 1), expected_d=l,
         azumaya_expected=(True if localization == "torus" else None),
         scan_reason=None if localization == "torus" else
@@ -273,61 +276,14 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
 
 
 # ---------------------------------------------------------------------------
-# case ii: (-1)-plane with the swap
+# cases ii and iii: (-1)-plane with S_2 = D_1 or a dihedral group
 
 
 def _case_ii(localization: str | None = None) -> CaseSpec:
     localization = localization or "full"
     if localization not in ("none", "torus", "full"):
         raise CatalogError("case ii supports localizations none | torus | full")
-    q = Cyclo.rational(-1)
-    inverted = frozenset() if localization == "none" else frozenset({"u", "v"})
-    dens = []
-    if localization == "full":
-        base = Algebra("quantum", q=q, inverted=inverted)
-        dens = [base.monomial(2, 0) - base.monomial(0, 2)]
-    A = Algebra("quantum", q=q, inverted=inverted, denominators=dens)
-    T = SkewRing(A, Group("sym2"))
-    one = Cyclo.one()
-    localized_at = []
-    if localization != "none":
-        localized_at.append({(0, 1): one})                                # y != 0
-    if localization == "full":
-        localized_at.append({(2, 0): one, (0, 1): Cyclo.rational(-4)})    # s2^2 - 4y != 0
-    pres = Presentation(
-        ring=T, names=("s2", "y"),
-        gens={"s2": T.monomial(2, 0) + T.monomial(0, 2), "y": T.monomial(2, 2)},
-        invertible=frozenset({"y"}) if localization != "none" else frozenset(),
-        localized_at=localized_at,
-    ).validate()
-
-    def draw(rng, stabilized):
-        if stabilized:
-            w = _pool_value(rng, 1)
-            return {"s2": w * 2, "y": w * w}
-        return {"s2": _pool_value(rng, 1), "y": _pool_value(rng, 1)}
-
-    def draw_za(rng, stabilized):
-        alpha, beta = _pool_pair(rng, 1, stabilized)
-        return None if localization == "full" and alpha == beta else [alpha, beta]
-
-    return CaseSpec(
-        case_id="ii", label="k_{-1}[u,v]#S2", n=None, k=2, q_value=None,
-        localization=localization, conductor=1, ring=T, presentation=pres,
-        x_outer=True, expected_d=4,
-        azumaya_expected={"none": None, "torus": False, "full": True}[localization],
-        scan_reason="the unlocalized ring is not Azumaya; scan a localization"
-        if localization == "none" else None,
-        za_gens=[A.monomial(2, 0), A.monomial(0, 2)] if localization != "none" else None,
-        keeps_stabilized=(localization != "full"),
-        draw=draw,
-        recipe=lambda point: _orbit_recipe(pres, point, point.values["s2"], 1),
-        draw_za=draw_za,
-    )
-
-
-# ---------------------------------------------------------------------------
-# case iii: (-1)-plane with a dihedral group
+    return _minus_one_plane("ii", "sym2", 1, localization, ("s2", "y"))
 
 
 def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
@@ -335,14 +291,23 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
         raise CatalogError("case iii needs n")
     if n < 1:
         raise CatalogError(f"case iii needs n >= 1 (the dihedral group has order 2n), not {n}")
-    odd = n % 2 == 1
+    allowed = ("none", "torus", "full") if n % 2 else ("none", "torus")
     if localization is None:
-        localization = "full" if odd else "torus"
-    allowed = ("none", "torus", "full") if odd else ("none", "torus")
+        localization = allowed[-1]
     if localization not in allowed:
         raise CatalogError(f"case iii with n={n} supports localizations {allowed}")
+    return _minus_one_plane("iii", "dihedral", n, localization, ("y", "q2n"))
+
+
+def _minus_one_plane(case_id: str, group_kind: str, n: int, localization: str,
+                     names: tuple) -> CaseSpec:
+    """k_{-1}[u,v] # G for G = D_n, or for S_2 = D_1 at n = 1 (case ii).
+
+    For odd n, `names` orders the generators y = u^2 v^2 and sigma =
+    u^{2n} + v^{2n} of Z(T): the exponent tuples of the removed loci and the
+    draws of a point follow it."""
+    odd = n % 2 == 1
     conductor = n if odd else lcm(n, 4)
-    omega = root_of_unity(1, n).coerce(conductor)
     q = Cyclo.rational(-1)
     inverted = frozenset() if localization == "none" else frozenset({"u", "v"})
     dens = []
@@ -350,20 +315,23 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
         base = Algebra("quantum", q=q, conductor=conductor, inverted=inverted)
         dens = [base.monomial(2 * n, 0) - base.monomial(0, 2 * n)]
     A = Algebra("quantum", q=q, conductor=conductor, inverted=inverted, denominators=dens)
-    T = SkewRing(A, Group("dihedral", n, omega))
+    T = SkewRing(A, Group(group_kind, n, root_of_unity(1, n).coerce(conductor)))
     one = Cyclo.one()
     if odd:
-        # Z(T) = k[u^2 v^2, u^{2n} + v^{2n}]
+        (sigma,) = set(names) - {"y"}
+
+        def at(name, e):  # the exponent tuple of name^e
+            return tuple(e if other == name else 0 for other in names)
+
         localized_at = []
         if localization != "none":
-            localized_at.append({(1, 0): one})                                 # y != 0
+            localized_at.append({at("y", 1): one})                            # y != 0
         if localization == "full":
-            # (u^{2n} - v^{2n})^2 = q2n^2 - 4 y^n != 0
-            localized_at.append({(0, 2): one, (n, 0): Cyclo.rational(-4)})
+            # (u^{2n} - v^{2n})^2 = sigma^2 - 4 y^n != 0
+            localized_at.append({at(sigma, 2): one, at("y", n): Cyclo.rational(-4)})
         pres = Presentation(
-            ring=T, names=("y", "q2n"),
-            gens={"y": T.monomial(2, 2),
-                  "q2n": T.monomial(2 * n, 0) + T.monomial(0, 2 * n)},
+            ring=T, names=names,
+            gens={"y": T.monomial(2, 2), sigma: T.monomial(2 * n, 0) + T.monomial(0, 2 * n)},
             invertible=frozenset({"y"}) if localization != "none" else frozenset(),
             localized_at=localized_at,
         ).validate()
@@ -373,12 +341,11 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
         def draw(rng, stabilized):
             if stabilized:
                 w = _pool_value(rng, conductor)
-                return {"y": w * w, "q2n": (w ** n) * 2}
-            return {"y": _pool_value(rng, conductor),
-                    "q2n": _pool_value(rng, conductor)}
+                return {"y": w * w, sigma: (w ** n) * 2}
+            return {name: _pool_value(rng, conductor) for name in names}
 
         def recipe(point):
-            return _orbit_recipe(pres, point, point.values["q2n"], n)
+            return _orbit_recipe(pres, point, point.values[sigma], n)
     else:
         # Z(T) = k[x,y,z]/(x^2 y + y^{m+1} + z^2), m = n/2
         m = n // 2
@@ -422,8 +389,9 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
         return None if localization == "full" and alpha ** n == beta ** n else [alpha, beta]
 
     return CaseSpec(
-        case_id="iii", label=f"k_{{-1}}[u,v]#D{n}", n=n, k=2, q_value=None,
-        localization=localization, conductor=conductor, ring=T, presentation=pres,
+        case_id=case_id, label=f"k_{{-1}}[u,v]#{T.group!r}",
+        n=None if group_kind == "sym2" else n, k=2, q_value=None,  # S_2 takes no n
+        localization=localization, ring=T, presentation=pres,
         x_outer=odd, expected_d=expected, azumaya_expected=azu,
         scan_reason="the unlocalized ring is not Azumaya; scan a localization"
         if localization == "none" else None,
@@ -444,7 +412,7 @@ def _case_iv(localization: str = "none") -> CaseSpec:
     T = SkewRing(A, Group("cyclic", 2, Cyclo.rational(-1)))
     return CaseSpec(
         case_id="iv", label="k_J[u,v]#C2", n=2, k=None, q_value=None,
-        localization="none", conductor=1, ring=T, presentation=None,
+        localization="none", ring=T, presentation=None,
         x_outer=True, expected_d=None, azumaya_expected=None,
         scan_reason="center too small for a pointwise scan: the Jordan plane is "
                     "not PI and Z(T) = k",

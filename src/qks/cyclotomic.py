@@ -356,8 +356,9 @@ def power(x, k: int, one):
     while k:
         if k & 1:
             result = result * x
-        x = x * x
         k >>= 1
+        if k:
+            x = x * x
     return result
 
 

@@ -18,9 +18,11 @@ Each group of digests was recorded at the parent of the change named:
   the Hom dimensions were certified mod p;
 - the next three (a Laurent and a cyclic invariant ring, and the Jordan
   center), before Z(T), A^G and Z(A) became commutants from one builder;
-- the last two (the D3 center with both variables inverted, conductor 6,
+- the next two (the D3 center with both variables inverted, conductor 6,
   and the quantum-plane center), before the commutant rows were built from
-  monomial products.
+  monomial products;
+- the last four (case iii at n = 1: two scans, a freeness scan and a
+  center), before cases ii and iii came from one (-1)-plane builder.
 
 A refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
 them.  The D2 torus scan was re-recorded with the orbit-polynomial rule: its
@@ -98,6 +100,14 @@ PINNED = [
      "7c9ecef50e8913a2885a33635e97e8b420d8d64563497785bd63c76e58f0731f"),
     ("center --case i --n 3 --k 2 --degree 6",
      "de83b4be5b50f36a85d8ed328e69bcfa94d642ed9827080611f47694b71cc4f9"),
+    ("scan --case iii --n 1 --localization full --samples 3 --seed 7",
+     "205ec309655f6096fed8fa61fc86035c11fc9a5536e98285459cc852784c022c"),
+    ("scan --case iii --n 1 --localization torus --samples 3 --seed 7",
+     "4c86c8a4f18e2336d04cc23ee4db8ab082340e9d34b3d3e1997f3acb9d7ae1e9"),
+    ("freeness --case iii --n 1 --localization full --samples 6 --seed 7",
+     "961de730ddf62899d8ca23eed9317de40ea91b6c4b4314111c2bfe6998861b42"),
+    ("center --case iii --n 1 --localization none --degree 4",
+     "53f1a08078c740dba3c693bcb8858674a0d4b664552be01605b5c8f7a110dda8"),
 ]
 
 # pinned commands whose verdict is a failure: the case-0 control's mismatch

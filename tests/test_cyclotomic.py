@@ -12,6 +12,7 @@ from qks.cyclotomic import (
     euler_phi,
     multiplicative_order,
     parse_cyclo,
+    power,
     root_of_unity,
 )
 
@@ -54,6 +55,27 @@ def test_root_powers_wrap():
     assert z ** 12 == Cyclo.rational(1)
     assert z ** 13 == z
     assert z ** -1 == root_of_unity(11, 12)
+
+
+class _Counted:
+    """An integer under multiplication that counts every product taken."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+def test_power_squares_only_while_bits_remain():
+    # one multiply per set bit of k and one squaring per later bit
+    for k in range(17):
+        _Counted.products = 0
+        assert power(_Counted(3), k, _Counted(1)).value == 3 ** k
+        assert _Counted.products == bin(k).count("1") + max(k.bit_length() - 1, 0)
 
 
 def test_multiplicative_orders_exhaustive():

@@ -71,6 +71,43 @@ def test_catalog_rejects_bad_arguments():
         make_case("ii", localization="torus", n=7, k=9)
 
 
+def _skew_terms(x):
+    return {f: p.terms for f, p in x.comps.items()}
+
+
+@pytest.mark.parametrize("localization", ["none", "torus", "full"])
+def test_case_ii_is_case_iii_at_n1(localization):
+    # S_2 = D_1: the same ring and claims, with s2 named q2n and the names swapped
+    ii = make_case("ii", localization=localization)
+    iii = make_case("iii", n=1, localization=localization)
+    assert ii.ring.algebra.key() == iii.ring.algebra.key()
+    assert ii.ring.group.elements() == iii.ring.group.elements()
+    for attr in ("expected_d", "azumaya_expected", "keeps_stabilized", "x_outer", "conductor"):
+        assert getattr(ii, attr) == getattr(iii, attr), attr
+    if localization == "none":
+        assert ii.za_gens is iii.za_gens is None
+    else:
+        assert [z.terms for z in ii.za_gens] == [z.terms for z in iii.za_gens]
+    p2, p3 = ii.presentation, iii.presentation
+    assert (p2.names, p3.names) == (("s2", "y"), ("y", "q2n"))
+    assert _skew_terms(p2.gens["s2"]) == _skew_terms(p3.gens["q2n"])
+    assert _skew_terms(p2.gens["y"]) == _skew_terms(p3.gens["y"])
+    assert p2.invertible == p3.invertible
+    assert p2.localized_at == [{expo[::-1]: c for expo, c in np_.items()}
+                               for np_ in p3.localized_at]
+    assert (ii.case_id, ii.label, iii.label) == ("ii", "k_{-1}[u,v]#S2", "k_{-1}[u,v]#D1")
+    assert "n" not in ii.params() and iii.params() == {**ii.params(), "n": 1}
+
+
+def test_case_ii_rejects_n_and_bad_localizations():
+    with pytest.raises(CatalogError) as err:
+        make_case("ii", localization="bogus")
+    assert str(err.value) == "case ii supports localizations none | torus | full"
+    assert "n=" not in str(err.value)
+    with pytest.raises(CatalogError, match="does not take n"):
+        make_case("ii", n=1)
+
+
 def test_sampling_is_deterministic():
     case = make_case("ii", localization="full")
     first, second = (sample_point(case, random.Random(5)).values for _ in range(2))
