@@ -7,11 +7,11 @@ the rules come from central elements at the sampled point, so the rewriting
 presents a genuine two-sided quotient and the skew ring of the quotient is a
 finite-dimensional algebra on the box-times-group basis.  Second, the
 residual central relations (generator minus its value) are killed by closing
-the subspace they span under left and right multiplication by the algebra
-generators until the dimension stabilizes, and structure constants are taken
-on a complement.  In (u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2
-the box part is independent of f2, so it is computed once per
-(a1, b1, f1, a2, b2) and laid out at the group index f1f2.
+(`_close`) the subspace they span under left and right multiplication by the
+algebra generators, and structure constants are taken on a complement.  In
+(u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2 the box part is
+independent of f2, so `build_fiber` caches it as `box(a1, b1, f1, a2, b2)`,
+beside `reduce_mono`, and lays it out at the group index f1f2.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from math import isqrt
 
 from .cyclotomic import Cyclo
-from .linalg import Echelon, acc, axpy, kernel, nullspace
+from .linalg import Echelon, acc, axpy, kernel, nullspace, span
 from .planes import NCPoly, act_mono
 from .skew import CentralPoint, SkewElement, SkewRing
 
@@ -76,7 +77,6 @@ class _Reducer:
     def __init__(self, ring: SkewRing, recipe: FiberRecipe):
         self.algebra = ring.algebra
         self.recipe = recipe
-        self._cache: dict = {}
 
     def reduce_terms(self, terms: dict) -> dict:
         out: dict = {}
@@ -108,13 +108,6 @@ class _Reducer:
             work.extend(contrib.terms.items())
         return out
 
-    def reduce_mono(self, mono) -> dict:
-        cached = self._cache.get(mono)
-        if cached is None:
-            cached = self.reduce_terms({mono: Cyclo.one(self.algebra.conductor)})
-            self._cache[mono] = cached
-        return cached
-
 
 @dataclass
 class FiniteDimAlgebra:
@@ -144,6 +137,15 @@ def _combine(vec: dict, rows) -> dict:
     return out
 
 
+def _close(ech: Echelon, frontier: list, tables: list) -> None:
+    """Grow the span of `ech` until it is closed under w -> _combine(w, rows)
+    for rows in `tables`, starting from the vectors of `frontier`; each new
+    vector's products are added in order and empty ones are skipped."""
+    while frontier:
+        frontier = [p for w in frontier for rows in tables
+                    if (p := _combine(w, rows)) and ech.add(p)]
+
+
 def _quotient(ech: Echelon, dim: int, product, unit: dict, gens: list) -> FiniteDimAlgebra:
     """The algebra on the non-pivot columns of `ech`, whose row space is an
     ideal; product(i, j) is the old basis_i * basis_j."""
@@ -166,27 +168,27 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     group = ring.group
     algebra = ring.algebra
     reducer = _Reducer(ring, recipe)
+    reduce_mono = cache(lambda mono: reducer.reduce_terms({mono: Cyclo.one(algebra.conductor)}))
 
     basis = [(a, b, f) for f in group.elements()
              for a in range(recipe.ku) for b in range(recipe.kv)]
     index = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
 
-    boxes: dict = {}  # (a1, b1, f1, a2, b2) -> box part of the product, for any f2
+    @cache
+    def box(a1, b1, f1, a2, b2) -> dict:
+        # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2
+        (a2p, b2p), scal = act_mono(algebra, group, f1, (a2, b2))
+        out: dict = {}
+        for mono, c in algebra.mono_mul((a1, b1), (a2p, b2p)).items():
+            for red_mono, rc in reduce_mono(mono).items():
+                acc(out, red_mono, scal * c * rc)
+        return out
 
     def mono_product(m1, m2) -> dict:
         (a1, b1, f1), (a2, b2, f2) = m1, m2
-        key = (a1, b1, f1, a2, b2)
-        box = boxes.get(key)
-        if box is None:
-            (a2p, b2p), scal = act_mono(algebra, group, f1, (a2, b2))
-            box = {}
-            for mono, c in algebra.mono_mul((a1, b1), (a2p, b2p)).items():
-                for red_mono, rc in reducer.reduce_mono(mono).items():
-                    acc(box, red_mono, scal * c * rc)
-            boxes[key] = box
         f12 = group.mul(f1, f2)
-        return {index[(a, b, f12)]: c for (a, b), c in box.items()}
+        return {index[(a, b, f12)]: c for (a, b), c in box(a1, b1, f1, a2, b2).items()}
 
     def skew_to_vec(x: SkewElement) -> dict:
         out: dict = {}
@@ -203,9 +205,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
         # by_gen[2n][i] = g_n basis_i and by_gen[2n + 1][i] = basis_i g_n
         by_gen = [[mono_product(g, m) if left else mono_product(m, g) for m in basis]
                   for g in gen_monos for left in (True, False)]
-    while frontier:
-        frontier = [p for w in frontier for rows in by_gen
-                    if (p := _combine(w, rows)) and killed.add(p)]
+        _close(killed, frontier, by_gen)
 
     unit = {index[(0, 0, group.identity())]: Cyclo.rational(1)}
     if not killed.reduce(unit):
@@ -232,11 +232,8 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
                for i in range(F.dim)):
         return False
     right = [[_combine(g, row) for row in F.sc] for g in F.gens]  # right[n][x] = x g_n
-    words, frontier = Echelon(), [F.unit]
-    words.add(F.unit)
-    while frontier:
-        frontier = [w for w in (_combine(w, r) for w in frontier for r in right)
-                    if words.add(w)]
+    words = span([F.unit])
+    _close(words, [F.unit], right)
     if words.rank < F.dim:
         return False
     if F.dim <= 40:
@@ -289,10 +286,7 @@ def trace_form_matrix(F: FiniteDimAlgebra) -> list:
 
 
 def trace_form_rank(F: FiniteDimAlgebra) -> int:
-    ech = Echelon()
-    for row in trace_form_matrix(F):
-        ech.add(row)
-    return ech.rank
+    return span(trace_form_matrix(F)).rank
 
 
 def jacobson_radical_dim(F: FiniteDimAlgebra) -> int:
@@ -306,27 +300,20 @@ def center_dimension(F: FiniteDimAlgebra) -> int:
     cols = list(zip(*F.sc))
 
     def entries():
-        # the coefficient of x_j in (x g - g x)_l, one subtraction where
-        # both products have a term
+        # the coefficient of x_j in (x g - g x)_l; kernel sums the two products
         for n, g in enumerate(F.gens):
             for j in range(F.dim):
-                right, left = _combine(g, F.sc[j]), _combine(g, cols[j])
-                for l, c in right.items():
-                    m = left.get(l)
-                    yield (n, l), j, c if m is None else c - m
-                for l, m in left.items():
-                    if l not in right:
-                        yield (n, l), j, -m
+                for l, c in _combine(g, F.sc[j]).items():
+                    yield (n, l), j, c
+                for l, m in _combine(g, cols[j]).items():
+                    yield (n, l), j, -m
 
     return len(kernel(entries(), F.dim))
 
 
 def quotient_by_subspace(F: FiniteDimAlgebra, vectors) -> FiniteDimAlgebra:
     """Quotient algebra by an ideal given as a spanning set of vectors."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return _quotient(ech, F.dim, lambda i, j: F.sc[i][j], F.unit, F.gens)
+    return _quotient(span(vectors), F.dim, lambda i, j: F.sc[i][j], F.unit, F.gens)
 
 
 def semisimple_quotient(F: FiniteDimAlgebra) -> FiniteDimAlgebra:

@@ -5,11 +5,11 @@ accumulate kernels over `Cyclo` are `acc` (one entry) and `axpy` (a scaled
 vector); every sparse sum goes through them except those in `series`, whose
 invariant counts stay an independent oracle for the code here.  The
 workhorse is `Echelon`, an incrementally built reduced row echelon basis;
-everything else (rank, nullspace, span comparison, reduction modulo a
-subspace, and the `kernel` builder for commutator systems) is phrased
-through it.  `Echelon` keeps an index from each column to the rows that may
-hold it, so a new pivot's back-elimination visits only those rows instead of
-sweeping the whole basis.
+rows go in through `span(vectors)`, and everything else (rank, nullspace,
+span comparison, reduction modulo a subspace, and the `kernel` builder for
+commutator systems) is phrased through it.  `Echelon` keeps an index from
+each column to the rows that may hold it, so a new pivot's back-elimination
+visits only those rows instead of sweeping the whole basis.
 
 `Echelon` takes a field: `CYCLO`, exact `Cyclo` values and the default, or
 `GF(p)`, ints mod a prime p.  A field supplies only the kernels the
@@ -171,14 +171,20 @@ class Echelon:
         return not self.reduce(vec)
 
 
+def span(vectors, field=CYCLO) -> Echelon:
+    """The echelon of `vectors`, added in order."""
+    ech = Echelon(field)
+    for vec in vectors:
+        ech.add(vec)
+    return ech
+
+
 def nullspace(equations, ncols: int) -> list:
     """Basis of solutions x (sparse dicts) of the homogeneous system.
 
     `equations` is an iterable of sparse rows over columns 0..ncols-1.
     """
-    ech = Echelon()
-    for row in equations:
-        ech.add(row)
+    ech = span(equations)
     basis = []
     for free in range(ncols):
         if free in ech.rows:
@@ -203,11 +209,6 @@ def kernel(entries, ncols: int) -> list:
 
 
 def spans_equal(vectors_a, vectors_b) -> bool:
-    ech_a, ech_b = Echelon(), Echelon()
-    for v in vectors_a:
-        ech_a.add(v)
-    for v in vectors_b:
-        ech_b.add(v)
-    if ech_a.rank != ech_b.rank:
-        return False
-    return all(ech_a.contains(v) for v in vectors_b)
+    """Exact: a reduced row echelon basis whose pivots are its rows' least
+    columns is determined by the span alone."""
+    return span(vectors_a).rows == span(vectors_b).rows

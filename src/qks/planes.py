@@ -20,6 +20,7 @@ g.u = w u, g.v = w^{-1} v, h.u = v, h.v = u for a fixed primitive root w.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .cyclotomic import Cyclo, multiplicative_order, power
@@ -59,8 +60,10 @@ class Algebra:
         self.conductor = conductor if q is None else lcm(q.n, conductor)
         self.inverted = inverted
         self.denominators: tuple[NCPoly, ...] = ()
-        self._qpow_cache: dict[int, Cyclo] = {}
-        self._jordan_cache: dict[tuple, dict] = {}
+        # memos that live as long as the algebra; qpow(e) = q ** e
+        if self.q is not None:
+            self.qpow = cache(self.q.__pow__)
+        self._jordan_shift = cache(self._jordan_shift)
         for d in denominators:
             self._adjoin_denominator(d)
 
@@ -94,13 +97,6 @@ class Algebra:
         if isinstance(value, Cyclo):
             return value
         return Cyclo.rational(Fraction(value), self.conductor)
-
-    def qpow(self, e: int) -> Cyclo:
-        c = self._qpow_cache.get(e)
-        if c is None:
-            c = self.q ** e
-            self._qpow_cache[e] = c
-        return c
 
     def _check_mono(self, mono: Mono):
         a, b = mono
@@ -144,11 +140,8 @@ class Algebra:
         return {(a1 + j, k + b2): coeff for (j, k), coeff in shifted.items()}
 
     def _jordan_shift(self, b: int, a: int) -> dict:
-        """Normal form of v^b u^a in the Jordan plane (b >= 0)."""
-        key = (b, a)
-        cached = self._jordan_cache.get(key)
-        if cached is not None:
-            return cached
+        """Normal form of v^b u^a in the Jordan plane (b >= 0); each instance
+        caches it."""
         cur = {(a, 0): Cyclo.one(self.conductor)}
         for _ in range(b):
             nxt: dict = {}
@@ -158,7 +151,6 @@ class Algebra:
                 if j:
                     acc(nxt, (j + 1, k), coeff * Cyclo.rational(j))
             cur = nxt
-        self._jordan_cache[key] = cur
         return cur
 
     def mono_inverse(self, mono: Mono, coeff: Cyclo):
@@ -330,7 +322,7 @@ class Group:
         self.kind = kind
         self.n = n
         self.omega = omega
-        self._wpow: dict[int, Cyclo] = {}
+        self._omega_pow = cache(omega.__pow__)
 
     @property
     def has_reflection(self) -> bool:
@@ -366,12 +358,7 @@ class Group:
         return (i % self.n, j) if j else ((-i) % self.n, 0)
 
     def wpow(self, e: int) -> Cyclo:
-        e %= self.n
-        c = self._wpow.get(e)
-        if c is None:
-            c = self.omega ** e
-            self._wpow[e] = c
-        return c
+        return self._omega_pow(e % self.n)
 
     def __repr__(self):
         return {"cyclic": f"C{self.n}", "sym2": "S2", "dihedral": f"D{self.n}"}[self.kind]

@@ -22,7 +22,7 @@ from .catalog import (
     sample_za_values,
 )
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
-from .linalg import CYCLO, GF, Echelon, NotReducible
+from .linalg import CYCLO, GF, NotReducible, span
 from .planes import apply_automorphism
 from .series import (
     compare_with_counts,
@@ -92,11 +92,21 @@ def _certify_point(case: CaseSpec, point) -> dict:
 # Azumaya scan
 
 
+def _stabilized_draws(case: CaseSpec, samples: int, stabilized: bool = False) -> list:
+    """Which of the `samples` draws lie on the stabilized locus: all of them
+    when `stabilized`, else every third for a negative control that keeps
+    the locus.  A negative control's witnesses lie there, so one with no
+    stabilized draw and no witness is inconclusive."""
+    if samples < 1:
+        raise CatalogError("samples must be >= 1")
+    mix = case.azumaya_expected is False and case.keeps_stabilized
+    return [stabilized or (mix and idx % 3 == 2) for idx in range(samples)]
+
+
 def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                  stabilized: bool = False) -> Report:
     """Sample admissible central points, build fibers, certify, aggregate."""
-    if samples < 1:
-        raise CatalogError("samples must be >= 1")
+    draws = _stabilized_draws(case, samples, stabilized)
     if stabilized and not case.keeps_stabilized:
         raise CatalogError(f"stabilized sampling: {case.label} ({case.localization}) "
                            "removes stabilized points")
@@ -105,11 +115,9 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
         return Report("scan", case.label, case.params(), seed, case.conductor,
                       base, f"not-applicable: {case.scan_reason}", None)
     rng = random.Random(seed)
-    mix = case.azumaya_expected is False and case.keeps_stabilized
     # a sampler give-up is no witness: it never counts as a failure
-    points, ds, failures, giveups, drew_stabilized = [], set(), 0, 0, False
-    for idx in range(samples):
-        stab = stabilized or (mix and idx % 3 == 2)
+    points, ds, failures, giveups = [], set(), 0, 0
+    for stab in draws:
         try:
             point = sample_point(case, rng, stabilized=stab)
         except CatalogError as exc:
@@ -117,7 +125,6 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
                            "certificate": "no-admissible-point", "witness": str(exc)})
             giveups += 1
             continue
-        drew_stabilized |= stab
         rec = _certify_point(case, point)
         if rec["certificate"] == "central-simple":
             ds.add(rec["d"])
@@ -130,8 +137,7 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
     elif giveups:
         verdict = f"inconclusive({giveups} of {samples} points not sampled)"
         passed = None
-    elif case.azumaya_expected is False and not drew_stabilized:
-        # a negative control's witnesses lie on the stabilized locus
+    elif case.azumaya_expected is False and not any(draws):
         verdict = "inconclusive(no stabilized point drawn)"
         passed = None
     elif len(ds) == 1:
@@ -159,8 +165,7 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     Verdict "free" iff all sampled stabilizers are trivial; cross-referenced
     against the case's Azumaya expectation (the two must agree for X-outer
     actions with an Azumaya coefficient ring)."""
-    if samples < 1:
-        raise CatalogError("samples must be >= 1")
+    draws = _stabilized_draws(case, samples)
     body = {"points": [], "azumaya_expected": case.azumaya_expected}
     if not case.x_outer or case.za_gens is None:
         reason = case.scan_reason or "the action is not X-outer on this localization"
@@ -168,11 +173,8 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
                       body, f"not-applicable: {reason}", None)
     rng = random.Random(seed)
     group = case.ring.group
-    mix = case.keeps_stabilized
-    witnesses, drew_stabilized = 0, False
-    for idx in range(samples):
-        stab_draw = mix and idx % 3 == 2
-        drew_stabilized |= stab_draw
+    witnesses = 0
+    for stab_draw in draws:
         values = sample_za_values(case, rng, stabilized=stab_draw)
         stab = stabilizer_of_point(case.ring.algebra, group, case.za_gens, values)
         rec = {"values": {f"z{i}": v.to_str() for i, v in enumerate(values)},
@@ -186,8 +188,7 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
         passed = None
     else:
         passed = (witnesses == 0) == bool(case.azumaya_expected)
-    if case.azumaya_expected is False and not witnesses and not drew_stabilized:
-        # as in azumaya_scan: a negative control's witnesses are stabilized draws
+    if case.azumaya_expected is False and not witnesses and not any(draws):
         verdict, passed = "inconclusive(no stabilized point drawn)", None
     return Report("freeness", case.label, case.params(), seed, case.conductor,
                   body, verdict, passed)
@@ -267,10 +268,7 @@ def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> int:
 
     Over a `GF` field this is an upper bound on the exact dimension, and
     `NotReducible` escapes when an entry has no residue."""
-    ech = Echelon(field)
-    for row in _hom_rows(algebra, gens, j, cap, field):
-        ech.add(row)
-    return _hom_layout(j, cap)[1] - ech.rank
+    return _hom_layout(j, cap)[1] - span(_hom_rows(algebra, gens, j, cap, field), field).rank
 
 
 def _natural_map_images(algebra, group, j: int, cap: int):
@@ -292,10 +290,7 @@ def _natural_map_images(algebra, group, j: int, cap: int):
 
 def _natural_map_rank(algebra, group, j: int, cap: int) -> int:
     """Rank of (A#G)_j -> truncated endomorphisms, a f -> (x -> a (f.x))."""
-    ech = Echelon()
-    for vec in _natural_map_images(algebra, group, j, cap):
-        ech.add(vec)
-    return ech.rank
+    return span(_natural_map_images(algebra, group, j, cap)).rank
 
 
 def _certified_hom_dimension(algebra, group, gens, j: int, cap: int, lower,

@@ -11,6 +11,7 @@ those windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import lcm
 
 from .cyclotomic import Cyclo, power
@@ -205,23 +206,19 @@ def _commutator_terms(ring: SkewRing):
 
     It adds m (f.m2) at f f2 and subtracts m2 (f2.m) at f2 f: one `act_mono`
     and one `Algebra.mono_mul` per product, in the order `x * w - w * x`
-    builds them, with the same coefficients at the same conductors.  The
-    signed images are cached for the life of the returned function, and
+    builds them, with the same coefficients at the same conductors.
+    `signed_image` is cached for the life of the returned function, and
     multiplications by an exact one are skipped."""
     algebra, group = ring.algebra, ring.group
     mono_mul, gmul = algebra.mono_mul, group.mul
     n0 = algebra.conductor
     one = Cyclo.one(n0).c
-    images: dict = {}
 
+    @cache
     def signed_image(f, mono, sign):
         # sign * (f.mono), as (image, coefficient)
-        key = (f, mono, sign)
-        img = images.get(key)
-        if img is None:
-            image, s = act_mono(algebra, group, f, mono)
-            img = images[key] = (image, s if sign > 0 else -s)
-        return img
+        image, s = act_mono(algebra, group, f, mono)
+        return image, s if sign > 0 else -s
 
     def add_product(out, g, left, image_k):
         image, k = image_k
@@ -382,15 +379,7 @@ def _enumerate_products(pres: Presentation, window: int):
         hi = (2 * window) // max(deg, 1) + 1
         lo = -hi if name in pres.invertible else 0
         bounds.append(range(lo, hi + 1))
-    cache: dict = {}
-
-    def gen_power(idx, e):
-        key = (idx, e)
-        val = cache.get(key)
-        if val is None:
-            val = pres.gens[names[idx]] ** e
-            cache[key] = val
-        return val
+    gen_power = cache(lambda idx, e: pres.gens[names[idx]] ** e)
 
     lo_deg = -window if algebra.inverted else 0
     results = []

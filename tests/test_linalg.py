@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qks.cyclotomic import Cyclo, root_of_unity
-from qks.linalg import CYCLO, GF, Echelon, NotReducible
+from qks.linalg import CYCLO, GF, Echelon, NotReducible, span, spans_equal
 
 BIG = GF(2**31 - 1)
 
@@ -148,3 +148,44 @@ def test_holders_index_matches_a_full_sweep(field, conductor):
         assert all(k not in ech.rows for r in ech.rows.values() for k in r)
         for p, r in ech.rows.items():
             assert all(p in ech._holders[k] for k in r)
+
+
+def _unit(rng, field, conductor):
+    x = rng.choice([-3, -2, -1, 1, 2, 3])
+    if field is CYCLO:
+        return Cyclo.rational(x) * root_of_unity(rng.randrange(conductor), conductor)
+    return x % field.p
+
+
+def _recombined(rng, field, conductor, vectors) -> list:
+    """Another spanning set of the same space: the vectors shuffled, each one
+    scaled by a unit plus multiples of those before it (a triangular change
+    of basis with an invertible diagonal)."""
+    vs = list(vectors)
+    rng.shuffle(vs)
+    out = []
+    for i, v in enumerate(vs):
+        w = field.scaled(_unit(rng, field, conductor), v)
+        for u in rng.sample(vs[:i], min(i, 2)):
+            field.axpy(w, _unit(rng, field, conductor), u)
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("field, conductor", [(CYCLO, 1), (CYCLO, 3), (GF(7), 1)])
+def test_echelon_rows_are_determined_by_the_span(field, conductor):
+    rng = random.Random(1700 + conductor)
+    for _ in range(25):
+        vectors = _random_sparse(rng, field, conductor, rng.randint(4, 24), rng.randint(4, 16))
+        other = _recombined(rng, field, conductor, vectors)
+        assert span(vectors, field).rows == span(other, field).rows
+        if field is CYCLO:
+            assert spans_equal(vectors, other)
+
+
+def test_spans_of_equal_rank_differ():
+    one = Cyclo.rational(1)
+    assert not spans_equal([{0: one}], [{1: one}])
+    # the same pivot columns, different tails
+    assert not spans_equal([{0: one, 2: one}, {1: one}], [{0: one}, {1: one, 2: one}])
+    assert spans_equal([{0: one, 2: one}, {1: one}], [{1: one}, {0: one, 2: one}])

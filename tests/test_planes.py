@@ -1,6 +1,7 @@
 """Rewrite system, group law, actions and inner-conjugation certificates."""
 
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -260,3 +261,13 @@ def test_central_check():
     A = minus_one_plane()
     assert is_central_in_algebra(A.monomial(2, 0))
     assert not is_central_in_algebra(A.u())
+
+
+def test_memoized_powers_match_plain_powers():
+    for q in (Cyclo.rational(Fraction(3, 2)), root_of_unity(1, 5)):
+        A = quantum(q, inverted=("u", "v"))
+        for e in range(-6, 7):
+            assert A.qpow(e) == q ** e
+    for G in (Group("cyclic", 5, root_of_unity(1, 5)), Group("dihedral", 4, root_of_unity(1, 4))):
+        for e in range(-2 * G.n, 2 * G.n + 1):
+            assert G.wpow(e) == G.omega ** (e % G.n)

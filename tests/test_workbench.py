@@ -172,6 +172,15 @@ def test_azumaya_scan_not_applicable():
     assert rep.verdict.startswith("not-applicable")
 
 
+def test_stabilized_draws_policy():
+    control = make_case("0", localization="none")
+    assert scans._stabilized_draws(control, 6) == [False, False, True] * 2
+    assert scans._stabilized_draws(control, 6, stabilized=True) == [True] * 6
+    assert scans._stabilized_draws(make_case("i", n=2, k=2), 6) == [False] * 6
+    with pytest.raises(CatalogError, match="samples must be >= 1"):
+        scans._stabilized_draws(control, 0)
+
+
 def test_freeness_cross_references_azumaya():
     # free action and constant matrix fibers co-occur on the X-outer cases,
     # sampled in both directions
