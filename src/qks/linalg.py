@@ -167,9 +167,6 @@ class Echelon:
             holders.setdefault(k, []).append(pivot)
         return True
 
-    def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
-
 
 def span(vectors, field=CYCLO) -> Echelon:
     """The echelon of `vectors`, added in order."""

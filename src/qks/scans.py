@@ -22,7 +22,7 @@ from .catalog import (
     sample_za_values,
 )
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
-from .linalg import CYCLO, GF, NotReducible, span
+from .linalg import CYCLO, GF, Echelon, NotReducible, span
 from .planes import apply_automorphism
 from .series import (
     compare_with_counts,
@@ -218,9 +218,8 @@ def _hom_layout(j: int, cap: int) -> tuple:
     A_d has the d + 1 monomials u^x v^(d-x), indexed by x.  The coordinate
     of phi(b) at c, for b the b_idx-th monomial of A_i and c the c_idx-th of
     A_{i+j}, is column offsets[i] + b_idx * (i + j + 1) + c_idx.  Blocks
-    run by descending domain degree: equation rows express the high-degree
-    block phi(b s) through lower blocks, so pivoting there keeps the
-    elimination close to forward substitution."""
+    run by descending domain degree, so for every c < cap the cap-c layout
+    is the last blocks of this one, shifted by offsets[c]."""
     offsets, total = {}, 0
     for i in range(cap, -1, -1):
         offsets[i] = total
@@ -230,45 +229,61 @@ def _hom_layout(j: int, cap: int) -> tuple:
 
 def _hom_rows(algebra, gens, j: int, cap: int, field=CYCLO):
     """Equations phi(b s) = phi(b) s of the truncated Hom system, one row per
-    (s, b, target monomial), with entries in `field`."""
+    (s, b, target monomial), with entries in `field`, by ascending target
+    degree deg b + deg s."""
     offsets, _ = _hom_layout(j, cap)
+    for target in range(cap + 1):
+        yield from _hom_target_rows(algebra, gens, j, offsets, target, field)
+
+
+def _hom_target_rows(algebra, gens, j: int, offsets, target: int, field):
+    """The rows of `_hom_rows` of one target degree.  A row holds phi(b s) in
+    block `target`, which no row of a lower target touches, and phi(b) s in
+    a lower block: added by ascending target, a pivot in block `target`
+    is back-eliminated only from rows of the same target."""
     convert = field.from_cyclo
     for s in gens:
-        t = s.degree()  # >= 1: phi(b s) and phi(b) lie in different blocks
-        for i in range(cap - t + 1):
-            width = i + t + j + 1  # the monomials of the target A_{i+t+j}
-            # -(c s) in target coordinates, for each c in A_{i+j}: the same
-            # for every b, so computed once per (s, i)
-            minus_cs = []
-            for x in range(i + j + 1):
-                cs = algebra.monomial(x, i + j - x) * s
-                minus_cs.append([(mono[0], convert(-coeff))
-                                 for mono, coeff in cs.terms.items()])
-            for b_idx in range(i + 1):
-                bs = algebra.monomial(b_idx, i - b_idx) * s
-                rows: dict = {}
-                for mono, ce in bs.terms.items():
-                    ce = convert(ce)
+        i = target - s.degree()  # deg s >= 1: phi(b s), phi(b) in different blocks
+        if i < 0:
+            continue
+        width = target + j + 1  # the monomials of A_{target+j}
+        # -(c s) in target coordinates, for each c in A_{i+j}: the same
+        # for every b, so computed once per (s, i)
+        minus_cs = []
+        for x in range(i + j + 1):
+            cs = algebra.monomial(x, i + j - x) * s
+            minus_cs.append([(mono[0], convert(-coeff))
+                             for mono, coeff in cs.terms.items()])
+        for b_idx in range(i + 1):
+            bs = algebra.monomial(b_idx, i - b_idx) * s
+            rows: dict = {}
+            for mono, ce in bs.terms.items():
+                ce = convert(ce)
+                if ce:
+                    first = offsets[target] + mono[0] * width
+                    for star in range(width):
+                        rows.setdefault(star, {})[first + star] = ce
+            first = offsets[i] + b_idx * (i + j + 1)
+            for c_idx, entries in enumerate(minus_cs):
+                for star, ce in entries:
                     if ce:
-                        first = offsets[i + t] + mono[0] * width
-                        for star in range(width):
-                            rows.setdefault(star, {})[first + star] = ce
-                first = offsets[i] + b_idx * (i + j + 1)
-                for c_idx, entries in enumerate(minus_cs):
-                    for star, ce in entries:
-                        if ce:
-                            rows.setdefault(star, {})[first + c_idx] = ce
-                for row in rows.values():
-                    if row:
-                        yield row
+                        rows.setdefault(star, {})[first + c_idx] = ce
+            yield from rows.values()
 
 
-def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> int:
-    """dim of degree-j truncated right-A^G-module endomorphisms of A_{<=cap}.
-
-    Over a `GF` field this is an upper bound on the exact dimension, and
+def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> list:
+    """dims[c] = dim of degree-j truncated right-A^G-module endomorphisms of
+    A_{<=c}, for every c <= cap, from one elimination: the rows of target
+    degree <= c are the cap-c system in its columns shifted by offsets[c].
+    Over a `GF` field each is an upper bound on the exact dimension, and
     `NotReducible` escapes when an entry has no residue."""
-    return _hom_layout(j, cap)[1] - span(_hom_rows(algebra, gens, j, cap, field), field).rank
+    offsets, total = _hom_layout(j, cap)
+    ech, dims = Echelon(field), []
+    for c in range(cap + 1):
+        for row in _hom_target_rows(algebra, gens, j, offsets, c, field):
+            ech.add(row)
+        dims.append(total - offsets[c] - ech.rank)
+    return dims
 
 
 def _natural_map_images(algebra, group, j: int, cap: int):
@@ -293,24 +308,28 @@ def _natural_map_rank(algebra, group, j: int, cap: int) -> int:
     return span(_natural_map_images(algebra, group, j, cap)).rank
 
 
-def _certified_hom_dimension(algebra, group, gens, j: int, cap: int, lower,
-                             diagnostics: dict) -> int:
-    """`_hom_dimension` over Q(zeta), taken mod `PRIME` where that is exact.
+def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower,
+                              diagnostics: dict) -> list:
+    """`_hom_dimension` over Q(zeta) at each of `caps`, taken mod `PRIME`
+    where that is exact.
 
     `lower` is a proven lower bound on the exact dimension, or None: with an
     injective natural map, whose images satisfy phi(x s) = phi(x) s because
-    s is invariant, it is dim (A#G)_j.  The dimension mod p is an upper
-    bound, so where the two meet the exact value is known; every other
-    outcome (a gap, an entry with no residue) solves the system exactly."""
+    s is invariant, it is dim (A#G)_j.  One elimination mod p bounds every
+    cap from above, so a cap where the two meet is known exactly; any other
+    outcome (a gap, an entry with no residue) runs one exact elimination,
+    which gives every cap."""
+    modular = None
     if lower is not None:
         try:
-            if _hom_dimension(algebra, group, gens, j, cap, GF(PRIME)) == lower:
-                diagnostics["hom_certified"] += 1
-                return lower
+            modular = _hom_dimension(algebra, group, gens, j, max(caps), GF(PRIME))
         except NotReducible:
             pass
-    diagnostics["hom_fallbacks"] += 1
-    return _hom_dimension(algebra, group, gens, j, cap)
+    certified = [modular is not None and modular[c] == lower for c in caps]
+    exact = None if all(certified) else _hom_dimension(algebra, group, gens, j, max(caps))
+    for ok in certified:
+        diagnostics["hom_certified" if ok else "hom_fallbacks"] += 1
+    return [lower if ok else exact[c] for c, ok in zip(caps, certified)]
 
 
 def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
@@ -338,10 +357,8 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
         dim_skew = (j + 1) * group.order
         # injective at the lower cap implies injective at the higher one
         injective = _natural_map_rank(algebra, group, j, caps[0]) == dim_skew
-        hom_lo, hom_hi = (
-            _certified_hom_dimension(algebra, group, gens, j, cap,
-                                     dim_skew if injective else None, diagnostics)
-            for cap in caps)
+        hom_lo, hom_hi = _certified_hom_dimensions(
+            algebra, group, gens, j, caps, dim_skew if injective else None, diagnostics)
         stable = hom_lo == hom_hi
         row = {"j": j, "dim_skew_ring": dim_skew,
                "dim_hom": hom_lo if stable else None,

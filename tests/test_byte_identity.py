@@ -21,8 +21,12 @@ Each group of digests was recorded at the parent of the change named:
 - the next two (the D3 center with both variables inverted, conductor 6,
   and the quantum-plane center), before the commutant rows were built from
   monomial products;
-- the last four (case iii at n = 1: two scans, a freeness scan and a
-  center), before cases ii and iii came from one (-1)-plane builder.
+- the next four (case iii at n = 1: two scans, a freeness scan and a
+  center), before cases ii and iii came from one (-1)-plane builder;
+- the last three (the benchmark's case-ii auslander check, the case-0
+  check at degree 0 and guard 0, whose Hom dimension moves between the
+  caps, and a case-i check), before each degree's Hom dimensions at both
+  caps came from one elimination.
 
 A refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
 them.  The D2 torus scan was re-recorded with the orbit-polynomial rule: its
@@ -108,10 +112,18 @@ PINNED = [
      "961de730ddf62899d8ca23eed9317de40ea91b6c4b4314111c2bfe6998861b42"),
     ("center --case iii --n 1 --localization none --degree 4",
      "53f1a08078c740dba3c693bcb8858674a0d4b664552be01605b5c8f7a110dda8"),
+    ("auslander --case ii --localization none --degree 4 --guard 6",
+     "ea069b05eea29a0c8bb728ad6c6c076edfb4c2f507410833fc7006a5ae47317e"),
+    ("auslander --case 0 --localization none --degree 0 --guard 0",
+     "ca791608378e84bd61a86fac6a284b70468d209beba07ed46cb77db91799cb60"),
+    ("auslander --case i --n 3 --k 2 --localization none --degree 2 --guard 2",
+     "658c1ce85c770a5cfef6dac4d88415fb2ad2e81b0e3d7b331cfe4b73e63312eb"),
 ]
 
-# pinned commands whose verdict is a failure: the case-0 control's mismatch
-EXIT_CODES = {"auslander --case 0 --localization none --degree 2 --guard 4": 1}
+# pinned commands whose verdict is not a pass: the case-0 control's
+# mismatch, and its truncation instability at guard 0
+EXIT_CODES = {"auslander --case 0 --localization none --degree 2 --guard 4": 1,
+              "auslander --case 0 --localization none --degree 0 --guard 0": 2}
 
 
 @pytest.mark.parametrize("command,digest", PINNED)

@@ -65,7 +65,7 @@ def test_gf_echelon_reduces_to_canonical_residues():
     assert ech.add({0: 2, 1: 3})
     assert ech.add({1: 1, 2: 5})
     assert not ech.add({0: 4, 1: 6})          # twice the first row
-    assert ech.contains({0: 2, 1: 4, 2: 5})   # first plus second
+    assert not ech.reduce({0: 2, 1: 4, 2: 5})   # first plus second
     residue = ech.reduce({2: 1, 3: 6})
     assert residue == {2: 1, 3: 6}
     assert all(0 < x < 7 for row in ech.rows.values() for x in row.values())

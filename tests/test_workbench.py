@@ -18,7 +18,7 @@ from qks.catalog import (
 from qks.cli import main
 from qks.cyclotomic import Cyclo
 from qks.fiber import FiberError, build_fiber
-from qks.linalg import GF, NotReducible
+from qks.linalg import GF, NotReducible, span
 from qks.scans import (
     auslander_check,
     azumaya_scan,
@@ -286,6 +286,22 @@ def test_natural_map_images_solve_the_hom_system(cid):
                 for row in rows:
                     assert sum((c * image[k] for k, c in row.items() if k in image),
                                Cyclo.zero()).is_zero(), (cid, j, cap)
+
+
+@pytest.mark.parametrize("cid", ["ii", "iv", "0"])
+@pytest.mark.parametrize("field", [scans.CYCLO, GF(scans.PRIME)], ids=["cyclo", "gf"])
+def test_one_hom_elimination_gives_every_cap(cid, field):
+    # the dimension at each truncation c, read off one elimination up to the
+    # top cap, against the cap-c system solved on its own
+    case = make_case(cid, localization="none")
+    algebra, group = case.ring.algebra, case.ring.group
+    cap = 5
+    gens = scans._invariant_algebra_generators(algebra, group, cap)
+    for j in range(3):
+        dims = scans._hom_dimension(algebra, group, gens, j, cap, field)
+        for c in range(min(g.degree() for g in gens), cap + 1):
+            rank = span(scans._hom_rows(algebra, gens, j, c, field), field).rank
+            assert dims[c] == scans._hom_layout(j, c)[1] - rank, (cid, j, c)
 
 
 def _auslander_json(cid):
