@@ -9,9 +9,10 @@ finite-dimensional algebra on the box-times-group basis.  Second, the
 residual central relations (generator minus its value) are killed by closing
 (`_close`) the subspace they span under left and right multiplication by the
 algebra generators, and structure constants are taken on a complement.  In
-(u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2 the box part is
-independent of f2, so `build_fiber` caches it as `box(a1, b1, f1, a2, b2)`,
-beside `reduce_mono`, and lays it out at the group index f1f2.
+(u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2 the A-part,
+`SkewRing.mono_product`, is independent of f2, so `build_fiber` caches its
+reduction into the box as `box(a1, b1, f1, a2, b2)`, beside `reduce_mono`,
+and lays it out at the group index f1f2.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -36,7 +37,7 @@ from math import isqrt
 
 from .cyclotomic import Cyclo
 from .linalg import Echelon, acc, axpy, kernel, nullspace, span
-from .planes import NCPoly, act_mono
+from .planes import NCPoly, act_mono  # not called here; bench/tracing.py patches this name
 from .skew import CentralPoint, SkewElement, SkewRing
 
 
@@ -71,42 +72,36 @@ def swap_uv(poly: NCPoly) -> NCPoly:
     return NCPoly(poly.algebra, {(b, a): c for (a, b), c in poly.terms.items()})
 
 
-class _Reducer:
-    """Normalizes coefficient polynomials into the recipe's monomial box."""
-
-    def __init__(self, ring: SkewRing, recipe: FiberRecipe):
-        self.algebra = ring.algebra
-        self.recipe = recipe
-
-    def reduce_terms(self, terms: dict) -> dict:
-        out: dict = {}
-        work = list(terms.items())
-        guard = 0
-        while work:
-            guard += 1
-            if guard > 200_000:
-                raise FiberError("reduction did not terminate; recipe is not confluent")
-            (a, b), c = work.pop()
-            if c.is_zero():
-                continue
-            r = self.recipe
-            if 0 <= a < r.ku and 0 <= b < r.kv:
-                acc(out, (a, b), c)
-                continue
-            if b >= r.kv:
-                contrib = self.algebra.monomial(a, b - r.kv, c) * r.v_pow
-            elif b < 0:
-                if r.v_inv is None:
-                    raise FiberError("negative v-exponent but no inverse rule")
-                contrib = self.algebra.monomial(a, b + r.kv, c) * r.v_inv
-            elif a >= r.ku:
-                contrib = (r.u_pow * c) * self.algebra.monomial(a - r.ku, b)
-            else:
-                if r.u_inv is None:
-                    raise FiberError("negative u-exponent but no inverse rule")
-                contrib = (r.u_inv * c) * self.algebra.monomial(a + r.ku, b)
-            work.extend(contrib.terms.items())
-        return out
+def _reduce_terms(algebra, recipe: FiberRecipe, terms: dict) -> dict:
+    """`terms`, a coefficient polynomial, normalized into the recipe's box."""
+    r = recipe
+    out: dict = {}
+    work = list(terms.items())
+    guard = 0
+    while work:
+        guard += 1
+        if guard > 200_000:
+            raise FiberError("reduction did not terminate; recipe is not confluent")
+        (a, b), c = work.pop()
+        if c.is_zero():
+            continue
+        if 0 <= a < r.ku and 0 <= b < r.kv:
+            acc(out, (a, b), c)
+            continue
+        if b >= r.kv:
+            contrib = algebra.monomial(a, b - r.kv, c) * r.v_pow
+        elif b < 0:
+            if r.v_inv is None:
+                raise FiberError("negative v-exponent but no inverse rule")
+            contrib = algebra.monomial(a, b + r.kv, c) * r.v_inv
+        elif a >= r.ku:
+            contrib = (r.u_pow * c) * algebra.monomial(a - r.ku, b)
+        else:
+            if r.u_inv is None:
+                raise FiberError("negative u-exponent but no inverse rule")
+            contrib = (r.u_inv * c) * algebra.monomial(a + r.ku, b)
+        work.extend(contrib.terms.items())
+    return out
 
 
 @dataclass
@@ -167,8 +162,8 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     recipe.validate()
     group = ring.group
     algebra = ring.algebra
-    reducer = _Reducer(ring, recipe)
-    reduce_mono = cache(lambda mono: reducer.reduce_terms({mono: Cyclo.one(algebra.conductor)}))
+    reduce_mono = cache(lambda mono: _reduce_terms(algebra, recipe,
+                                                   {mono: Cyclo.one(algebra.conductor)}))
 
     basis = [(a, b, f) for f in group.elements()
              for a in range(recipe.ku) for b in range(recipe.kv)]
@@ -178,14 +173,13 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     @cache
     def box(a1, b1, f1, a2, b2) -> dict:
         # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2
-        (a2p, b2p), scal = act_mono(algebra, group, f1, (a2, b2))
         out: dict = {}
-        for mono, c in algebra.mono_mul((a1, b1), (a2p, b2p)).items():
+        for mono, c in ring.mono_product((a1, b1), f1, (a2, b2)).items():
             for red_mono, rc in reduce_mono(mono).items():
-                acc(out, red_mono, scal * c * rc)
+                acc(out, red_mono, c * rc)
         return out
 
-    def mono_product(m1, m2) -> dict:
+    def basis_product(m1, m2) -> dict:
         (a1, b1, f1), (a2, b2, f2) = m1, m2
         f12 = group.mul(f1, f2)
         return {index[(a, b, f12)]: c for (a, b), c in box(a1, b1, f1, a2, b2).items()}
@@ -193,7 +187,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     def skew_to_vec(x: SkewElement) -> dict:
         out: dict = {}
         for f, poly in x.comps.items():
-            for mono, c in reducer.reduce_terms(poly.terms).items():
+            for mono, c in _reduce_terms(algebra, recipe, poly.terms).items():
                 acc(out, index[(mono[0], mono[1], f)], c)
         return out
 
@@ -203,7 +197,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     gen_monos = [(*mono, f) for mono, f in ring.commutation_generators()]
     if frontier:
         # by_gen[2n][i] = g_n basis_i and by_gen[2n + 1][i] = basis_i g_n
-        by_gen = [[mono_product(g, m) if left else mono_product(m, g) for m in basis]
+        by_gen = [[basis_product(g, m) if left else basis_product(m, g) for m in basis]
                   for g in gen_monos for left in (True, False)]
         _close(killed, frontier, by_gen)
 
@@ -211,7 +205,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     if not killed.reduce(unit):
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
-    fiber = _quotient(killed, dim, lambda i, j: mono_product(basis[i], basis[j]), unit,
+    fiber = _quotient(killed, dim, lambda i, j: basis_product(basis[i], basis[j]), unit,
                       [skew_to_vec(ring.monomial(*m)) for m in gen_monos])
     if not check_associativity(fiber):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")

@@ -198,11 +198,12 @@ def nullspace(equations, ncols: int) -> list:
 def kernel(entries, ncols: int) -> list:
     """`nullspace` of the system given as (row key, column, coefficient)
     triples, summed per cell.  Rows enter the elimination in the order their
-    keys first appear, which drives fill-in, so callers keep their order."""
+    keys first appear, which drives fill-in, so callers keep their order; a
+    row whose entries all cancel never enters it."""
     rows: dict = {}
     for key, col, c in entries:
         acc(rows.setdefault(key, {}), col, c)
-    return nullspace(rows.values(), ncols)
+    return nullspace(filter(None, rows.values()), ncols)
 
 
 def spans_equal(vectors_a, vectors_b) -> bool:

@@ -23,7 +23,6 @@ from .catalog import (
 )
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
 from .linalg import CYCLO, GF, Echelon, NotReducible, span
-from .planes import apply_automorphism
 from .series import (
     compare_with_counts,
     cyclic_diag_rep,
@@ -286,26 +285,24 @@ def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> list:
     return dims
 
 
-def _natural_map_images(algebra, group, j: int, cap: int):
+def _natural_map_images(ring, j: int, cap: int):
     """Images of the basis a f of (A#G)_j, x -> a (f.x), in the columns of
-    `_hom_layout`."""
+    `_hom_layout`; a (f.x) is the A-part of (a f)(x e)."""
     offsets, _ = _hom_layout(j, cap)
     for a in range(j + 1):
-        a_poly = algebra.monomial(a, j - a)
-        for f in group.elements():
+        for f in ring.group.elements():
             vec: dict = {}
             for i in range(cap + 1):
                 for x in range(i + 1):
-                    image = a_poly * apply_automorphism(group, f, algebra.monomial(x, i - x))
                     first = offsets[i] + x * (i + j + 1)
-                    for mono, c in image.terms.items():
+                    for mono, c in ring.mono_product((a, j - a), f, (x, i - x)).items():
                         vec[first + mono[0]] = c
             yield vec
 
 
-def _natural_map_rank(algebra, group, j: int, cap: int) -> int:
+def _natural_map_rank(ring, j: int, cap: int) -> int:
     """Rank of (A#G)_j -> truncated endomorphisms, a f -> (x -> a (f.x))."""
-    return span(_natural_map_images(algebra, group, j, cap)).rank
+    return span(_natural_map_images(ring, j, cap)).rank
 
 
 def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower,
@@ -356,7 +353,7 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     for j in range(degree + 1):
         dim_skew = (j + 1) * group.order
         # injective at the lower cap implies injective at the higher one
-        injective = _natural_map_rank(algebra, group, j, caps[0]) == dim_skew
+        injective = _natural_map_rank(case.ring, j, caps[0]) == dim_skew
         hom_lo, hom_hi = _certified_hom_dimensions(
             algebra, group, gens, j, caps, dim_skew if injective else None, diagnostics)
         stable = hom_lo == hom_hi

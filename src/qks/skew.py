@@ -1,11 +1,13 @@
 """Skew group rings T = A # G and their graded center machinery.
 
 Elements are finite maps from group elements to coefficients in A, multiplied
-by the rule (r g)(s h) = r (g.s) gh.  The center Z(T), the invariant ring A^G
-and the center Z(A) are all commutants in T, computed by one builder degree
-by degree as nullspaces of exact commutator systems over a bounded exponent
-window; claimed generating sets are certified by comparing spans against
-those windows.
+by the rule (r g)(s h) = r (g.s) gh.  The rule is written once, on monomials,
+as `SkewRing.mono_product`: element products, the commutator rows, the fiber
+structure table and the natural map all go through it.  The center Z(T), the
+invariant ring A^G and the center Z(A) are all commutants in T, computed by
+one builder degree by degree as nullspaces of exact commutator systems over a
+bounded exponent window; claimed generating sets are certified by comparing
+spans against those windows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .planes import (
     GroupElt,
     NCPoly,
     _pow_str,
+    _scalar_multiple_of,
     act_mono,
     apply_automorphism,
     check_action_well_defined,
@@ -37,6 +40,23 @@ class SkewRing:
             raise AlgebraError(f"{group} does not act on {algebra}")
         self.algebra = algebra
         self.group = group
+        # f.mono as (image, scalar), for the life of the ring
+        self._act = cache(lambda f, mono: act_mono(algebra, group, f, mono))
+        self._one = Cyclo.one(algebra.conductor)
+
+    def mono_product(self, m1, f1, m2) -> dict:
+        """m1 (f1.m2) as {mono: coeff}: the A-part of the product
+        (m1 f1)(m2 f2) of coefficient-1 monomials, which lies at f1 f2
+        whatever f2 is.
+
+        f1.m2 is read from the ring's action memo.  A factor of
+        `Algebra.mono_mul` that is an exact one is skipped: every factor has
+        a conductor divisible by the algebra's, so the product's conductor
+        is the same either way."""
+        image, s = self._act(f1, m2)
+        one = self._one
+        return {m: s if k.n == one.n and k.den == 1 and k.c == one.c else s * k
+                for m, k in self.algebra.mono_mul(m1, image).items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -104,12 +124,18 @@ class SkewElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        group = self.ring.group
+        ring = self.ring
+        gmul, product = ring.group.mul, ring.mono_product
         out: dict = {}
         for f1, x1 in self.comps.items():
             for f2, x2 in other.comps.items():
-                acc(out, group.mul(f1, f2), x1 * apply_automorphism(group, f1, x2))
-        return SkewElement(self.ring, out)
+                part = out.setdefault(gmul(f1, f2), {})
+                for m1, c1 in x1.terms.items():
+                    for m2, c2 in x2.terms.items():
+                        c12 = c1 * c2
+                        for m, k in product(m1, f1, m2).items():
+                            acc(part, m, c12 * k)
+        return SkewElement(ring, {f: NCPoly(ring.algebra, t) for f, t in out.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Cyclo)):
@@ -199,69 +225,32 @@ def _skew_coords(x, index: dict) -> dict:
             for f, poly in comps.items() for (a, b), c in poly.terms.items()}
 
 
-def _commutator_terms(ring: SkewRing):
-    """[x, w] for a candidate x = u^a v^b f and a monomial w = u^a2 v^b2 f2,
-    both with coefficient 1, as a function (mono, f, (m2, f2)) ->
-    {group element: {mono: coeff}}.
-
-    It adds m (f.m2) at f f2 and subtracts m2 (f2.m) at f2 f: one `act_mono`
-    and one `Algebra.mono_mul` per product, in the order `x * w - w * x`
-    builds them, with the same coefficients at the same conductors.
-    `signed_image` is cached for the life of the returned function, and
-    multiplications by an exact one are skipped."""
-    algebra, group = ring.algebra, ring.group
-    mono_mul, gmul = algebra.mono_mul, group.mul
-    n0 = algebra.conductor
-    one = Cyclo.one(n0).c
-
-    @cache
-    def signed_image(f, mono, sign):
-        # sign * (f.mono), as (image, coefficient)
-        image, s = act_mono(algebra, group, f, mono)
-        return image, s if sign > 0 else -s
-
-    def add_product(out, g, left, image_k):
-        image, k = image_k
-        part = out.setdefault(g, {})
-        for m, factor in mono_mul(left, image).items():
-            # every factor has a conductor divisible by n0, so skipping a
-            # factor 1 at n0 leaves the product's conductor as it was
-            exact_one = factor.n == n0 and factor.den == 1 and factor.c == one
-            acc(part, m, k if exact_one else k * factor)
-
-    def commutator(mono, f, gen) -> dict:
-        m2, f2 = gen
-        out: dict = {}
-        add_product(out, gmul(f, f2), mono, signed_image(f, m2, 1))
-        add_product(out, gmul(f2, f), m2, signed_image(f2, mono, -1))
-        return {g: part for g, part in out.items() if part}
-
-    return commutator
-
-
 def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
     """Basis of the elements of T that commute with every monomial (mono, f)
     of `gens`, homogeneous, with exponents in the window and group part in
     `support`.
 
     Solves [x, w] = 0 for w in gens degree by degree over the candidates
-    u^a v^b f, f in support, with the rows built from monomial products by
-    `_commutator_terms`; for Laurent algebras the degrees and both exponents
-    run over [-window, window]."""
+    u^a v^b f, f in support: x w and -(w x) go to `kernel` as entries from
+    `SkewRing.mono_product`, and it sums them per cell; for Laurent algebras
+    the degrees and both exponents run over [-window, window]."""
     algebra = ring.algebra
+    gmul, product = ring.group.mul, ring.mono_product
     n0 = algebra.conductor
     out = []
     for d in _degree_range(algebra, window):
-        # a builder per degree: its cache then holds one degree's images
-        commutator = _commutator_terms(ring)
         cands = [(mono, f) for mono in _monomials_of_degree(algebra, d, window)
                  for f in support]
-        entries = (((gi, m, g), col, c)
-                   for col, (mono, f) in enumerate(cands)
-                   for gi, gen in enumerate(gens)
-                   for g, part in commutator(mono, f, gen).items()
-                   for m, c in part.items())
-        for sol in kernel(entries, len(cands)):
+
+        def entries():
+            for col, (mono, f) in enumerate(cands):
+                for gi, (m2, f2) in enumerate(gens):
+                    for m, k in product(mono, f, m2).items():
+                        yield (gi, m, gmul(f, f2)), col, k
+                    for m, k in product(m2, f2, mono).items():
+                        yield (gi, m, gmul(f2, f)), col, -k
+
+        for sol in kernel(entries(), len(cands)):
             comps: dict = {}
             for col, coeff in sorted(sol.items()):
                 mono, f = cands[col]
@@ -476,8 +465,6 @@ def stabilizer_of_point(algebra: Algebra, group: Group, za_gens: list,
     """{f in G : f fixes the maximal ideal <z_i - values_i> of Z(A)}.
 
     Requires the action to permute the given generators up to scalars."""
-    from .planes import _scalar_multiple_of
-
     stab = []
     for f in group.elements():
         ok = True

@@ -23,10 +23,14 @@ Each group of digests was recorded at the parent of the change named:
   monomial products;
 - the next four (case iii at n = 1: two scans, a freeness scan and a
   center), before cases ii and iii came from one (-1)-plane builder;
-- the last three (the benchmark's case-ii auslander check, the case-0
+- the next three (the benchmark's case-ii auslander check, the case-0
   check at degree 0 and guard 0, whose Hom dimension moves between the
   caps, and a case-i check), before each degree's Hom dimensions at both
-  caps came from one elimination.
+  caps came from one elimination;
+- the last four (two centers and a fiber whose bytes pass through skew
+  element products, and a case-iii auslander check that is unstable at
+  guard 2 and goes through the natural map), before every monomial
+  product of A # G went through `SkewRing.mono_product`.
 
 A refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
 them.  The D2 torus scan was re-recorded with the orbit-polynomial rule: its
@@ -118,12 +122,22 @@ PINNED = [
      "ca791608378e84bd61a86fac6a284b70468d209beba07ed46cb77db91799cb60"),
     ("auslander --case i --n 3 --k 2 --localization none --degree 2 --guard 2",
      "658c1ce85c770a5cfef6dac4d88415fb2ad2e81b0e3d7b331cfe4b73e63312eb"),
+    ("center --case i --n 2 --k 4 --degree 6",
+     "7ce1e9ca7861e3b7016eac8a34d490f04100a858f690d43fb07632833ecc5f92"),
+    ("center --case iii --n 4 --localization torus --degree 6",
+     "86d9e4a53690678fb617fb738b2c5aff78eb4bc4a761f1f2bc2f7c314c0b3ea9"),
+    ("fiber --case i --n 3 --k 3 --point x=2,w=1/2",
+     "65d224b25058c85915cb1314beaec04b7d82e2b972e012ee842e08f0aa19f39e"),
+    ("auslander --case iii --n 3 --localization none --degree 2 --guard 2",
+     "fef2deb2f7b7b7b7ddeaefedf8dea50386653cce06c8385fdc2f4439ba358560"),
 ]
 
 # pinned commands whose verdict is not a pass: the case-0 control's
-# mismatch, and its truncation instability at guard 0
+# mismatch, and the truncation instability of case 0 at guard 0 and of
+# case iii n = 3 at guard 2
 EXIT_CODES = {"auslander --case 0 --localization none --degree 2 --guard 4": 1,
-              "auslander --case 0 --localization none --degree 0 --guard 0": 2}
+              "auslander --case 0 --localization none --degree 0 --guard 0": 2,
+              "auslander --case iii --n 3 --localization none --degree 2 --guard 2": 2}
 
 
 @pytest.mark.parametrize("command,digest", PINNED)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qks.cyclotomic import Cyclo, root_of_unity
-from qks.linalg import CYCLO, GF, Echelon, NotReducible, span, spans_equal
+from qks.linalg import CYCLO, GF, Echelon, NotReducible, kernel, span, spans_equal
 
 BIG = GF(2**31 - 1)
 
@@ -189,3 +189,16 @@ def test_spans_of_equal_rank_differ():
     # the same pivot columns, different tails
     assert not spans_equal([{0: one, 2: one}, {1: one}], [{0: one}, {1: one, 2: one}])
     assert spans_equal([{0: one, 2: one}, {1: one}], [{1: one}, {0: one, 2: one}])
+
+
+def test_kernel_skips_rows_whose_entries_cancel(monkeypatch):
+    # row "x" is 1 - 1 in column 0, as a commuting pair's x w and -(w x) are:
+    # the basis is the one without it, and no empty row reaches the echelon
+    one = Cyclo.rational(1)
+    added = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda ech, vec: added.append(vec) or add(ech, vec))
+    live = [("y", 0, one), ("y", 1, -one), ("z", 2, one)]
+    with_cancelled = kernel([("x", 0, one), ("x", 0, -one)] + live, 3)
+    assert added == [{0: one, 1: -one}, {2: one}]
+    assert with_cancelled == kernel(live, 3) == [{1: one, 0: one}]

@@ -7,13 +7,12 @@ import pytest
 
 from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
-from qks.linalg import spans_equal, nullspace
-from qks.planes import Algebra, AlgebraError, Group, check_inner_by
+from qks.linalg import acc, spans_equal, nullspace
+from qks.planes import Algebra, AlgebraError, Group, apply_automorphism, check_inner_by
 from qks.skew import (
     Presentation,
     SkewElement,
     SkewRing,
-    _commutator_terms,
     _degree_range,
     _monomials_of_degree,
     _skew_coords,
@@ -385,14 +384,14 @@ def test_stabilizer_torus_dihedral():
             assert G.mul(x, y) in stab
 
 
-def _random_skew(rng, T):
+def _random_skew(rng, T, max_terms=2):
     A = T.algebra
     lo = -2 if A.inverted else 0
     comps = {}
     for _ in range(rng.randint(1, 2)):
         f = rng.choice(T.group.elements())
         terms = {}
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(rng.randint(1, max_terms)):
             a = rng.randint(lo, 2)
             b = rng.randint(lo if "v" in A.inverted else 0, 2)
             terms[(a, b)] = A.scalar(rng.randint(-2, 2))
@@ -424,7 +423,7 @@ def _exact_terms(parts: dict) -> list:
     return [(f, [(m, c.n, c.c, c.den) for m, c in terms.items()]) for f, terms in parts.items()]
 
 
-@pytest.mark.parametrize("case", [
+SIX_RINGS = pytest.mark.parametrize("case", [
     ("0", {}),
     ("i", {"n": 3, "k": 2}),
     ("ii", {"localization": "full"}),
@@ -432,30 +431,55 @@ def _exact_terms(parts: dict) -> list:
     ("iii", {"n": 4, "localization": "torus"}),
     ("iv", {}),
 ], ids=["0", "C3k2", "S2full", "D3full", "D4torus", "jordan"])
+
+
+@SIX_RINGS
 @pytest.mark.parametrize("whole_group", [True, False], ids=["G", "e"])
-def test_commutator_rows_match_skew_products(case, whole_group):
-    """The monomial row builder gives the terms of cand * w - w * cand, in
-    the same order and at the same conductors, for every window-4 candidate
-    u^a v^b f and every commutation generator w."""
+def test_mono_product_matches_the_definition(case, whole_group):
+    """m1 (f1.m2) from `SkewRing.mono_product`, against NCPoly(m1) *
+    (f1.NCPoly(m2)), in the same order and at the same conductors, for every
+    window-4 monomial m1, f1 in the support, and m2 a window-4 monomial of
+    degree at most 2."""
     T = make_case(case[0], **case[1]).ring
-    gens = T.commutation_generators()
-    support = T.group.elements() if whole_group else [T.group.identity()]
-    commutator = _commutator_terms(T)
+    A, group = T.algebra, T.group
+    support = group.elements() if whole_group else [group.identity()]
+    monos = [m for d in _degree_range(A, 4) for m in _monomials_of_degree(A, d, 4)]
     checked = 0
-    for d in _degree_range(T.algebra, 4):
-        for mono in _monomials_of_degree(T.algebra, d, 4):
-            for f in support:
-                cand = T.monomial(*mono, f)
-                for m2, f2 in gens:
-                    w = T.monomial(*m2, f2)
-                    oracle = {g: poly.terms for g, poly in (cand * w - w * cand).comps.items()}
-                    rows = commutator(mono, f, (m2, f2))
-                    assert _exact_terms(rows) == _exact_terms(oracle), (mono, f, m2, f2)
-                    checked += 1
-                    if rows:
-                        # mutation: one coefficient with its sign flipped
-                        g, terms = next(iter(rows.items()))
-                        m, c = next(iter(terms.items()))
-                        flipped = {**rows, g: {**terms, m: -c}}
-                        assert _exact_terms(flipped) != _exact_terms(oracle)
-    assert checked >= 4 * len(support) * len(gens)
+    for m1 in monos:
+        for f1 in support:
+            for m2 in (m for m in monos if abs(sum(m)) <= 2):
+                oracle = A.monomial(*m1) * apply_automorphism(group, f1, A.monomial(*m2))
+                terms = T.mono_product(m1, f1, m2)
+                assert _exact_terms({f1: terms}) == _exact_terms({f1: oracle.terms}), (m1, f1, m2)
+                checked += 1
+                # mutation: one coefficient with its sign flipped
+                m, c = next(iter(terms.items()))
+                assert _exact_terms({f1: {**terms, m: -c}}) != _exact_terms({f1: oracle.terms})
+    assert checked >= 25 * len(support)
+
+
+def _old_product(x, y) -> dict:
+    """x * y by the rule as first written: x1 * (f1.x2) at f1 f2, summed."""
+    group = x.ring.group
+    out: dict = {}
+    for f1, x1 in x.comps.items():
+        for f2, x2 in y.comps.items():
+            acc(out, group.mul(f1, f2), x1 * apply_automorphism(group, f1, x2))
+    return {f: poly.terms for f, poly in out.items()}
+
+
+@SIX_RINGS
+def test_skew_products_match_the_old_formula(case):
+    """Seeded products of multi-term elements, exact to the conductor of
+    every coefficient; on the Jordan ring `mono_mul` gives several terms."""
+    T = make_case(case[0], **case[1]).ring
+    rng = random.Random(20261019)
+    several = 0
+    for _ in range(150):
+        x, y = _random_skew(rng, T, max_terms=4), _random_skew(rng, T, max_terms=4)
+        product = {f: poly.terms for f, poly in (x * y).comps.items()}
+        assert _exact_terms(product) == _exact_terms(_old_product(x, y))
+        several += any(len(T.algebra.mono_mul(m1, m2)) > 1
+                       for x1 in x.comps.values() for m1 in x1.terms
+                       for x2 in y.comps.values() for m2 in x2.terms)
+    assert (several > 0) == (case[0] == "iv")

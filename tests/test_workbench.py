@@ -280,7 +280,7 @@ def test_natural_map_images_solve_the_hom_system(cid):
     for j in range(3):
         for cap in range(min(g.degree() for g in gens), 5):
             rows = list(scans._hom_rows(algebra, gens, j, cap))
-            images = list(scans._natural_map_images(algebra, group, j, cap))
+            images = list(scans._natural_map_images(case.ring, j, cap))
             assert rows and len(images) == (j + 1) * group.order
             for image in images:
                 for row in rows:
