@@ -6,8 +6,9 @@ optionally with inverted generators (Laurent versions; the Jordan plane admits
 inverting u only).  An algebra may also declare central denominators: the
 elements a localization inverts (such as u^2 - v^2).  They are validated
 (nonzero, central, and carried to scalar multiples of one another by the
-group) and recorded in the algebra's key, but no element carries one; every
-element is a Laurent polynomial.
+group) and recorded on the algebra, but no element carries one; every
+element is a Laurent polynomial.  An algebra is one object: elements of two
+separately built algebras do not mix, even when their presentations agree.
 
 Elements are kept in the PBW normal form sum c_{ab} u^a v^b.  Products are
 normalized eagerly: the quantum plane commutes exponents through a power of q,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import lcm, prod
 
 from .cyclotomic import Cyclo, multiplicative_order, power
 from .linalg import acc
@@ -74,15 +75,6 @@ class Algebra:
         if not is_central_in_algebra(poly):
             raise AlgebraError(f"denominator {poly} is not central")
         self.denominators = self.denominators + (poly,)
-
-    def key(self):
-        qkey = None if self.q is None else (self.q.n, self.q.c, self.q.den)
-        dens = tuple(tuple(sorted((m, c.c, c.den) for m, c in d.terms.items()))
-                     for d in self.denominators)
-        return (self.kind, qkey, self.inverted, dens)
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, Algebra) and self.key() == other.key()
 
     def __repr__(self):
         names = {"commutative": "k[u,v]", "quantum": "k_q[u,v]", "jordan": "k_J[u,v]"}
@@ -197,7 +189,7 @@ class NCPoly:
 
     def _coerce_other(self, other):
         if isinstance(other, NCPoly):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra:
                 raise AlgebraError("operands live in different algebras")
             return other
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -411,50 +403,37 @@ def _scalar_multiple_of(x: NCPoly, y: NCPoly):
 
 
 def check_action_well_defined(algebra: Algebra, group: Group) -> bool:
-    """True iff the generator images respect the defining relation, the
-    inversion structure and the denominators, and the group relations act
-    trivially."""
+    """True iff `act_mono` is a homomorphism G -> Aut(A), so that A # G is
+    associative.
+
+    For each generator f of G, with fu = f.u and fv = f.v: fv fu is the
+    normal form of vu (`Algebra.mono_mul`) evaluated at (fu, fv); fu and fv
+    are units where u and v are inverted; f carries each denominator to a
+    scalar multiple of one; and f.(g.x) = (fg).x, by `Group.mul`, for every
+    g in G and x in {u, v}."""
+    vu = algebra.mono_mul((0, 1), (1, 0))
     try:
+        # g.u and g.v as (monomial, scalar), for every g
+        images = {g: [act_mono(algebra, group, g, x) for x in ((1, 0), (0, 1))]
+                 for g in group.elements()}
         for f in group.generators():
-            fu = apply_automorphism(group, f, algebra.u())
-            fv = apply_automorphism(group, f, algebra.v())
-            if algebra.kind == "quantum":
-                residue = fv * fu - algebra.q * (fu * fv)
-            elif algebra.kind == "jordan":
-                residue = fv * fu - fu * fv - fu * fu
-            else:
-                residue = fv * fu - fu * fv
-            if not residue.is_zero():
+            fu, fv = (algebra.monomial(*m, s) for m, s in images[f])
+            if fv * fu != sum((prod([fu] * a + [fv] * b, start=c) for (a, b), c in vu.items()),
+                              algebra.zero()):
                 return False
-            for name in algebra.inverted:
-                gen = algebra.u() if name == "u" else algebra.v()
-                image = apply_automorphism(group, f, gen)
-                if len(image.terms) != 1:
-                    return False
-                ((a, b),) = image.terms
-                if (a and "u" not in algebra.inverted) or (b and "v" not in algebra.inverted):
-                    return False
+            for name, image in (("u", fu), ("v", fv)):
+                if name in algebra.inverted:
+                    image.inverse()  # raises AlgebraError unless a unit
             for d in algebra.denominators:
-                # f must map each denominator to a scalar multiple of one
                 image = apply_automorphism(group, f, d)
                 if all(_scalar_multiple_of(image, t) is None for t in algebra.denominators):
                     return False
-        # group relations act as the identity automorphism
-        words = []
-        if group.n > 1:
-            words.append([(1, 0)] * group.n)
-        if group.has_reflection:
-            words.append([(0, 1)] * 2)
-        if group.kind == "dihedral":
-            words.append([(0, 1), (1, 0)] * 2)  # (hg)^2
-        for word in words:
-            for gen_poly in (algebra.u(), algebra.v()):
-                image = gen_poly
-                for f in word:
-                    image = apply_automorphism(group, f, image)
-                if image != gen_poly:
-                    return False
-    except ActionError:
+            for g in group.elements():
+                for (gx, s), fgx in zip(images[g], images[group.mul(f, g)]):
+                    y, t = act_mono(algebra, group, f, gx)
+                    if (y, s * t) != fgx:
+                        return False
+    except (ActionError, AlgebraError):
         return False
     return True
 

@@ -33,6 +33,7 @@ from .series import (
     molien_series,
 )
 from .skew import (
+    SkewRing,
     center_basis,
     invariant_basis,
     stabilizer_of_point,
@@ -175,7 +176,7 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     witnesses = 0
     for stab_draw in draws:
         values = sample_za_values(case, rng, stabilized=stab_draw)
-        stab = stabilizer_of_point(case.ring.algebra, group, case.za_gens, values)
+        stab = stabilizer_of_point(case.ring, case.za_gens, values)
         rec = {"values": {f"z{i}": v.to_str() for i, v in enumerate(values)},
                "stabilizer_order": len(stab),
                "stabilizer": [group.element_str(f) for f in stab]}
@@ -198,10 +199,11 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
 
 
 def _invariant_algebra_generators(algebra, group, upto: int):
-    """Minimal homogeneous algebra generators of A^G up to the given degree."""
+    """Minimal homogeneous algebra generators of A^G up to the given degree,
+    from a ring of its own: the benchmark's frozen inputs pass the pair."""
     gens: list = []
     subalgebra_basis_by_degree(algebra, gens, upto,
-                               adopt=invariant_basis(algebra, group, upto))
+                               adopt=invariant_basis(SkewRing(algebra, group), upto))
     return gens
 
 
@@ -432,8 +434,15 @@ def _check_window(window: int):
 
 
 def center_report(case: CaseSpec, window: int | None = None) -> Report:
+    """Z(T) over the window against the catalog's generators; a window that
+    holds none of them would match vacuously, so it is an error."""
     window = window if window is not None else default_window(case)
     _check_window(window)
+    if case.presentation is not None:
+        degs = sorted(g.degree() for g in case.presentation.gens.values())
+        if all(abs(d) > window for d in degs):
+            raise CatalogError(f"the window {window} holds no claimed generator of "
+                               f"Z(T) (degrees {degs}); raise degree")
     basis = center_basis(case.ring, window)
     verified = None
     if case.presentation is not None:
@@ -453,7 +462,7 @@ def center_report(case: CaseSpec, window: int | None = None) -> Report:
 def invariants_report(case: CaseSpec, window: int | None = None) -> Report:
     window = window if window is not None else 8
     _check_window(window)
-    basis = invariant_basis(case.ring.algebra, case.ring.group, window)
+    basis = invariant_basis(case.ring, window)
     return Report("invariants", case.label, case.params(), None, case.conductor,
                   _graded_body(window, basis), "computed", True)
 

@@ -266,12 +266,11 @@ def center_basis(ring: SkewRing, window: int) -> list:
     return _commutant(ring, window, ring.commutation_generators(), ring.group.elements())
 
 
-def invariant_basis(algebra: Algebra, group: Group, window: int) -> list:
-    """Basis of the fixed ring A^G over the window: the part of A in T = A # G
-    that commutes with G."""
-    ring = SkewRing(algebra, group)
-    gens = [((0, 0), f) for f in group.generators()]
-    identity = group.identity()
+def invariant_basis(ring: SkewRing, window: int) -> list:
+    """Basis of the fixed ring A^G over the window: the part of A in the
+    ring T = A # G that commutes with G."""
+    gens = [((0, 0), f) for f in ring.group.generators()]
+    identity = ring.group.identity()
     return [x.comps[identity] for x in _commutant(ring, window, gens, [identity])]
 
 
@@ -450,21 +449,21 @@ def subalgebra_basis_by_degree(algebra: Algebra, gens: list, window: int,
     return basis
 
 
-def verify_invariant_generating_set(algebra: Algebra, group: Group, gens: list,
-                                    window: int) -> bool:
+def verify_invariant_generating_set(ring: SkewRing, gens: list, window: int) -> bool:
     """True iff the subalgebra generated by `gens` matches A^G in the degrees
-    0..window."""
-    fixed = invariant_basis(algebra, group, window)
-    prods = subalgebra_basis_by_degree(algebra, gens, window)
+    0..window, for the ring A # G."""
+    fixed = invariant_basis(ring, window)
+    prods = subalgebra_basis_by_degree(ring.algebra, gens, window)
     return _spans_match_by_degree([(x.degree(), x) for x in fixed if x.degree() >= 0],
                                   [(d, x) for d, xs in prods.items() for x in xs])
 
 
-def stabilizer_of_point(algebra: Algebra, group: Group, za_gens: list,
-                        values: list) -> list:
-    """{f in G : f fixes the maximal ideal <z_i - values_i> of Z(A)}.
+def stabilizer_of_point(ring: SkewRing, za_gens: list, values: list) -> list:
+    """{f in G : f fixes the maximal ideal <z_i - values_i> of Z(A)}, for the
+    ring A # G.
 
     Requires the action to permute the given generators up to scalars."""
+    group = ring.group
     stab = []
     for f in group.elements():
         ok = True

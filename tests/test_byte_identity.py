@@ -32,6 +32,10 @@ Each group of digests was recorded at the parent of the change named:
   guard 2 and goes through the natural map), before every monomial
   product of A # G went through `SkewRing.mono_product`.
 
+`HUMAN_PINNED` holds one command per human-format report body (points,
+stabilizers, graded dims, Hom degrees, Molien series, one fiber), recorded
+before the action check read the relation and the group law.
+
 A refactor of linalg, planes, skew, fiber, catalog or scans must reproduce
 them.  The D2 torus scan was re-recorded with the orbit-polynomial rule: its
 old digest recorded a sampler that drew only points with u^2 and v^2 at the
@@ -140,9 +144,35 @@ EXIT_CODES = {"auslander --case 0 --localization none --degree 2 --guard 4": 1,
               "auslander --case iii --n 3 --localization none --degree 2 --guard 2": 2}
 
 
+# the default --format human, one command per report body kind
+HUMAN_PINNED = [
+    ("scan --case ii --localization torus --samples 3 --seed 7",
+     "b64a3a116751e815931e0d3db1adbe7cc7b7f1f464487eef9116e69c2a847226"),
+    ("freeness --case 0 --localization none --samples 3 --seed 7",
+     "8019b6e4876818c454426f61a47839ff10583d4edaedd8834b9c8d6d0233491a"),
+    ("center --case iii --n 3 --localization none --degree 8",
+     "71dbe3ff24df55bd4a04450236d6a8d5f14af40d612fb8cef40bff873fc458a9"),
+    ("invariants --case ii --localization none --degree 6",
+     "051c5ebb8840f8e9dbbde3b1ba9f720220f2da2b2d8ec558ff37b7bc756c8957"),
+    ("auslander --case ii --localization none --degree 2 --guard 4",
+     "067d3746d0be44782d29fbdbd5bbaa9e100d7e708ff5aa80e2a5fc2b8dd62d58"),
+    ("molien --case iii --m 2 --degree 8",
+     "dc048b3770e6203f849ba24dadd41f2c6848303c834846b8ef73e8bf39542cc2"),
+    ("fiber --case ii --localization full --point s2=5,y=3",
+     "30f232327c50ed197bc62d82991815f85083637870e8c072e4c3946212d23623"),
+]
+
+
 @pytest.mark.parametrize("command,digest", PINNED)
 def test_json_bytes_are_pinned(capsys, command, digest):
     code = main(command.split() + ["--format", "json"])
     out = capsys.readouterr().out
     assert code == EXIT_CODES.get(command, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", HUMAN_PINNED)
+def test_human_bytes_are_pinned(capsys, command, digest):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -147,6 +147,17 @@ def test_action_not_well_defined():
                                          Group("cyclic", 3, root_of_unity(1, 3)))
 
 
+def test_action_must_follow_the_group_law():
+    # the action reads f.(g.x) = (fg).x off Group.mul: a law that disagrees
+    # with act_mono is rejected, though every relation word still acts trivially
+    d3 = Group("dihedral", 3, root_of_unity(1, 3))
+    d3.mul = lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 2)  # abelian
+    assert not check_action_well_defined(minus_one_plane(), d3)
+    c3 = Group("cyclic", 3, root_of_unity(1, 3))
+    c3.mul = lambda x, y: ((x[0] + 2 * y[0]) % 3, 0)
+    assert not check_action_well_defined(quantum(root_of_unity(1, 6), conductor=6), c3)
+
+
 def test_inner_torus_minus_one():
     A = minus_one_plane(inverted={"u", "v"})
     G = Group("cyclic", 2, Cyclo.rational(-1))

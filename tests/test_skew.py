@@ -296,20 +296,21 @@ def test_invariant_basis_examples():
     # degree-0 component is always spanned by 1
     for n in (2, 3):
         T = ring_case_i(n)
-        inv = invariant_basis(T.algebra, T.group, 4)
+        inv = invariant_basis(T, 4)
         deg0 = [p for p in inv if p.degree() == 0]
         assert len(deg0) == 1
     # k_q^{C_n}: u^i v^j fixed iff i = j mod n; degree 2 component is spanned by uv
     T = ring_case_i(3)
-    inv2 = [p for p in invariant_basis(T.algebra, T.group, 3) if p.degree() == 2]
+    inv2 = [p for p in invariant_basis(T, 3) if p.degree() == 2]
     assert len(inv2) == 1
     assert set(inv2[0].terms) == {(1, 1)}
 
 
 def test_invariant_basis_rejects_a_group_that_does_not_act():
-    # the swap u <-> v does not respect the Jordan relation vu = uv + u^2
+    # invariant_basis takes a ring, and the swap u <-> v, which does not
+    # respect the Jordan relation vu = uv + u^2, makes none
     with pytest.raises(AlgebraError, match="does not act"):
-        invariant_basis(Algebra("jordan"), Group("sym2"), 4)
+        SkewRing(Algebra("jordan"), Group("sym2"))
 
 
 def test_invariant_generating_set_dihedral_plane():
@@ -318,7 +319,7 @@ def test_invariant_generating_set_dihedral_plane():
         A = Algebra("commutative", conductor=n)
         G = Group("dihedral", n, root_of_unity(1, n))
         gens = [A.monomial(1, 1), A.monomial(n, 0) + A.monomial(0, n)]
-        assert verify_invariant_generating_set(A, G, gens, n + 2)
+        assert verify_invariant_generating_set(SkewRing(A, G), gens, n + 2)
 
 
 def test_verify_generating_set_example_outer():
@@ -360,23 +361,25 @@ def test_central_point_validation():
 def test_stabilizer_commutative_swap():
     A = Algebra("commutative")
     G = Group("sym2")
+    T = SkewRing(A, G)
     gens = [A.u(), A.v()]
-    assert stabilizer_of_point(A, G, gens, [Cyclo.rational(2), Cyclo.rational(3)]) == [(0, 0)]
-    assert stabilizer_of_point(A, G, gens, [Cyclo.rational(2), Cyclo.rational(2)]) == [(0, 0), (0, 1)]
+    assert stabilizer_of_point(T, gens, [Cyclo.rational(2), Cyclo.rational(3)]) == [(0, 0)]
+    assert stabilizer_of_point(T, gens, [Cyclo.rational(2), Cyclo.rational(2)]) == [(0, 0), (0, 1)]
 
 
 def test_stabilizer_torus_dihedral():
     n = 3
     A = Algebra("quantum", q=Cyclo.rational(-1), conductor=n, inverted={"u", "v"})
     G = Group("dihedral", n, root_of_unity(1, n))
+    T = SkewRing(A, G)
     gens = [A.monomial(2, 0), A.monomial(0, 2)]
     w = root_of_unity(1, n)
     # alpha = w^i beta gives a reflection in the stabilizer
-    stab = stabilizer_of_point(A, G, gens, [w, Cyclo.one(3)])
+    stab = stabilizer_of_point(T, gens, [w, Cyclo.one(3)])
     assert len(stab) > 1
     assert all(f in G.elements() for f in stab)
     # generic rational point: trivial
-    stab = stabilizer_of_point(A, G, gens, [Cyclo.rational(1), Cyclo.rational(2)])
+    stab = stabilizer_of_point(T, gens, [Cyclo.rational(1), Cyclo.rational(2)])
     assert stab == [(0, 0)]
     # closure under multiplication
     for x in stab:

@@ -80,7 +80,9 @@ def test_case_ii_is_case_iii_at_n1(localization):
     # S_2 = D_1: the same ring and claims, with s2 named q2n and the names swapped
     ii = make_case("ii", localization=localization)
     iii = make_case("iii", n=1, localization=localization)
-    assert ii.ring.algebra.key() == iii.ring.algebra.key()
+    a2, a3 = ii.ring.algebra, iii.ring.algebra
+    assert (a2.kind, a2.q, a2.inverted) == (a3.kind, a3.q, a3.inverted)
+    assert [d.terms for d in a2.denominators] == [d.terms for d in a3.denominators]
     assert ii.ring.group.elements() == iii.ring.group.elements()
     for attr in ("expected_d", "azumaya_expected", "keeps_stabilized", "x_outer", "conductor"):
         assert getattr(ii, attr) == getattr(iii, attr), attr
@@ -629,6 +631,30 @@ def test_azumaya_scan_inconsistent_ranks_fail(monkeypatch):
     rep = azumaya_scan(make_case("0", localization="full"), samples=3, seed=2)
     assert rep.verdict == "inconsistent-rank"
     assert rep.passed is False and rep.exit_code == 1
+
+
+def test_azumaya_scan_control_without_witness_fails(monkeypatch):
+    # a negative control whose stabilized draw certifies central simple
+    monkeypatch.setattr(scans, "_certify_point",
+                        lambda case, point: {"certificate": "central-simple", "d": 4})
+    rep = azumaya_scan(make_case("ii", localization="torus"), samples=3, seed=2)
+    assert rep.verdict == "azumaya-consistent(4)"
+    assert rep.passed is False and rep.exit_code == 1
+
+
+@pytest.mark.parametrize("degree", ["0", "3"])
+def test_cli_center_window_without_a_generator_is_an_error(capsys, degree):
+    # the D3 generators have degrees 4 and 6: no claim fits, so no vacuous pass
+    assert main(["center", "--case", "iii", "--n", "3", "--localization", "full",
+                 "--degree", degree]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"window {degree}" in err and "[4, 6]" in err
+
+
+def test_cli_center_window_with_a_generator_passes(capsys):
+    assert main(["center", "--case", "iii", "--n", "3", "--localization", "full",
+                 "--degree", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "matches-catalog-generators"
 
 
 def test_center_report_generator_mismatch_fails(monkeypatch):
