@@ -2,7 +2,8 @@
 point samplers and fiber recipes.
 
 Case ids
-  0    k[u,v] # S_2           (swap action; the motivating commutative example)
+  0    k[u,v] # S_2           (k_q at q = 1 with S_2 = D_1; the motivating
+                              commutative example)
   i    k_q[u,v] # C_n         (q of root-of-unity order k, or a non-root rational)
   ii   k_{-1}[u,v] # S_2      (case iii at n = 1, since S_2 = D_1)
   iii  k_{-1}[u,v] # D_n
@@ -157,10 +158,9 @@ def _case_zero(localization: str | None = None) -> CaseSpec:
     localization = localization or "full"
     if localization not in ("none", "full"):
         raise CatalogError("case 0 supports localizations none | full")
-    base = Algebra("commutative")
-    dens = [base.u() - base.v()] if localization == "full" else []
-    A = Algebra("commutative", denominators=dens)
-    T = SkewRing(A, Group("sym2"))
+    dens = [{(1, 0): 1, (0, 1): -1}] if localization == "full" else []
+    A = Algebra("quantum", q=Cyclo.one(), denominators=dens)
+    T = SkewRing(A, Group("dihedral", 1))
     one = Cyclo.one()
     pres = Presentation(
         ring=T, names=("s", "m"),
@@ -242,7 +242,6 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
         pres = Presentation(
             ring=T, names=("x", "w"), gens={"x": x_elt, "w": w_elt},
             invertible=frozenset({"x", "w"}),
-            localized_at=[{(1, 0): Cyclo.one()}, {(0, 1): Cyclo.one()}],
         ).validate()
 
         def draw(rng, stabilized):
@@ -283,7 +282,7 @@ def _case_ii(localization: str | None = None) -> CaseSpec:
     localization = localization or "full"
     if localization not in ("none", "torus", "full"):
         raise CatalogError("case ii supports localizations none | torus | full")
-    return _minus_one_plane("ii", "sym2", 1, localization, ("s2", "y"))
+    return _minus_one_plane("ii", 1, localization, ("s2", "y"))
 
 
 def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
@@ -296,11 +295,10 @@ def _case_iii(n=None, localization: str | None = None) -> CaseSpec:
         localization = allowed[-1]
     if localization not in allowed:
         raise CatalogError(f"case iii with n={n} supports localizations {allowed}")
-    return _minus_one_plane("iii", "dihedral", n, localization, ("y", "q2n"))
+    return _minus_one_plane("iii", n, localization, ("y", "q2n"))
 
 
-def _minus_one_plane(case_id: str, group_kind: str, n: int, localization: str,
-                     names: tuple) -> CaseSpec:
+def _minus_one_plane(case_id: str, n: int, localization: str, names: tuple) -> CaseSpec:
     """k_{-1}[u,v] # G for G = D_n, or for S_2 = D_1 at n = 1 (case ii).
 
     For odd n, `names` orders the generators y = u^2 v^2 and sigma =
@@ -308,14 +306,11 @@ def _minus_one_plane(case_id: str, group_kind: str, n: int, localization: str,
     draws of a point follow it."""
     odd = n % 2 == 1
     conductor = n if odd else lcm(n, 4)
-    q = Cyclo.rational(-1)
     inverted = frozenset() if localization == "none" else frozenset({"u", "v"})
-    dens = []
-    if localization == "full":
-        base = Algebra("quantum", q=q, conductor=conductor, inverted=inverted)
-        dens = [base.monomial(2 * n, 0) - base.monomial(0, 2 * n)]
-    A = Algebra("quantum", q=q, conductor=conductor, inverted=inverted, denominators=dens)
-    T = SkewRing(A, Group(group_kind, n, root_of_unity(1, n).coerce(conductor)))
+    dens = [{(2 * n, 0): 1, (0, 2 * n): -1}] if localization == "full" else []
+    A = Algebra("quantum", q=Cyclo.rational(-1), conductor=conductor, inverted=inverted,
+                denominators=dens)
+    T = SkewRing(A, Group("dihedral", n, root_of_unity(1, n).coerce(conductor)))
     one = Cyclo.one()
     if odd:
         (sigma,) = set(names) - {"y"}
@@ -323,17 +318,13 @@ def _minus_one_plane(case_id: str, group_kind: str, n: int, localization: str,
         def at(name, e):  # the exponent tuple of name^e
             return tuple(e if other == name else 0 for other in names)
 
-        localized_at = []
-        if localization != "none":
-            localized_at.append({at("y", 1): one})                            # y != 0
-        if localization == "full":
-            # (u^{2n} - v^{2n})^2 = sigma^2 - 4 y^n != 0
-            localized_at.append({at(sigma, 2): one, at("y", n): Cyclo.rational(-4)})
         pres = Presentation(
             ring=T, names=names,
             gens={"y": T.monomial(2, 2), sigma: T.monomial(2 * n, 0) + T.monomial(0, 2 * n)},
             invertible=frozenset({"y"}) if localization != "none" else frozenset(),
-            localized_at=localized_at,
+            # (u^{2n} - v^{2n})^2 = sigma^2 - 4 y^n != 0
+            localized_at=[{at(sigma, 2): one, at("y", n): Cyclo.rational(-4)}]
+            if localization == "full" else [],
         ).validate()
         expected = 4 * n
         azu = {"none": None, "torus": False, "full": True}[localization]
@@ -363,7 +354,6 @@ def _minus_one_plane(case_id: str, group_kind: str, n: int, localization: str,
             gens={"x": x_elt, "y": T.monomial(2, 2), "z": z_elt},
             relations=[relation],
             invertible=frozenset({"y"}) if localization != "none" else frozenset(),
-            localized_at=[{(0, 1, 0): one.coerce(conductor)}] if localization != "none" else [],
         ).validate()
         expected = 2 * n
         azu = {"none": None, "torus": True}[localization]
@@ -389,8 +379,8 @@ def _minus_one_plane(case_id: str, group_kind: str, n: int, localization: str,
         return None if localization == "full" and alpha ** n == beta ** n else [alpha, beta]
 
     return CaseSpec(
-        case_id=case_id, label=f"k_{{-1}}[u,v]#{T.group!r}",
-        n=None if group_kind == "sym2" else n, k=2, q_value=None,  # S_2 takes no n
+        case_id=case_id, label="k_{-1}[u,v]#" + ("S2" if case_id == "ii" else f"D{n}"),
+        n=None if case_id == "ii" else n, k=2, q_value=None,  # S_2 takes no n
         localization=localization, ring=T, presentation=pres,
         x_outer=odd, expected_d=expected, azumaya_expected=azu,
         scan_reason="the unlocalized ring is not Azumaya; scan a localization"

@@ -254,11 +254,7 @@ class Cyclo:
         other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        da, db = a.den, b.den
-        if da == db:
-            return _make(a.n, [x - y for x, y in zip(a.c, b.c)], da)
-        return _make(a.n, [x * db - y * da for x, y in zip(a.c, b.c)], da * db)
+        return self + (-other)
 
     def __mul__(self, other):
         if other.__class__ is not Cyclo:
@@ -351,15 +347,16 @@ def _as_cyclo(x):
 
 
 def power(x, k: int, one):
-    """x^k for k >= 0 by square-and-multiply, starting from `one`."""
-    result = one
+    """x^k for k >= 0 by square-and-multiply, starting from the first factor
+    (`one` is returned only for k = 0)."""
+    result = None
     while k:
         if k & 1:
-            result = result * x
+            result = x if result is None else result * x
         k >>= 1
         if k:
             x = x * x
-    return result
+    return one if result is None else result
 
 
 def root_of_unity(j: int, n: int) -> Cyclo:

@@ -1,21 +1,23 @@
 """Normal-form arithmetic in the base algebras and their finite group actions.
 
-Supported coefficient rings: the commutative plane k[u,v], the quantum plane
-k_q[u,v] (vu = q uv), and the Jordan plane k_J[u,v] (vu = uv + u^2), each
-optionally with inverted generators (Laurent versions; the Jordan plane admits
-inverting u only).  An algebra may also declare central denominators: the
-elements a localization inverts (such as u^2 - v^2).  They are validated
-(nonzero, central, and carried to scalar multiples of one another by the
-group) and recorded on the algebra, but no element carries one; every
-element is a Laurent polynomial.  An algebra is one object: elements of two
-separately built algebras do not mix, even when their presentations agree.
+Supported coefficient rings: the quantum plane k_q[u,v] (vu = q uv), whose
+member at q = 1 is the commutative plane k[u,v], and the Jordan plane
+k_J[u,v] (vu = uv + u^2), each optionally with inverted generators (Laurent
+versions; the Jordan plane admits inverting u only).  An algebra may also
+declare central denominators, as {(a, b): coeff} term dicts: the elements a
+localization inverts (such as u^2 - v^2).  They are validated (nonzero,
+central, and carried to scalar multiples of one another by the group) and
+recorded on the algebra, but no element carries one; every element is a
+Laurent polynomial.  An algebra is one object: elements of two separately
+built algebras do not mix, even when their presentations agree.
 
 Elements are kept in the PBW normal form sum c_{ab} u^a v^b.  Products are
 normalized eagerly: the quantum plane commutes exponents through a power of q,
 and the Jordan plane uses v u^a = u^a v + a u^{a+1} (valid for all integer a).
 
-Groups are the cyclic, order-2 and dihedral groups acting by
-g.u = w u, g.v = w^{-1} v, h.u = v, h.v = u for a fixed primitive root w.
+Groups are the cyclic groups C_n and the dihedral groups D_n (S_2 is D_1)
+acting by g.u = w u, g.v = w^{-1} v, h.u = v, h.v = u for a fixed primitive
+root w; h carries u^a v^b to v^a u^b, renormalized by the plane relation.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class Algebra:
 
     def __init__(self, kind: str, q: Cyclo | None = None, conductor: int = 1,
                  inverted=frozenset(), denominators=()):
-        if kind not in ("commutative", "quantum", "jordan"):
+        if kind not in ("quantum", "jordan"):
             raise AlgebraError(f"unknown algebra kind {kind!r}")
         if kind == "quantum":
             if q is None or q.is_zero():
@@ -68,8 +70,8 @@ class Algebra:
         for d in denominators:
             self._adjoin_denominator(d)
 
-    def _adjoin_denominator(self, poly: "NCPoly"):
-        poly = NCPoly(self, poly.terms)
+    def _adjoin_denominator(self, terms: dict):
+        poly = NCPoly(self, {mono: self.scalar(c) for mono, c in terms.items()})
         if poly.is_zero():
             raise AlgebraError("denominator is zero")
         if not is_central_in_algebra(poly):
@@ -77,8 +79,7 @@ class Algebra:
         self.denominators = self.denominators + (poly,)
 
     def __repr__(self):
-        names = {"commutative": "k[u,v]", "quantum": "k_q[u,v]", "jordan": "k_J[u,v]"}
-        tag = names[self.kind]
+        tag = {"quantum": "k_q[u,v]", "jordan": "k_J[u,v]"}[self.kind]
         if self.inverted:
             tag += " localized at " + ",".join(sorted(self.inverted))
         return f"Algebra({tag})"
@@ -123,8 +124,6 @@ class Algebra:
         """u^a1 v^b1 * u^a2 v^b2 in normal form, as {mono: Cyclo}."""
         a1, b1 = m1
         a2, b2 = m2
-        if self.kind == "commutative":
-            return {(a1 + a2, b1 + b2): Cyclo.one(self.conductor)}
         if self.kind == "quantum":
             return {(a1 + a2, b1 + b2): self.qpow(b1 * a2)}
         # Jordan: move v^b1 across u^a2, one v at a time
@@ -295,15 +294,12 @@ def is_central_in_algebra(x: NCPoly) -> bool:
 
 
 class Group:
-    """Cyclic, order-2 or dihedral group with its fixed action data."""
+    """Cyclic group C_n or dihedral group D_n with its fixed action data."""
 
     def __init__(self, kind: str, n: int = 1, omega: Cyclo | None = None):
-        if kind not in ("cyclic", "sym2", "dihedral"):
+        if kind not in ("cyclic", "dihedral"):
             raise AlgebraError(f"unknown group kind {kind!r}")
-        if kind == "sym2":
-            if n != 1:
-                raise AlgebraError("sym2 has no rotation part")
-        elif n < 1:
+        if n < 1:
             raise AlgebraError("rotation order must be positive")
         if omega is None:
             if n > 1:
@@ -318,7 +314,7 @@ class Group:
 
     @property
     def has_reflection(self) -> bool:
-        return self.kind in ("sym2", "dihedral")
+        return self.kind == "dihedral"
 
     @property
     def order(self) -> int:
@@ -353,7 +349,7 @@ class Group:
         return self._omega_pow(e % self.n)
 
     def __repr__(self):
-        return {"cyclic": f"C{self.n}", "sym2": "S2", "dihedral": f"D{self.n}"}[self.kind]
+        return f"{'D' if self.has_reflection else 'C'}{self.n}"
 
     def element_str(self, f: GroupElt) -> str:
         i, j = f
@@ -366,17 +362,17 @@ class Group:
 
 
 def act_mono(algebra: Algebra, group: Group, f: GroupElt, mono: Mono):
-    """Image of a monomial under f, as (monomial, scalar); actions are monomial."""
+    """Image of a monomial under f, as (monomial, scalar); raises ActionError
+    when the image is not one monomial."""
     i, j = f
     a, b = mono
     scalar = Cyclo.one(algebra.conductor)
     if j:
-        # h: u^a v^b -> v^a u^b, then renormalize
-        if algebra.kind == "jordan":
-            raise ActionError("reflections do not act on the Jordan plane")
-        if algebra.kind == "quantum":
-            scalar = scalar * algebra.qpow(a * b)
-        a, b = b, a
+        # h: u^a v^b -> v^a u^b, in normal form by the plane relation
+        image = algebra.mono_mul((0, a), (b, 0))
+        if len(image) != 1:
+            raise ActionError(f"h does not carry u^{a} v^{b} to a monomial")
+        (((a, b), scalar),) = image.items()
     if i:
         scalar = scalar * group.wpow(i * (a - b))
     return (a, b), scalar

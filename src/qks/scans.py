@@ -459,8 +459,7 @@ def center_report(case: CaseSpec, window: int | None = None) -> Report:
                   body, verdict, passed)
 
 
-def invariants_report(case: CaseSpec, window: int | None = None) -> Report:
-    window = window if window is not None else 8
+def invariants_report(case: CaseSpec, window: int) -> Report:
     _check_window(window)
     basis = invariant_basis(case.ring, window)
     return Report("invariants", case.label, case.params(), None, case.conductor,

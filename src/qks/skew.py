@@ -13,8 +13,9 @@ spans against those windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from math import lcm
+from operator import mul
 
 from .cyclotomic import Cyclo, power
 from .linalg import Echelon, acc, kernel, spans_equal
@@ -378,10 +379,8 @@ def _enumerate_products(pres: Presentation, window: int):
         deg = sum(e * pres.gens[names[i]].degree() for i, e in enumerate(expo))
         if not (lo_deg <= deg <= window):
             continue
-        prod = pres.ring.one()
-        for i, e in enumerate(expo):
-            if e:
-                prod = prod * gen_power(i, e)
+        factors = [gen_power(i, e) for i, e in enumerate(expo) if e] or [pres.ring.one()]
+        prod = reduce(mul, factors)
         if prod.is_zero():
             continue
         ok = all(lo_deg <= a <= window and lo_deg <= b <= window

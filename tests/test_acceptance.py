@@ -191,7 +191,7 @@ def test_criterion_8_kernel_property_suites():
             if not b.is_zero():
                 assert (a / b) * b == a
         # rewrite associativity, 500 triples per algebra
-        specs = [Algebra("commutative"),
+        specs = [Algebra("quantum", q=Cyclo.one()),
                  Algebra("quantum", q=Cyclo.rational(2)),
                  Algebra("quantum", q=root_of_unity(1, 4), conductor=4),
                  Algebra("quantum", q=Cyclo.rational(-1), inverted={"u", "v"}),

@@ -71,11 +71,12 @@ class _Counted:
 
 
 def test_power_squares_only_while_bits_remain():
-    # one multiply per set bit of k and one squaring per later bit
+    # one multiply per set bit of k after the first, which starts the
+    # product, and one squaring per later bit; `one` is used only at k = 0
     for k in range(17):
         _Counted.products = 0
         assert power(_Counted(3), k, _Counted(1)).value == 3 ** k
-        assert _Counted.products == bin(k).count("1") + max(k.bit_length() - 1, 0)
+        assert _Counted.products == max(bin(k).count("1") - 1, 0) + max(k.bit_length() - 1, 0)
 
 
 def test_multiplicative_orders_exhaustive():

@@ -29,7 +29,7 @@ from qks.skew import Presentation, SkewRing
 
 
 def commutative_s2_ring():
-    return SkewRing(Algebra("commutative"), Group("sym2"))
+    return SkewRing(Algebra("quantum", q=Cyclo.one()), Group("dihedral"))
 
 
 def example_presentation(T):

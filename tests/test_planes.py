@@ -9,9 +9,11 @@ import pytest
 from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
 from qks.planes import (
+    ActionError,
     Algebra,
     AlgebraError,
     Group,
+    act_mono,
     apply_automorphism,
     check_action_well_defined,
     check_inner_by,
@@ -54,7 +56,7 @@ def test_jordan_power_shift():
 
 
 def test_graded_component():
-    A = Algebra("commutative")
+    A = Algebra("quantum", q=Cyclo.one())
     x = A.monomial(1, 1) + A.monomial(3, 0)
     assert x.graded_component(2) == A.monomial(1, 1)
     assert x.graded_component(1).is_zero()
@@ -67,7 +69,7 @@ def test_jordan_relation_homogeneous():
 
 
 def test_mismatched_algebras_rejected():
-    A = Algebra("commutative")
+    A = Algebra("quantum", q=Cyclo.one())
     B = Algebra("jordan")
     with pytest.raises(AlgebraError):
         A.u() * B.u()
@@ -112,7 +114,7 @@ def test_apply_automorphism_cyclic():
 
 def test_apply_automorphism_swap_minus_one():
     A = minus_one_plane()
-    G = Group("sym2")
+    G = Group("dihedral")
     # h.(uv) = vu = -uv
     assert apply_automorphism(G, (0, 1), A.monomial(1, 1)) == A.monomial(1, 1, -1)
 
@@ -132,16 +134,16 @@ def test_action_well_defined_catalog():
         assert check_action_well_defined(quantum(root_of_unity(1, 6), conductor=lcm(6, n)),
                                          Group("cyclic", n, w))
         assert check_action_well_defined(minus_one_plane(), Group("dihedral", n, w))
-    assert check_action_well_defined(minus_one_plane(), Group("sym2"))
+    assert check_action_well_defined(minus_one_plane(), Group("dihedral"))
     assert check_action_well_defined(Algebra("jordan"), Group("cyclic", 2, Cyclo.rational(-1)))
 
 
 def test_action_not_well_defined():
     # swap on k_q needs q^2 = 1
-    assert not check_action_well_defined(quantum(Cyclo.rational(2)), Group("sym2"))
-    assert not check_action_well_defined(quantum(root_of_unity(1, 4), conductor=4), Group("sym2"))
-    # reflections never act on the Jordan plane
-    assert not check_action_well_defined(Algebra("jordan"), Group("sym2"))
+    assert not check_action_well_defined(quantum(Cyclo.rational(2)), Group("dihedral"))
+    assert not check_action_well_defined(quantum(root_of_unity(1, 4), conductor=4), Group("dihedral"))
+    # h does not respect the Jordan relation vu = uv + u^2
+    assert not check_action_well_defined(Algebra("jordan"), Group("dihedral"))
     # C_3 on the Jordan plane would need w^2 = 1
     assert not check_action_well_defined(Algebra("jordan"),
                                          Group("cyclic", 3, root_of_unity(1, 3)))
@@ -195,7 +197,7 @@ def _random_poly(rng, A, span=3):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Algebra("commutative"),
+    lambda: Algebra("quantum", q=Cyclo.one()),
     lambda: quantum(Cyclo.rational(2)),
     lambda: quantum(root_of_unity(1, 4), conductor=4),
     lambda: minus_one_plane(inverted={"u", "v"}),
@@ -246,21 +248,19 @@ def test_grading_cauchy_product():
 
 
 def test_denominator_validation():
-    A = Algebra("commutative")
-    loc = Algebra("commutative", denominators=[A.u() - A.v()])
-    assert len(loc.denominators) == 1
+    loc = Algebra("quantum", q=Cyclo.one(), denominators=[{(1, 0): 1, (0, 1): -1}])
+    assert [d.terms for d in loc.denominators] == [(loc.u() - loc.v()).terms]
     with pytest.raises(AlgebraError):
-        Algebra("quantum", q=Cyclo.rational(2), denominators=[quantum(Cyclo.rational(2)).u()])
+        Algebra("quantum", q=Cyclo.rational(2), denominators=[{(1, 0): 1}])
 
 
 def test_denominators_must_be_group_stable():
-    A = Algebra("commutative")
-    swap = Group("sym2")
-    bad = Algebra("commutative", denominators=[A.u()])
+    swap = Group("dihedral")
+    bad = Algebra("quantum", q=Cyclo.one(), denominators=[{(1, 0): 1}])
     assert check_action_well_defined(bad, swap) is False
     with pytest.raises(AlgebraError):
         SkewRing(bad, swap)
-    good = Algebra("commutative", denominators=[A.u() - A.v()])
+    good = Algebra("quantum", q=Cyclo.one(), denominators=[{(1, 0): 1, (0, 1): -1}])
     assert check_action_well_defined(good, swap) is True
     SkewRing(good, swap)
     # the full localizations record the one central element they invert
@@ -282,3 +282,35 @@ def test_memoized_powers_match_plain_powers():
     for G in (Group("cyclic", 5, root_of_unity(1, 5)), Group("dihedral", 4, root_of_unity(1, 4))):
         for e in range(-2 * G.n, 2 * G.n + 1):
             assert G.wpow(e) == G.omega ** (e % G.n)
+
+
+def test_commutative_plane_is_the_quantum_plane_at_one():
+    # case 0's k[u,v] and case i's k_q[u,v] at ord q = 1 multiply alike
+    a0 = make_case("0").ring.algebra
+    a1 = make_case("i", n=2, k=1).ring.algebra
+    grid = [(a, b) for a in range(4) for b in range(4)]
+    for m1 in grid:
+        for m2 in grid:
+            assert a0.mono_mul(m1, m2) == a1.mono_mul(m1, m2) == {
+                (m1[0] + m2[0], m1[1] + m2[1]): Cyclo.one()}
+
+
+def test_only_the_quantum_and_jordan_planes_and_cyclic_and_dihedral_groups():
+    with pytest.raises(AlgebraError, match="unknown algebra kind"):
+        Algebra("commutative")
+    with pytest.raises(AlgebraError, match="unknown group kind"):
+        Group("sym2")
+    assert repr(Group("dihedral")) == "D1" and repr(Group("cyclic")) == "C1"
+
+
+def test_reflection_reads_the_plane_relation():
+    # on k_{-1}: h.(u^a v^b) = v^a u^b = (-1)^{ab} u^b v^a
+    A, h = minus_one_plane(inverted={"u", "v"}), (0, 1)
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            assert act_mono(A, Group("dihedral"), h, (a, b)) == ((b, a), Cyclo.rational((-1) ** (a * b)))
+    # on the Jordan plane h still swaps u and v, but vu = uv + u^2 has no monomial image
+    J = Algebra("jordan")
+    assert act_mono(J, Group("dihedral"), h, (1, 0)) == ((0, 1), Cyclo.one())
+    with pytest.raises(ActionError):
+        act_mono(J, Group("dihedral"), h, (1, 1))

@@ -32,7 +32,7 @@ def ring_case_i(n, conductor=None):
 
 
 def ring_case_ii():
-    return SkewRing(Algebra("quantum", q=Cyclo.rational(-1)), Group("sym2"))
+    return SkewRing(Algebra("quantum", q=Cyclo.rational(-1)), Group("dihedral"))
 
 
 def ring_case_iii(n):
@@ -45,7 +45,7 @@ def ring_case_iv():
 
 
 def ring_commutative_s2():
-    return SkewRing(Algebra("commutative"), Group("sym2"))
+    return SkewRing(Algebra("quantum", q=Cyclo.one()), Group("dihedral"))
 
 
 def ring_inner_torus():
@@ -310,13 +310,13 @@ def test_invariant_basis_rejects_a_group_that_does_not_act():
     # invariant_basis takes a ring, and the swap u <-> v, which does not
     # respect the Jordan relation vu = uv + u^2, makes none
     with pytest.raises(AlgebraError, match="does not act"):
-        SkewRing(Algebra("jordan"), Group("sym2"))
+        SkewRing(Algebra("jordan"), Group("dihedral"))
 
 
 def test_invariant_generating_set_dihedral_plane():
     # k[a,b]^{D_n} = k[ab, a^n + b^n] for the standard dihedral action
     for n in (2, 3):
-        A = Algebra("commutative", conductor=n)
+        A = Algebra("quantum", q=Cyclo.one(), conductor=n)
         G = Group("dihedral", n, root_of_unity(1, n))
         gens = [A.monomial(1, 1), A.monomial(n, 0) + A.monomial(0, n)]
         assert verify_invariant_generating_set(SkewRing(A, G), gens, n + 2)
@@ -359,8 +359,8 @@ def test_central_point_validation():
 
 
 def test_stabilizer_commutative_swap():
-    A = Algebra("commutative")
-    G = Group("sym2")
+    A = Algebra("quantum", q=Cyclo.one())
+    G = Group("dihedral")
     T = SkewRing(A, G)
     gens = [A.u(), A.v()]
     assert stabilizer_of_point(T, gens, [Cyclo.rational(2), Cyclo.rational(3)]) == [(0, 0)]
