@@ -4,15 +4,26 @@ A fiber is built in two stages.  First the coefficient algebra is collapsed
 onto the monomial box [0,Ku) x [0,Kv) by per-variable reduction rules
 u^Ku -> r_u(u), v^Kv -> r_v (with inverse rules for Laurent coefficients);
 the rules come from central elements at the sampled point, so the rewriting
-presents a genuine two-sided quotient and the skew ring of the quotient is a
-finite-dimensional algebra on the box-times-group basis.  Second, the
-residual central relations (generator minus its value) are killed by closing
-(`_close`) the subspace they span under left and right multiplication by the
-algebra generators, and structure constants are taken on a complement.  In
+presents a genuine two-sided quotient B of the coefficient algebra, the box
+algebra, and the skew ring of the quotient is the crossed product B * G on
+the box-times-group basis.  In
 (u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2 the A-part,
 `SkewRing.mono_product`, is independent of f2, so `build_fiber` caches its
 reduction into the box as `box(a1, b1, f1, a2, b2)`, beside `reduce_mono`,
-and lays it out at the group index f1f2.
+and lays it out at the group index f1f2: the product of basis elements of
+degrees f1 and f2 lies in degree f1f2.  Second, the residual central
+relations (generator minus its value) are killed by closing (`_close`) the
+subspace they span under left and right multiplication by the algebra
+generators.
+
+An algebra is its product on demand, `product(i, j)`, with `left_mul` and
+`right_mul` built on it.  A fiber on which the closure kills nothing (case
+0, case ii, odd-n case iii) is B * G itself: it keeps each basis vector's
+G-degree, computes each product it is asked for once and holds no
+dim x dim table, and its trace form reads only the degree pairs (f, f^-1)
+at which it can be nonzero.  Where something is killed (case i, even-n
+case iii) the quotient's structure table is written out on a complement of
+the killed span; its trace form reads every entry anyway.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -31,13 +42,14 @@ the Jacobson radical, which powers the radical/semisimplification helpers.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
 
 from .cyclotomic import Cyclo
 from .linalg import Echelon, acc, axpy, kernel, nullspace, span
-from .planes import NCPoly, act_mono  # not called here; bench/tracing.py patches this name
+from .planes import Group, NCPoly, act_mono  # act_mono: not called; bench/tracing.py patches it
 from .skew import CentralPoint, SkewElement, SkewRing
 
 
@@ -106,26 +118,57 @@ def _reduce_terms(algebra, recipe: FiberRecipe, terms: dict) -> dict:
 
 @dataclass
 class FiniteDimAlgebra:
-    """Structure constants of a finite-dimensional unital algebra.
+    """A finite-dimensional unital algebra, given by its products on demand.
 
-    `gens` are coordinate vectors generating it (left unset: the whole basis);
-    a fiber's are u, v and the group generators, which generate every box
-    monomial u^a v^b f as the left-normed word ((u...u) v...v) f.
+    `product(i, j)` is the sparse vector basis_i * basis_j; callers read it
+    and never change it.  `left_mul` and `right_mul` multiply a vector by a
+    basis element through it.  `gens` are coordinate vectors generating the
+    algebra (left unset: the whole basis); a fiber's are u, v and the group
+    generators, which generate every box monomial u^a v^b f as the
+    left-normed word ((u...u) v...v) f.
+
+    A fiber on which nothing was killed is the crossed product B * G and
+    keeps its grading: `degree[i]` is the element of `group` that basis_i
+    lies over, and basis_i * basis_j lies in degree degree[i] degree[j].
+    `degree` is None for an algebra not known to be graded.
     """
 
     dim: int
-    sc: list          # sc[i][j]: sparse product vector of basis_i * basis_j
+    product: Callable
     unit: dict        # coordinates of 1
     gens: list | None = None
+    degree: list | None = None
+    group: Group | None = None
 
     def __post_init__(self):
         if self.gens is None:
             self.gens = [{i: Cyclo.rational(1)} for i in range(self.dim)]
 
+    @classmethod
+    def from_table(cls, sc: list, unit: dict, gens: list | None = None) -> FiniteDimAlgebra:
+        """The algebra whose structure table is sc[i][j] = basis_i * basis_j."""
+        return cls(len(sc), lambda i, j: sc[i][j], unit, gens)
+
+    def left_mul(self, i: int, vec: dict) -> dict:
+        """basis_i * vec."""
+        out: dict = {}
+        product = self.product
+        for l, c in vec.items():
+            axpy(out, c, product(i, l))
+        return out
+
+    def right_mul(self, vec: dict, k: int) -> dict:
+        """vec * basis_k."""
+        out: dict = {}
+        product = self.product
+        for l, c in vec.items():
+            axpy(out, c, product(l, k))
+        return out
+
 
 def _combine(vec: dict, rows) -> dict:
-    """sum of c * rows[l] over the entries (l, c) of vec: basis_i * vec for
-    rows = sc[i], vec * basis_k for rows = column k of sc."""
+    """sum of c * rows[l] over the entries (l, c) of vec: the image of vec
+    under the linear map whose value at basis_l is rows[l]."""
     out: dict = {}
     for l, c in vec.items():
         axpy(out, c, rows[l])
@@ -141,18 +184,20 @@ def _close(ech: Echelon, frontier: list, tables: list) -> None:
                     if (p := _combine(w, rows)) and ech.add(p)]
 
 
-def _quotient(ech: Echelon, dim: int, product, unit: dict, gens: list) -> FiniteDimAlgebra:
-    """The algebra on the non-pivot columns of `ech`, whose row space is an
-    ideal; product(i, j) is the old basis_i * basis_j."""
-    keep = [i for i in range(dim) if i not in ech.rows]
+def _quotient(F: FiniteDimAlgebra, ech: Echelon) -> FiniteDimAlgebra:
+    """F modulo the ideal that is the row space of `ech`: F itself when the
+    ideal is zero, and otherwise the structure table on the non-pivot
+    columns, written out once (that basis is not graded in general)."""
+    if not ech.rows:
+        return F
+    keep = [i for i in range(F.dim) if i not in ech.rows]
     new_index = {old: new for new, old in enumerate(keep)}
 
     def project(vec: dict) -> dict:
         return {new_index[i]: c for i, c in ech.reduce(vec).items()}
 
-    return FiniteDimAlgebra(dim=len(keep),
-                            sc=[[project(product(i, j)) for j in keep] for i in keep],
-                            unit=project(unit), gens=[project(g) for g in gens])
+    return FiniteDimAlgebra.from_table([[project(F.product(i, j)) for j in keep] for i in keep],
+                                       project(F.unit), [project(g) for g in F.gens])
 
 
 def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe) -> FiniteDimAlgebra:
@@ -205,8 +250,15 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     if not killed.reduce(unit):
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
-    fiber = _quotient(killed, dim, lambda i, j: basis_product(basis[i], basis[j]), unit,
-                      [skew_to_vec(ring.monomial(*m)) for m in gen_monos])
+    def product(i, j):
+        return basis_product(basis[i], basis[j])
+
+    # with nothing killed the fiber is B * G itself, whose checks read each
+    # product many times; a quotient's table reads each product once
+    crossed = FiniteDimAlgebra(dim, product if killed.rows else cache(product), unit,
+                               [skew_to_vec(ring.monomial(*m)) for m in gen_monos],
+                               degree=[f for (_a, _b, f) in basis], group=group)
+    fiber = _quotient(crossed, killed)
     if not check_associativity(fiber):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")
     return fiber
@@ -221,11 +273,10 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
     complete; above that, seeded random basis triples are checked.
     """
     one = Cyclo.rational(1)
-    cols = list(zip(*F.sc))  # cols[k][l] = sc[l][k]
-    if not all(_combine(F.unit, cols[i]) == {i: one} == _combine(F.unit, F.sc[i])
+    if not all(F.right_mul(F.unit, i) == {i: one} == F.left_mul(i, F.unit)
                for i in range(F.dim)):
         return False
-    right = [[_combine(g, row) for row in F.sc] for g in F.gens]  # right[n][x] = x g_n
+    right = [[F.left_mul(x, g) for x in range(F.dim)] for g in F.gens]  # right[n][x] = x g_n
     words = span([F.unit])
     _close(words, [F.unit], right)
     if words.rank < F.dim:
@@ -233,24 +284,30 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
     if F.dim <= 40:
         pairs = [(x, y) for x in range(F.dim) for y in range(F.dim)]
         for g, xg in zip(F.gens, right):
-            gy = [_combine(g, col) for col in cols]
-            if any(_combine(xg[x], cols[y]) != _combine(gy[y], F.sc[x]) for x, y in pairs):
+            gy = [F.right_mul(g, y) for y in range(F.dim)]
+            if any(F.right_mul(xg[x], y) != F.left_mul(x, gy[y]) for x, y in pairs):
                 return False
         return True
     rng = random.Random(seed)
     for _ in range(samples):
         i, j, k = rng.randrange(F.dim), rng.randrange(F.dim), rng.randrange(F.dim)
-        if _combine(F.sc[i][j], cols[k]) != _combine(F.sc[j][k], F.sc[i]):
+        if F.right_mul(F.product(i, j), k) != F.left_mul(i, F.product(j, k)):
             return False
     return True
 
 
 def _trace_vector(F: FiniteDimAlgebra) -> dict:
     """{j: tau_j} over the j with tau_j, the trace of left multiplication by
-    basis_j, nonzero."""
+    basis_j, nonzero.  In a graded F only degree-e basis vectors can have
+    one: left multiplication by one of degree f != e moves every degree."""
+    if F.degree is None:
+        candidates = range(F.dim)
+    else:
+        e = F.group.identity()
+        candidates = [j for j, f in enumerate(F.degree) if f == e]
     tau = {}
-    for j in range(F.dim):
-        t = _sum(F.sc[j][k].get(k) for k in range(F.dim))
+    for j in candidates:
+        t = _sum(F.product(j, k).get(k) for k in range(F.dim))
         if t is not None and not t.is_zero():
             tau[j] = t
     return tau
@@ -267,12 +324,23 @@ def _sum(terms):
 
 
 def trace_form_matrix(F: FiniteDimAlgebra) -> list:
+    """Rows of the trace form, tr(basis_i basis_j), with its nonzero entries
+    in ascending j.  In a graded F the entry is 0 unless degree[j] is
+    degree[i]^-1 (the product then lies in degree e), so row i reads only
+    those j."""
     tau = _trace_vector(F)
+    if F.degree is None:
+        partners = [range(F.dim)] * F.dim
+    else:
+        of_degree: dict = {}
+        for j, f in enumerate(F.degree):
+            of_degree.setdefault(f, []).append(j)
+        partners = [of_degree.get(F.group.inv(f), []) for f in F.degree]
     rows = []
     for i in range(F.dim):
         row = {}
-        for j in range(F.dim):
-            t = _sum(c * tau[l] for l, c in F.sc[i][j].items() if l in tau)
+        for j in partners[i]:
+            t = _sum(c * tau[l] for l, c in F.product(i, j).items() if l in tau)
             if t is not None and not t.is_zero():
                 row[j] = t
         rows.append(row)
@@ -291,15 +359,13 @@ def jacobson_radical_dim(F: FiniteDimAlgebra) -> int:
 def center_dimension(F: FiniteDimAlgebra) -> int:
     """dim of the commutant of the gens, x g = g x: the center of F when the
     gens generate it, which check_associativity verifies."""
-    cols = list(zip(*F.sc))
-
     def entries():
         # the coefficient of x_j in (x g - g x)_l; kernel sums the two products
         for n, g in enumerate(F.gens):
             for j in range(F.dim):
-                for l, c in _combine(g, F.sc[j]).items():
+                for l, c in F.left_mul(j, g).items():
                     yield (n, l), j, c
-                for l, m in _combine(g, cols[j]).items():
+                for l, m in F.right_mul(g, j).items():
                     yield (n, l), j, -m
 
     return len(kernel(entries(), F.dim))
@@ -307,7 +373,7 @@ def center_dimension(F: FiniteDimAlgebra) -> int:
 
 def quotient_by_subspace(F: FiniteDimAlgebra, vectors) -> FiniteDimAlgebra:
     """Quotient algebra by an ideal given as a spanning set of vectors."""
-    return _quotient(span(vectors), F.dim, lambda i, j: F.sc[i][j], F.unit, F.gens)
+    return _quotient(F, span(vectors))
 
 
 def semisimple_quotient(F: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -361,11 +427,11 @@ def matrix_units_algebra(d: int) -> FiniteDimAlgebra:
                     if j == k:
                         sc[idx(i, j)][idx(k, l)] = {idx(i, l): one}
     unit = {idx(i, i): one for i in range(d)}
-    return FiniteDimAlgebra(dim=dim, sc=sc, unit=unit)
+    return FiniteDimAlgebra.from_table(sc, unit)
 
 
 def dual_numbers_algebra() -> FiniteDimAlgebra:
     """k[t]/t^2 (reference object for tests)."""
     one = Cyclo.rational(1)
     sc = [[{0: one}, {1: one}], [{1: one}, {}]]
-    return FiniteDimAlgebra(dim=2, sc=sc, unit={0: one})
+    return FiniteDimAlgebra.from_table(sc, {0: one})

@@ -3,7 +3,7 @@
 Elements are finite maps from group elements to coefficients in A, multiplied
 by the rule (r g)(s h) = r (g.s) gh.  The rule is written once, on monomials,
 as `SkewRing.mono_product`: element products, the commutator rows, the fiber
-structure table and the natural map all go through it.  The center Z(T), the
+products and the natural map all go through it.  The center Z(T), the
 invariant ring A^G and the center Z(A) are all commutants in T, computed by
 one builder degree by degree as nullspaces of exact commutator systems over a
 bounded exponent window; claimed generating sets are certified by comparing

@@ -27,10 +27,13 @@ Each group of digests was recorded at the parent of the change named:
   check at degree 0 and guard 0, whose Hom dimension moves between the
   caps, and a case-i check), before each degree's Hom dimensions at both
   caps came from one elimination;
-- the last four (two centers and a fiber whose bytes pass through skew
+- the next four (two centers and a fiber whose bytes pass through skew
   element products, and a case-iii auslander check that is unstable at
   guard 2 and goes through the natural map), before every monomial
-  product of A # G went through `SkewRing.mono_product`.
+  product of A # G went through `SkewRing.mono_product`;
+- the last two (D5 full and D5 torus at a stabilized point, fibers of
+  dim 400 on which the closure kills nothing), before such fibers took
+  their products on demand and a graded trace form.
 
 `HUMAN_PINNED` holds one command per human-format report body (points,
 stabilizers, graded dims, Hom degrees, Molien series, one fiber), recorded
@@ -134,6 +137,10 @@ PINNED = [
      "65d224b25058c85915cb1314beaec04b7d82e2b972e012ee842e08f0aa19f39e"),
     ("auslander --case iii --n 3 --localization none --degree 2 --guard 2",
      "fef2deb2f7b7b7b7ddeaefedf8dea50386653cce06c8385fdc2f4439ba358560"),
+    ("scan --case iii --n 5 --localization full --samples 1 --seed 7",
+     "94665c1e3b23ba030086e98be27763951df10e7c0be580f5d26ee6a59b692706"),
+    ("scan --case iii --n 5 --localization torus --stabilized --samples 1 --seed 7",
+     "9b17608f77df48c94a422b1a52906042f0794ab494d860bbb3fec66d8bf21cf4"),
 ]
 
 # pinned commands whose verdict is not a pass: the case-0 control's

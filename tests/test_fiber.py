@@ -20,10 +20,11 @@ from qks.fiber import (
     matrix_algebra_certificate,
     matrix_units_algebra,
     semisimple_quotient,
+    trace_form_matrix,
     trace_form_rank,
 )
 from qks.catalog import make_case, recipe_for, sample_point
-from qks.linalg import acc
+from qks.linalg import acc, span
 from qks.planes import Algebra, Group
 from qks.skew import Presentation, SkewRing
 
@@ -70,10 +71,8 @@ def test_dual_numbers_reference():
 def test_split_semisimple_center():
     # k x k: central idempotents e1, e2
     one = Cyclo.rational(1)
-    F = matrix_units_algebra(1)
-    kxk = type(F)(dim=2,
-                  sc=[[{0: one}, {}], [{}, {1: one}]],
-                  unit={0: one, 1: one})
+    kxk = FiniteDimAlgebra.from_table([[{0: one}, {}], [{}, {1: one}]],
+                                      unit={0: one, 1: one})
     assert center_dimension(kxk) == 2
     assert trace_form_rank(kxk) == 2
 
@@ -175,11 +174,16 @@ def test_certificate_reports_a_split_center():
     # k^4 by orthogonal idempotents: dim 4 = 2^2 and a nondegenerate trace
     # form, so only the center test fails
     one = Cyclo.rational(1)
-    k4 = FiniteDimAlgebra(dim=4, sc=[[{i: one} if i == j else {} for j in range(4)]
-                                     for i in range(4)],
-                          unit={i: one for i in range(4)})
+    k4 = FiniteDimAlgebra.from_table([[{i: one} if i == j else {} for j in range(4)]
+                                      for i in range(4)],
+                                     unit={i: one for i in range(4)})
     assert trace_form_rank(k4) == 4
     assert str(matrix_algebra_certificate(k4)) == "not-central-simple: center has dimension 4"
+
+
+def _table(F):
+    """A fresh copy of F's structure table, sc[i][j] = basis_i * basis_j."""
+    return [[dict(F.product(i, j)) for j in range(F.dim)] for i in range(F.dim)]
 
 
 def test_sampled_associativity_rejects_a_doubled_table():
@@ -188,13 +192,13 @@ def test_sampled_associativity_rejects_a_doubled_table():
     d = 7
     M7 = matrix_units_algebra(d)
     assert M7.dim > 40 and check_associativity(M7)
-    sc = [[dict(v) for v in row] for row in M7.sc]
+    sc = _table(M7)
     for i in range(d):
         for j in range(d):
             for k in range(d):
                 if i != j and j != k:
                     sc[i * d + j][j * d + k] = {i * d + k: Cyclo.rational(2)}
-    doubled = replace(M7, sc=sc)
+    doubled = replace(M7, product=lambda i, j: sc[i][j])
     assert check_associativity(doubled, samples=0)  # unit and generation hold
     assert not check_associativity(doubled)
 
@@ -233,10 +237,11 @@ def test_generator_check_rejects_perturbed_tables():
     rng = random.Random(4)
     verdicts = []
     for _ in range(12):
-        sc = [[dict(v) for v in row] for row in fiber.sc]
+        sc = _table(fiber)
         i, j, l = (rng.randrange(fiber.dim) for _ in range(3))
         acc(sc[i][j], l, Cyclo.rational(1))
-        perturbed = replace(fiber, sc=sc)
+        # a perturbed table is no longer graded
+        perturbed = replace(fiber, product=lambda x, y: sc[x][y], degree=None)
         verdict = check_associativity(perturbed)
         assert verdict is check_associativity(replace(perturbed, gens=None))
         verdicts.append(verdict)
@@ -268,7 +273,8 @@ def _oracle_product(ring, recipe, index, m1, m2):
 def test_structure_table_matches_skew_products(case_id, kwargs, pairs):
     case = make_case(case_id, **kwargs)
     point = sample_point(case, random.Random(3))
-    # without the residual relations nothing is killed, so sc is the raw table
+    # without the residual relations nothing is killed, so the fiber's
+    # products are the raw box products
     recipe = replace(recipe_for(case, point), residuals=[])
     ring, group = case.ring, case.ring.group
     fiber = build_fiber(ring, point, recipe)
@@ -285,4 +291,38 @@ def test_structure_table_matches_skew_products(case_id, kwargs, pairs):
         checked += [(rng.randrange(fiber.dim), rng.randrange(fiber.dim))
                     for _ in range(pairs)]
     for i, j in checked:
-        assert fiber.sc[i][j] == _oracle_product(ring, recipe, index, basis[i], basis[j])
+        assert fiber.product(i, j) == _oracle_product(ring, recipe, index, basis[i], basis[j])
+
+
+# -- the graded path: a fiber on which nothing is killed is B * G
+
+@pytest.mark.parametrize("case_id,kwargs,ranks", [
+    ("0", dict(localization="none"), (4, 2)),
+    ("ii", dict(localization="torus"), (16, 8)),
+    ("iii", dict(n=3, localization="torus"), (144, 72)),
+])
+def test_graded_trace_form_matches_the_dense_one(case_id, kwargs, ranks):
+    case = make_case(case_id, **kwargs)
+    for stabilized, rank in zip((False, True), ranks):
+        point = sample_point(case, random.Random(1), stabilized=stabilized)
+        fiber = build_fiber(case.ring, point, recipe_for(case, point))
+        assert fiber.degree is not None
+        graded = trace_form_matrix(fiber)
+        dense = trace_form_matrix(replace(fiber, degree=None))
+        assert graded == dense
+        assert [list(row) for row in graded] == [list(row) for row in dense]  # key order
+        assert span(graded).rank == rank
+        # a degree list that lies: the unit's degree e swapped with another
+        lie = list(fiber.degree)
+        k = next(j for j, f in enumerate(lie) if f != lie[0])
+        lie[0], lie[k] = lie[k], lie[0]
+        assert trace_form_matrix(replace(fiber, degree=lie)) != graded
+
+
+def test_graded_fiber_computes_fewer_than_half_the_products():
+    # the D3 full fiber, dim 144: the old structure table built all
+    # 144^2 = 20,736 products; build plus certificate now compute each
+    # product they ask for once, fewer than half of them in all
+    fiber = _catalog_fiber("iii", dict(n=3, localization="full"))
+    assert str(matrix_algebra_certificate(fiber)) == "central-simple(12)"
+    assert fiber.product.cache_info().misses < fiber.dim ** 2 // 2 == 10_368
