@@ -209,6 +209,10 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not any(self.c)
 
+    def is_one(self, n: int) -> bool:
+        """Exactly 1 at conductor n, so x * self is x whenever n divides x.n."""
+        return self.c[0] == 1 and self.den == 1 and self.n == n and self.c == _power_table(n)[0]
+
     def is_rational(self) -> bool:
         return not any(self.c[1:])
 

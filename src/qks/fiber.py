@@ -11,14 +11,14 @@ the box-times-group basis.  In
 `SkewRing.mono_product`, is independent of f2, so `build_fiber` caches its
 reduction into the box as `box(a1, b1, f1, a2, b2)`, beside `reduce_mono`,
 and lays it out at the group index f1f2: the product of basis elements of
-degrees f1 and f2 lies in degree f1f2.  Second, the residual central
-relations (generator minus its value) are killed by closing (`_close`) the
-subspace they span under left and right multiplication by the algebra
-generators.
+degrees f1 and f2 lies in degree f1f2.  Second, each residual r = z - z(m)
+of a central generator z is killed: r is central in B * G (checked at the
+generators), so it generates the two-sided ideal r (B * G), and mT, the sum
+of these, is spanned in one pass by the products r basis_k.
 
 An algebra is its product on demand, `product(i, j)`, with `left_mul` and
-`right_mul` built on it.  A fiber on which the closure kills nothing (case
-0, case ii, odd-n case iii) is B * G itself: it keeps each basis vector's
+`right_mul` built on it.  A fiber on which nothing is killed (case 0, case
+ii, odd-n case iii) is B * G itself: it keeps each basis vector's
 G-degree, computes each product it is asked for once and holds no
 dim x dim table, and its trace form reads only the degree pairs (f, f^-1)
 at which it can be nonzero.  Where something is killed (case i, even-n
@@ -27,10 +27,10 @@ the killed span; its trace form reads every entry anyway.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
-((u...u) v...v) f, and the quotient keeps this because the residual span is
-closed under the generators; `check_associativity` verifies it at run time.
-So the center is the commutant of the gens, and associativity is checked at
-them, since the middle nucleus {g : (x g) y = x (g y)} is a subalgebra.
+((u...u) v...v) f, and the quotient by an ideal keeps this;
+`check_associativity` verifies it at run time.  So the center is the
+commutant of the gens, and associativity is checked at them, since the
+middle nucleus {g : (x g) y = x (g y)} is a subalgebra.
 
 Recognition works over the non-closed ground field: an algebra is certified
 "central simple of degree d" when dim = d^2, the trace form is nondegenerate
@@ -67,7 +67,7 @@ class FiberRecipe:
     v_pow: NCPoly                 # value of v^kv
     u_inv: NCPoly | None = None   # value of u^(-ku), for Laurent coefficients
     v_inv: NCPoly | None = None
-    residuals: list = field(default_factory=list)  # central SkewElements to kill
+    residuals: list = field(default_factory=list)  # central SkewElements to kill (checked)
 
     def validate(self):
         if self.ku < 1 or self.kv < 1:
@@ -207,8 +207,8 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     recipe.validate()
     group = ring.group
     algebra = ring.algebra
-    reduce_mono = cache(lambda mono: _reduce_terms(algebra, recipe,
-                                                   {mono: Cyclo.one(algebra.conductor)}))
+    n0 = algebra.conductor
+    reduce_mono = cache(lambda mono: _reduce_terms(algebra, recipe, {mono: Cyclo.one(n0)}))
 
     basis = [(a, b, f) for f in group.elements()
              for a in range(recipe.ku) for b in range(recipe.kv)]
@@ -217,15 +217,16 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
 
     @cache
     def box(a1, b1, f1, a2, b2) -> dict:
-        # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2
+        # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2; c
+        # has a conductor that the algebra's divides, so c * 1 would be c
         out: dict = {}
         for mono, c in ring.mono_product((a1, b1), f1, (a2, b2)).items():
             for red_mono, rc in reduce_mono(mono).items():
-                acc(out, red_mono, c * rc)
+                acc(out, red_mono, c if rc.is_one(n0) else c * rc)
         return out
 
-    def basis_product(m1, m2) -> dict:
-        (a1, b1, f1), (a2, b2, f2) = m1, m2
+    def product(i, j) -> dict:
+        (a1, b1, f1), (a2, b2, f2) = basis[i], basis[j]
         f12 = group.mul(f1, f2)
         return {index[(a, b, f12)]: c for (a, b), c in box(a1, b1, f1, a2, b2).items()}
 
@@ -236,28 +237,23 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
                 acc(out, index[(mono[0], mono[1], f)], c)
         return out
 
-    # residual two-sided ideal: close the span under generator multiplication
-    killed = Echelon()
-    frontier = [vec for vec in map(skew_to_vec, recipe.residuals) if killed.add(vec)]
-    gen_monos = [(*mono, f) for mono, f in ring.commutation_generators()]
-    if frontier:
-        # by_gen[2n][i] = g_n basis_i and by_gen[2n + 1][i] = basis_i g_n
-        by_gen = [[basis_product(g, m) if left else basis_product(m, g) for m in basis]
-                  for g in gen_monos for left in (True, False)]
-        _close(killed, frontier, by_gen)
-
+    residuals = [vec for vec in map(skew_to_vec, recipe.residuals) if vec]
     unit = {index[(0, 0, group.identity())]: Cyclo.rational(1)}
+    # with nothing to kill the fiber is B * G itself, whose checks read each
+    # product many times; a quotient's table reads each product once
+    crossed = FiniteDimAlgebra(dim, product if residuals else cache(product), unit,
+                               [skew_to_vec(ring.monomial(*mono, f))
+                                for mono, f in ring.commutation_generators()],
+                               degree=[f for (_a, _b, f) in basis], group=group)
+    # a central r generates the two-sided ideal r (B * G); mT is their sum
+    if any(_combine(g, {k: crossed.right_mul(r, k) for k in g})
+           != _combine(g, {k: crossed.left_mul(k, r) for k in g})
+           for r in residuals for g in crossed.gens):
+        raise FiberError("a residual relation is not central in the fiber")
+    killed = span(crossed.right_mul(r, k) for r in residuals for k in range(dim))
     if not killed.reduce(unit):
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
-    def product(i, j):
-        return basis_product(basis[i], basis[j])
-
-    # with nothing killed the fiber is B * G itself, whose checks read each
-    # product many times; a quotient's table reads each product once
-    crossed = FiniteDimAlgebra(dim, product if killed.rows else cache(product), unit,
-                               [skew_to_vec(ring.monomial(*m)) for m in gen_monos],
-                               degree=[f for (_a, _b, f) in basis], group=group)
     fiber = _quotient(crossed, killed)
     if not check_associativity(fiber):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")

@@ -43,7 +43,7 @@ class SkewRing:
         self.group = group
         # f.mono as (image, scalar), for the life of the ring
         self._act = cache(lambda f, mono: act_mono(algebra, group, f, mono))
-        self._one = Cyclo.one(algebra.conductor)
+        self._conductor = algebra.conductor
 
     def mono_product(self, m1, f1, m2) -> dict:
         """m1 (f1.m2) as {mono: coeff}: the A-part of the product
@@ -51,12 +51,11 @@ class SkewRing:
         whatever f2 is.
 
         f1.m2 is read from the ring's action memo.  A factor of
-        `Algebra.mono_mul` that is an exact one is skipped: every factor has
-        a conductor divisible by the algebra's, so the product's conductor
-        is the same either way."""
+        `Algebra.mono_mul` that is an exact one is skipped: s has a
+        conductor divisible by the algebra's, so s * 1 would be s."""
         image, s = self._act(f1, m2)
-        one = self._one
-        return {m: s if k.n == one.n and k.den == 1 and k.c == one.c else s * k
+        n0 = self._conductor
+        return {m: s if k.is_one(n0) else s * k
                 for m, k in self.algebra.mono_mul(m1, image).items()}
 
     # -- constructors -------------------------------------------------------

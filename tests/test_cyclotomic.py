@@ -298,3 +298,19 @@ def test_rationality_read_from_numerator_slots():
         if rng.random() < 0.5:
             x = x * x
         assert (not any(x.c[1:])) == x.is_rational()
+
+
+def test_is_one_is_exactly_one_at_the_given_conductor():
+    assert Cyclo.one(12).is_one(12) and Cyclo.rational(1).is_one(1)
+    assert root_of_unity(0, 5).is_one(5) and (root_of_unity(1, 3) ** 3).is_one(3)
+    # the value 1 stored at another conductor, and values that are not 1
+    assert not Cyclo.one(12).is_one(4) and not Cyclo.one(1).is_one(4)
+    for x in (Cyclo.rational(-1, 6), Cyclo.rational(Fraction(1, 2), 6),
+              root_of_unity(1, 6), Cyclo.one(6) + root_of_unity(2, 6) + root_of_unity(4, 6)):
+        assert not x.is_one(6)
+    # skipping x * 1 keeps x, conductor included, when 4 divides x's conductor
+    rng = random.Random(23)
+    for n in (4, 8, 12):
+        x = _random_cyclo(rng, n)
+        y = x * Cyclo.one(4)
+        assert (y.n, y.c, y.den) == (x.n, x.c, x.den)

@@ -11,6 +11,8 @@ from qks.fiber import (
     FiberError,
     FiberRecipe,
     FiniteDimAlgebra,
+    _close,
+    _quotient,
     _reduce_terms,
     build_fiber,
     center_dimension,
@@ -24,7 +26,7 @@ from qks.fiber import (
     trace_form_rank,
 )
 from qks.catalog import make_case, recipe_for, sample_point
-from qks.linalg import acc, span
+from qks.linalg import Echelon, acc, span
 from qks.planes import Algebra, Group
 from qks.skew import Presentation, SkewRing
 
@@ -138,6 +140,22 @@ def test_residual_closure_kills_group_directions():
     assert fiber.dim == 4
     cert = matrix_algebra_certificate(fiber)
     assert cert.central_simple and cert.d == 2
+
+
+def test_a_residual_that_is_not_central_is_refused():
+    # u - 2 on the C2 (-1)-torus: g u = -u g and v u = -u v, so u (B * G)
+    # is not a two-sided ideal and the fiber is not T/mT
+    A = Algebra("quantum", q=Cyclo.rational(-1), conductor=4, inverted={"u", "v"})
+    T = SkewRing(A, Group("cyclic", 2, Cyclo.rational(-1)))
+    alpha, beta = A.scalar(4), A.scalar(9)
+    recipe = FiberRecipe(
+        ku=2, kv=2,
+        u_pow=A.poly({(0, 0): alpha}), v_pow=A.poly({(0, 0): beta}),
+        u_inv=A.poly({(0, 0): alpha.inverse()}), v_inv=A.poly({(0, 0): beta.inverse()}),
+        residuals=[T.monomial(1, 0) - T.one() * 2],
+    )
+    with pytest.raises(FiberError, match="not central"):
+        build_fiber(T, None, recipe)
 
 
 def test_inconsistent_point_collapses():
@@ -255,14 +273,19 @@ def test_gens_that_do_not_generate_fail_the_check():
 
 # -- the structure table against an independent product route
 
-def _oracle_product(ring, recipe, index, m1, m2):
-    """ring.monomial(*m1) * ring.monomial(*m2) through SkewElement
-    multiplication, each component reduced into the box."""
+def _box_vector(ring, recipe, index, x):
+    """The SkewElement x with each component reduced into the box."""
     out = {}
-    for f, poly in (ring.monomial(*m1) * ring.monomial(*m2)).comps.items():
+    for f, poly in x.comps.items():
         for (a, b), c in _reduce_terms(ring.algebra, recipe, poly.terms).items():
             acc(out, index[(a, b, f)], c)
     return out
+
+
+def _oracle_product(ring, recipe, index, m1, m2):
+    """ring.monomial(*m1) * ring.monomial(*m2) through SkewElement
+    multiplication, each component reduced into the box."""
+    return _box_vector(ring, recipe, index, ring.monomial(*m1) * ring.monomial(*m2))
 
 
 @pytest.mark.parametrize("case_id,kwargs,pairs", [
@@ -326,3 +349,49 @@ def test_graded_fiber_computes_fewer_than_half_the_products():
     fiber = _catalog_fiber("iii", dict(n=3, localization="full"))
     assert str(matrix_algebra_certificate(fiber)) == "central-simple(12)"
     assert fiber.product.cache_info().misses < fiber.dim ** 2 // 2 == 10_368
+
+
+# -- the killed ideal: each residual is central, so one pass spans it
+
+def _generator_closure(crossed, residuals):
+    """The span of `residuals` closed under left and right multiplication
+    by the generators: the two-sided ideal they generate, found without
+    using that they are central."""
+    ech = Echelon()
+    frontier = [r for r in residuals if ech.add(r)]
+    tables = [[crossed.right_mul(g, i) for i in range(crossed.dim)] for g in crossed.gens]
+    tables += [[crossed.left_mul(i, g) for i in range(crossed.dim)] for g in crossed.gens]
+    _close(ech, frontier, tables)
+    return ech
+
+
+@pytest.mark.parametrize("case_id,kwargs,dims", [
+    ("i", dict(n=2, k=2), (8, 4)),
+    ("i", dict(n=3, k=2), (108, 36)),
+    ("i", dict(n=5, k=2), (500, 100)),
+    ("i", dict(n=2, k=4), (32, 16)),
+    ("i", dict(n=4, k=2), (64, 16)),
+    ("iii", dict(n=2, localization="torus"), (32, 16)),
+    ("iii", dict(n=4, localization="torus"), (128, 64)),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_kills_the_ideal_of_the_generator_closure(case_id, kwargs, dims, seed):
+    case = make_case(case_id, **kwargs)
+    point = sample_point(case, random.Random(seed))
+    recipe = recipe_for(case, point)
+    ring = case.ring
+    crossed = build_fiber(ring, point, replace(recipe, residuals=[]))
+    basis = [(a, b, f) for f in ring.group.elements()
+             for a in range(recipe.ku) for b in range(recipe.kv)]
+    index = {m: i for i, m in enumerate(basis)}
+    residuals = [_box_vector(ring, recipe, index, r) for r in recipe.residuals]
+    closure = _generator_closure(crossed, residuals)
+    one_pass = span(crossed.right_mul(r, k) for r in residuals for k in range(crossed.dim))
+    assert one_pass.rows == closure.rows
+    fiber = build_fiber(ring, point, recipe)
+    assert (crossed.dim, fiber.dim) == dims == (crossed.dim, crossed.dim - closure.rank)
+    # the built fiber is the quotient by the closure, product for product
+    reference = _quotient(crossed, closure)
+    assert (fiber.unit, fiber.gens) == (reference.unit, reference.gens)
+    assert all(fiber.product(i, j) == reference.product(i, j)
+               for i in range(fiber.dim) for j in range(fiber.dim))
