@@ -17,13 +17,16 @@ generators), so it generates the two-sided ideal r (B * G), and mT, the sum
 of these, is spanned in one pass by the products r basis_k.
 
 An algebra is its product on demand, `product(i, j)`, with `left_mul` and
-`right_mul` built on it.  A fiber on which nothing is killed (case 0, case
-ii, odd-n case iii) is B * G itself: it keeps each basis vector's
-G-degree, computes each product it is asked for once and holds no
-dim x dim table, and its trace form reads only the degree pairs (f, f^-1)
-at which it can be nonzero.  Where something is killed (case i, even-n
-case iii) the quotient's structure table is written out on a complement of
-the killed span; its trace form reads every entry anyway.
+`right_mul` built on it, and every algebra is graded by a group: `degree[i]`
+is the degree of basis_i (the trivial group when none is known).  A fiber
+computes each product it is asked for once and holds no dim x dim table.
+Where nothing is killed (case 0, case ii, odd-n case iii) it is B * G itself
+with its G-degrees.  Where something is killed (case i, even-n case iii) it
+is the quotient on a complement of the killed span, and it keeps the
+G-degrees when each killed row is homogeneous, as when the residual lies in
+degree e (case i with gcd(n, k) = 1); a residual mixing group components
+leaves it trivially graded.  Its trace form reads only the degree pairs
+(f, f^-1) at which it can be nonzero.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from math import isqrt
 
@@ -116,6 +119,9 @@ def _reduce_terms(algebra, recipe: FiberRecipe, terms: dict) -> dict:
     return out
 
 
+_TRIVIAL = Group("cyclic")
+
+
 @dataclass
 class FiniteDimAlgebra:
     """A finite-dimensional unital algebra, given by its products on demand.
@@ -127,10 +133,10 @@ class FiniteDimAlgebra:
     generators, which generate every box monomial u^a v^b f as the
     left-normed word ((u...u) v...v) f.
 
-    A fiber on which nothing was killed is the crossed product B * G and
-    keeps its grading: `degree[i]` is the element of `group` that basis_i
-    lies over, and basis_i * basis_j lies in degree degree[i] degree[j].
-    `degree` is None for an algebra not known to be graded.
+    The algebra is graded: `degree[i]` is the element of `group` that
+    basis_i lies over, and basis_i * basis_j lies in degree
+    degree[i] degree[j].  A fiber keeps its G-degrees wherever they survive
+    the quotient; left unset, `degree` is the trivial grading.
     """
 
     dim: int
@@ -143,11 +149,9 @@ class FiniteDimAlgebra:
     def __post_init__(self):
         if self.gens is None:
             self.gens = [{i: Cyclo.rational(1)} for i in range(self.dim)]
-
-    @classmethod
-    def from_table(cls, sc: list, unit: dict, gens: list | None = None) -> FiniteDimAlgebra:
-        """The algebra whose structure table is sc[i][j] = basis_i * basis_j."""
-        return cls(len(sc), lambda i, j: sc[i][j], unit, gens)
+        if self.degree is None:
+            self.group = _TRIVIAL
+            self.degree = [_TRIVIAL.identity()] * self.dim
 
     def left_mul(self, i: int, vec: dict) -> dict:
         """basis_i * vec."""
@@ -185,19 +189,27 @@ def _close(ech: Echelon, frontier: list, tables: list) -> None:
 
 
 def _quotient(F: FiniteDimAlgebra, ech: Echelon) -> FiniteDimAlgebra:
-    """F modulo the ideal that is the row space of `ech`: F itself when the
-    ideal is zero, and otherwise the structure table on the non-pivot
-    columns, written out once (that basis is not graded in general)."""
+    """F modulo the ideal that is the row space of `ech`, on the non-pivot
+    columns, each product computed once when first asked for (F's own
+    product when the ideal is zero).  It keeps F's degrees when each row of
+    `ech` is homogeneous, so that reducing a homogeneous vector keeps its
+    degree, and is trivially graded otherwise."""
     if not ech.rows:
-        return F
+        return replace(F, product=cache(F.product))
     keep = [i for i in range(F.dim) if i not in ech.rows]
     new_index = {old: new for new, old in enumerate(keep)}
 
     def project(vec: dict) -> dict:
         return {new_index[i]: c for i, c in ech.reduce(vec).items()}
 
-    return FiniteDimAlgebra.from_table([[project(F.product(i, j)) for j in keep] for i in keep],
-                                       project(F.unit), [project(g) for g in F.gens])
+    @cache
+    def product(i, j) -> dict:
+        return project(F.product(keep[i], keep[j]))
+
+    graded = all(F.degree[l] == F.degree[p] for p, tail in ech.rows.items() for l in tail)
+    degree, group = ([F.degree[i] for i in keep], F.group) if graded else (None, None)
+    return FiniteDimAlgebra(len(keep), product, project(F.unit), [project(g) for g in F.gens],
+                            degree, group)
 
 
 def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe) -> FiniteDimAlgebra:
@@ -239,9 +251,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
 
     residuals = [vec for vec in map(skew_to_vec, recipe.residuals) if vec]
     unit = {index[(0, 0, group.identity())]: Cyclo.rational(1)}
-    # with nothing to kill the fiber is B * G itself, whose checks read each
-    # product many times; a quotient's table reads each product once
-    crossed = FiniteDimAlgebra(dim, product if residuals else cache(product), unit,
+    crossed = FiniteDimAlgebra(dim, product, unit,
                                [skew_to_vec(ring.monomial(*mono, f))
                                 for mono, f in ring.commutation_generators()],
                                degree=[f for (_a, _b, f) in basis], group=group)
@@ -294,15 +304,11 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
 
 def _trace_vector(F: FiniteDimAlgebra) -> dict:
     """{j: tau_j} over the j with tau_j, the trace of left multiplication by
-    basis_j, nonzero.  In a graded F only degree-e basis vectors can have
-    one: left multiplication by one of degree f != e moves every degree."""
-    if F.degree is None:
-        candidates = range(F.dim)
-    else:
-        e = F.group.identity()
-        candidates = [j for j, f in enumerate(F.degree) if f == e]
+    basis_j, nonzero.  Only degree-e basis vectors can have one: left
+    multiplication by one of degree f != e moves every degree."""
+    e = F.group.identity()
     tau = {}
-    for j in candidates:
+    for j in (j for j, f in enumerate(F.degree) if f == e):
         t = _sum(F.product(j, k).get(k) for k in range(F.dim))
         if t is not None and not t.is_zero():
             tau[j] = t
@@ -321,17 +327,14 @@ def _sum(terms):
 
 def trace_form_matrix(F: FiniteDimAlgebra) -> list:
     """Rows of the trace form, tr(basis_i basis_j), with its nonzero entries
-    in ascending j.  In a graded F the entry is 0 unless degree[j] is
-    degree[i]^-1 (the product then lies in degree e), so row i reads only
-    those j."""
+    in ascending j.  The entry is 0 unless degree[j] is degree[i]^-1 (the
+    product then lies in degree e), so row i reads only those j; under the
+    trivial grading that is every j."""
     tau = _trace_vector(F)
-    if F.degree is None:
-        partners = [range(F.dim)] * F.dim
-    else:
-        of_degree: dict = {}
-        for j, f in enumerate(F.degree):
-            of_degree.setdefault(f, []).append(j)
-        partners = [of_degree.get(F.group.inv(f), []) for f in F.degree]
+    of_degree: dict = {}
+    for j, f in enumerate(F.degree):
+        of_degree.setdefault(f, []).append(j)
+    partners = [of_degree.get(F.group.inv(f), []) for f in F.degree]
     rows = []
     for i in range(F.dim):
         row = {}
@@ -367,14 +370,9 @@ def center_dimension(F: FiniteDimAlgebra) -> int:
     return len(kernel(entries(), F.dim))
 
 
-def quotient_by_subspace(F: FiniteDimAlgebra, vectors) -> FiniteDimAlgebra:
-    """Quotient algebra by an ideal given as a spanning set of vectors."""
-    return _quotient(F, span(vectors))
-
-
 def semisimple_quotient(F: FiniteDimAlgebra) -> FiniteDimAlgebra:
     """F modulo its radical, the trace-form kernel."""
-    return quotient_by_subspace(F, nullspace(trace_form_matrix(F), F.dim))
+    return _quotient(F, span(nullspace(trace_form_matrix(F), F.dim)))
 
 
 @dataclass
@@ -408,26 +406,18 @@ def matrix_algebra_certificate(F: FiniteDimAlgebra) -> Certificate:
 
 
 def matrix_units_algebra(d: int) -> FiniteDimAlgebra:
-    """M_d as explicit structure constants (reference object for tests)."""
-    dim = d * d
+    """M_d on the matrix units e_ij = basis_(i d + j) (reference object for
+    tests): e_ij e_kl is e_il when j = k and 0 otherwise."""
     one = Cyclo.rational(1)
 
-    def idx(i, j):
-        return i * d + j
+    def product(x, y) -> dict:
+        (i, j), (k, l) = divmod(x, d), divmod(y, d)
+        return {i * d + l: one} if j == k else {}
 
-    sc = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    if j == k:
-                        sc[idx(i, j)][idx(k, l)] = {idx(i, l): one}
-    unit = {idx(i, i): one for i in range(d)}
-    return FiniteDimAlgebra.from_table(sc, unit)
+    return FiniteDimAlgebra(d * d, product, {i * d + i: one for i in range(d)})
 
 
 def dual_numbers_algebra() -> FiniteDimAlgebra:
-    """k[t]/t^2 (reference object for tests)."""
+    """k[t]/t^2 on the basis 1, t (reference object for tests)."""
     one = Cyclo.rational(1)
-    sc = [[{0: one}, {1: one}], [{1: one}, {}]]
-    return FiniteDimAlgebra.from_table(sc, {0: one})
+    return FiniteDimAlgebra(2, lambda i, j: {i + j: one} if i + j < 2 else {}, {0: one})

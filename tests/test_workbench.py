@@ -675,5 +675,5 @@ def test_readme_library_block(capsys):
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(block, {})
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "144 central-simple(12)"
-    assert [line.split()[0] for line in lines[1:]] == ["0", "2", "4", "4", "6", "6"]
+    assert lines[:2] == ["144 central-simple(12)", "100 5 central-simple(10)"]
+    assert [line.split()[0] for line in lines[2:]] == ["0", "2", "4", "4", "6", "6"]
