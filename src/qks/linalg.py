@@ -150,7 +150,9 @@ class Echelon:
             return False
         field = self.field
         pivot = min(res)
-        tail = field.scaled(field.neg_inverse(res.pop(pivot)), res)
+        lead = res.pop(pivot)
+        # a row with no tail scales nothing, so its pivot needs no inverse
+        tail = field.scaled(field.neg_inverse(lead), res) if res else {}
         # back-eliminate the new pivot from the rows that may hold it; a
         # holder whose entry cancelled since it was registered is a miss
         rows, holders = self.rows, self._holders

@@ -31,9 +31,12 @@ Each group of digests was recorded at the parent of the change named:
   element products, and a case-iii auslander check that is unstable at
   guard 2 and goes through the natural map), before every monomial
   product of A # G went through `SkewRing.mono_product`;
-- the last two (D5 full and D5 torus at a stabilized point, fibers of
+- the next two (D5 full and D5 torus at a stabilized point, fibers of
   dim 400 on which the closure kills nothing), before such fibers took
-  their products on demand and a graded trace form.
+  their products on demand and a graded trace form;
+- the last three (the D3 full and C3 k=2 centers at their default window,
+  as the benchmark runs them, and the D5 full center at window 10), before
+  the commutants were intersected one generator at a time.
 
 `HUMAN_PINNED` holds one command per human-format report body (points,
 stabilizers, graded dims, Hom degrees, Molien series, one fiber), recorded
@@ -141,6 +144,12 @@ PINNED = [
      "94665c1e3b23ba030086e98be27763951df10e7c0be580f5d26ee6a59b692706"),
     ("scan --case iii --n 5 --localization torus --stabilized --samples 1 --seed 7",
      "9b17608f77df48c94a422b1a52906042f0794ab494d860bbb3fec66d8bf21cf4"),
+    ("center --case iii --n 3 --localization full",
+     "024984e56944f1cd453da7d0427542a2c212d36f456becddb44fa53c2e83b985"),
+    ("center --case i --n 3 --k 2",
+     "7eccd722dbe54f99b125ba168a6148ea3ad163ee393fe872fae31d99cd77f0f8"),
+    ("center --case iii --n 5 --localization full --degree 10",
+     "7f03fbdd2c9a435220125989ec0c36f90ba51303b25686f0baf77d0ccf5c81d5"),
 ]
 
 # pinned commands whose verdict is not a pass: the case-0 control's

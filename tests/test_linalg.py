@@ -202,3 +202,30 @@ def test_kernel_skips_rows_whose_entries_cancel(monkeypatch):
     with_cancelled = kernel([("x", 0, one), ("x", 0, -one)] + live, 3)
     assert added == [{0: one, 1: -one}, {2: one}]
     assert with_cancelled == kernel(live, 3) == [{1: one, 0: one}]
+
+
+class _CountingField:
+    """`CYCLO` with its `neg_inverse` calls counted."""
+
+    def __init__(self):
+        self.axpy, self.scaled = CYCLO.axpy, CYCLO.scaled
+        self.inverses = 0
+
+    def neg_inverse(self, x):
+        self.inverses += 1
+        return CYCLO.neg_inverse(x)
+
+
+def test_rows_with_no_tail_take_no_inverse():
+    # six rows enlarge the span, and only the third and the fifth keep a
+    # tail once reduced: the others are (or reduce to) one entry
+    z, one, two = root_of_unity(1, 3), Cyclo.rational(1), Cyclo.rational(2)
+    vectors = [{4: two * z}, {1: two, 4: one}, {0: one, 2: z}, {2: two},
+               {0: z, 3: one, 5: one}, {5: one}]
+    field = _CountingField()
+    ech = span(vectors, field)
+    plain = span(vectors)
+    assert ech.rank == 6 and field.inverses == 2
+    assert ech.rows == plain.rows
+    assert list(ech.rows) == list(plain.rows)
+    assert [list(r) for r in ech.rows.values()] == [list(r) for r in plain.rows.values()]

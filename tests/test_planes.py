@@ -8,6 +8,7 @@ import pytest
 
 from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
+from qks.linalg import acc
 from qks.planes import (
     ActionError,
     Algebra,
@@ -314,3 +315,31 @@ def test_reflection_reads_the_plane_relation():
     assert act_mono(J, Group("dihedral"), h, (1, 0)) == ((0, 1), Cyclo.one())
     with pytest.raises(ActionError):
         act_mono(J, Group("dihedral"), h, (1, 1))
+
+
+def test_products_skip_exact_ones_only_at_their_own_conductor():
+    """NCPoly products against every multiply written out (c1 c2 times the
+    rewrite factor, summed in the same order), to the conductor of each
+    term.  The coefficients sit at conductors 1, 3, 4 and 12 in algebras of
+    conductor 3 and 1, so a factor 1 at the algebra's conductor is not
+    always 1 at the coefficient's."""
+    w3 = root_of_unity(1, 3)
+    scalars = [Cyclo.rational(Fraction(-2, 3)), Cyclo.one(), Cyclo.one(3), w3,
+               root_of_unity(1, 4), root_of_unity(5, 12)]
+    rng = random.Random(2026)
+    skipped = 0
+    for A in (quantum(w3, conductor=3, inverted=("u", "v")), Algebra("jordan")):
+        lo = -2 if A.inverted else 0
+        for _ in range(60):
+            x, y = ({(rng.randint(lo, 2), rng.randint(lo, 2)): rng.choice(scalars)
+                     for _ in range(rng.randint(1, 3))} for _ in range(2))
+            want: dict = {}
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    for mono, factor in A.mono_mul(m1, m2).items():
+                        acc(want, mono, c1 * c2 * factor)
+                    skipped += c2.den == 1 and c2.c[0] == 1 and not any(c2.c[1:])
+            got = (A.poly(x) * A.poly(y)).terms
+            assert [(m, c.n, c.c, c.den) for m, c in got.items()] \
+                == [(m, c.n, c.c, c.den) for m, c in want.items()]
+    assert skipped > 0

@@ -2,13 +2,21 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from qks.catalog import make_case
 from qks.cyclotomic import Cyclo, root_of_unity
-from qks.linalg import acc, spans_equal, nullspace
-from qks.planes import Algebra, AlgebraError, Group, apply_automorphism, check_inner_by
+from qks.linalg import acc, kernel, spans_equal, nullspace
+from qks.planes import (
+    Algebra,
+    AlgebraError,
+    Group,
+    NCPoly,
+    apply_automorphism,
+    check_inner_by,
+)
 from qks.skew import (
     Presentation,
     SkewElement,
@@ -486,3 +494,87 @@ def test_skew_products_match_the_old_formula(case):
                        for x1 in x.comps.values() for m1 in x1.terms
                        for x2 in y.comps.values() for m2 in x2.terms)
     assert (several > 0) == (case[0] == "iv")
+
+
+def _one_system_commutant(ring, window, gens, support) -> list:
+    """The commutant as one system: [x, w] = 0 for every w of `gens` at once,
+    over every candidate u^a v^b f of each degree (the builder before the
+    commutants were intersected one generator at a time)."""
+    algebra = ring.algebra
+    gmul, product = ring.group.mul, ring.mono_product
+    n0 = algebra.conductor
+    out = []
+    for d in _degree_range(algebra, window):
+        cands = [(mono, f) for mono in _monomials_of_degree(algebra, d, window)
+                 for f in support]
+
+        def entries():
+            for col, (mono, f) in enumerate(cands):
+                for gi, (m2, f2) in enumerate(gens):
+                    for m, k in product(mono, f, m2).items():
+                        yield (gi, m, gmul(f, f2)), col, k
+                    for m, k in product(m2, f2, mono).items():
+                        yield (gi, m, gmul(f2, f)), col, -k
+
+        for sol in kernel(entries(), len(cands)):
+            comps: dict = {}
+            for col, coeff in sorted(sol.items()):
+                mono, f = cands[col]
+                comps.setdefault(f, {})[mono] = coeff.coerce(lcm(coeff.n, n0))
+            out.append(SkewElement(ring, {f: NCPoly(algebra, terms)
+                                          for f, terms in comps.items()}))
+    return out
+
+
+COMMUTANT_RINGS = [
+    ("0", {"localization": "none"}, 8),
+    ("0", {"localization": "full"}, 4),
+    ("i", {"n": 2, "k": 2}, 4),
+    ("i", {"n": 3, "k": 2}, 4),
+    ("i", {"n": 4, "k": 2}, 4),
+    ("ii", {"localization": "none"}, 8),
+    ("ii", {"localization": "torus"}, 4),
+    ("ii", {"localization": "full"}, 4),
+    ("iii", {"n": 2, "localization": "none"}, 8),
+    ("iii", {"n": 2, "localization": "torus"}, 4),
+    ("iii", {"n": 3, "localization": "none"}, 8),
+    ("iii", {"n": 3, "localization": "torus"}, 4),
+    ("iii", {"n": 3, "localization": "full"}, 4),
+    ("iii", {"n": 4, "localization": "none"}, 8),
+    ("iii", {"n": 4, "localization": "torus"}, 4),
+    ("iv", {}, 8),
+]
+
+
+@pytest.mark.parametrize("case_id, kwargs, window", COMMUTANT_RINGS,
+                         ids=[f"{c}-{'-'.join(map(str, kw.values()))}" for c, kw, _ in COMMUTANT_RINGS])
+def test_staged_commutant_equals_one_system(case_id, kwargs, window):
+    """`center_basis` and `invariant_basis`, stage by stage, give the one
+    system's basis element by element, to the conductor of every term.
+    (Even-n case iii has no `full` localization.)"""
+    T = make_case(case_id, **kwargs).ring
+    e = T.group.identity()
+    center = center_basis(T, window)
+    ref_center = _one_system_commutant(T, window, T.commutation_generators(),
+                                       T.group.elements())
+    fixed = invariant_basis(T, window)
+    ref_fixed = [x.comps[e] for x in _one_system_commutant(
+        T, window, [((0, 0), f) for f in T.group.generators()], [e])]
+    assert center and fixed
+    assert [_exact_terms({f: x.terms for f, x in z.comps.items()}) for z in center] \
+        == [_exact_terms({f: x.terms for f, x in z.comps.items()}) for z in ref_center]
+    assert [_exact_terms({e: p.terms}) for p in fixed] \
+        == [_exact_terms({e: p.terms}) for p in ref_fixed]
+
+
+def test_staged_center_builds_few_products(monkeypatch):
+    """The u and v stages leave few of the 3,786 window-14 candidates of D3
+    full, so the later systems are small: one system over every candidate
+    made 30,288 monomial products here."""
+    T = make_case("iii", n=3, localization="full").ring
+    calls = []
+    product = SkewRing.mono_product
+    monkeypatch.setattr(SkewRing, "mono_product",
+                        lambda ring, *args: calls.append(args) or product(ring, *args))
+    assert len(center_basis(T, 14)) == 31
+    assert len(calls) <= 12_000
