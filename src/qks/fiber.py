@@ -25,8 +25,11 @@ with its G-degrees.  Where something is killed (case i, even-n case iii) it
 is the quotient on a complement of the killed span, and it keeps the
 G-degrees when each killed row is homogeneous, as when the residual lies in
 degree e (case i with gcd(n, k) = 1); a residual mixing group components
-leaves it trivially graded.  Its trace form reads only the degree pairs
-(f, f^-1) at which it can be nonzero.
+leaves it trivially graded.  A graded fiber is strongly graded, with a unit
+in every degree f (the image of f), so its trace form is read on the
+identity component F_e: for x = beta f in F_f and y = f^-1 gamma in F_f^-1
+(beta, gamma in F_e), tr_F(xy) = |G| tr_F_e(beta gamma), and every other
+degree pair pairs to 0, so rank T_F = |G| rank T_F_e.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -136,7 +139,11 @@ class FiniteDimAlgebra:
     The algebra is graded: `degree[i]` is the element of `group` that
     basis_i lies over, and basis_i * basis_j lies in degree
     degree[i] degree[j].  A fiber keeps its G-degrees wherever they survive
-    the quotient; left unset, `degree` is the trivial grading.
+    the quotient; left unset, `degree` is the trivial grading.  The grading
+    is taken to be strong: the unit lies in degree e, each gen is
+    homogeneous, and each degree f != e of a gen holds a gen that is a unit,
+    so the degrees present form a subgroup H, each holding a unit.
+    `check_associativity` tests this, and `trace_form_rank` relies on it.
     """
 
     dim: int
@@ -270,17 +277,68 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     return fiber
 
 
-def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
-    """Unit, generation by F.gens, then associativity.
+class _Ungraded(Exception):
+    """A product read by `check_associativity` left its degree."""
 
-    The left-normed words in the gens, from the unit, must span F.  The
-    middle nucleus {g : (x g) y = x (g y) for all x, y} is a subalgebra, so
-    for dim <= 40 checking each generator g against all basis x, y is
-    complete; above that, seeded random basis triples are checked.
+
+def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
+    """Unit, grading, generation by F.gens, then associativity.
+
+    Every basis product read here must lie in degree degree[i] degree[j],
+    which puts the unit in degree e; each gen must be homogeneous, and each
+    degree f != e of a gen must hold a gen g that is a unit, tested as 1 in
+    g F.  The left-normed words in the gens, from the unit, must span F; so
+    the degrees present are the subgroup generated by the gens' degrees,
+    and each holds a unit (a product of unit gens).
+
+    The middle nucleus {g : (x g) y = x (g y) for all x, y} is a
+    subalgebra, so for dim <= 40 checking each generator g against all
+    basis x, y is complete; above that, seeded random basis triples are
+    checked.
     """
+    group, degree = F.group, F.degree
+    e = group.identity()
+    if any(f != e for f in degree):
+        product = F.product
+
+        @cache
+        def graded(i, j) -> dict:
+            p = product(i, j)
+            f = group.mul(degree[i], degree[j])
+            for l in p:
+                if degree[l] != f:
+                    raise _Ungraded
+            return p
+
+        F = replace(F, product=graded)
+    try:
+        return _check_graded_associative(F, samples, seed)
+    except _Ungraded:
+        return False
+
+
+def _check_graded_associative(F: FiniteDimAlgebra, samples: int, seed: int) -> bool:
+    """check_associativity's tests, on an F whose products raise _Ungraded
+    when they leave their degree."""
+    group, degree = F.group, F.degree
+    e = group.identity()
     one = Cyclo.rational(1)
-    if not all(F.right_mul(F.unit, i) == {i: one} == F.left_mul(i, F.unit)
-               for i in range(F.dim)):
+    if not all(F.right_mul(F.unit, i) == {i: one} == F.left_mul(i, F.unit) for i in range(F.dim)):
+        return False
+    of_degree: dict = {}
+    for g in F.gens:
+        if g:
+            f = degree[next(iter(g))]
+            if any(degree[l] != f for l in g):
+                return False
+            of_degree.setdefault(f, []).append(g)
+
+    def is_unit(g, f) -> bool:
+        # 1 lies in g F_f^-1, so g has a right inverse, hence is a unit
+        f_inv = group.inv(f)
+        return not span(F.right_mul(g, k) for k in range(F.dim) if degree[k] == f_inv).reduce(F.unit)
+
+    if not all(f == e or any(is_unit(g, f) for g in gs) for f, gs in of_degree.items()):
         return False
     right = [[F.left_mul(x, g) for x in range(F.dim)] for g in F.gens]  # right[n][x] = x g_n
     words = span([F.unit])
@@ -304,11 +362,9 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
 
 def _trace_vector(F: FiniteDimAlgebra) -> dict:
     """{j: tau_j} over the j with tau_j, the trace of left multiplication by
-    basis_j, nonzero.  Only degree-e basis vectors can have one: left
-    multiplication by one of degree f != e moves every degree."""
-    e = F.group.identity()
+    basis_j, nonzero."""
     tau = {}
-    for j in (j for j, f in enumerate(F.degree) if f == e):
+    for j in range(F.dim):
         t = _sum(F.product(j, k).get(k) for k in range(F.dim))
         if t is not None and not t.is_zero():
             tau[j] = t
@@ -327,18 +383,12 @@ def _sum(terms):
 
 def trace_form_matrix(F: FiniteDimAlgebra) -> list:
     """Rows of the trace form, tr(basis_i basis_j), with its nonzero entries
-    in ascending j.  The entry is 0 unless degree[j] is degree[i]^-1 (the
-    product then lies in degree e), so row i reads only those j; under the
-    trivial grading that is every j."""
+    in ascending j; it reads every product and not the grading."""
     tau = _trace_vector(F)
-    of_degree: dict = {}
-    for j, f in enumerate(F.degree):
-        of_degree.setdefault(f, []).append(j)
-    partners = [of_degree.get(F.group.inv(f), []) for f in F.degree]
     rows = []
     for i in range(F.dim):
         row = {}
-        for j in partners[i]:
+        for j in range(F.dim):
             t = _sum(c * tau[l] for l, c in F.product(i, j).items() if l in tau)
             if t is not None and not t.is_zero():
                 row[j] = t
@@ -346,8 +396,28 @@ def trace_form_matrix(F: FiniteDimAlgebra) -> list:
     return rows
 
 
+def identity_component(F: FiniteDimAlgebra) -> FiniteDimAlgebra:
+    """F_e, the span of the basis vectors of degree e, a trivially graded
+    subalgebra whose products are F's, reindexed; F itself when every
+    basis vector has degree e."""
+    e = F.group.identity()
+    keep = [i for i, f in enumerate(F.degree) if f == e]
+    if len(keep) == F.dim:
+        return F
+    new_index = {old: new for new, old in enumerate(keep)}
+
+    def product(i, j) -> dict:
+        return {new_index[l]: c for l, c in F.product(keep[i], keep[j]).items()}
+
+    return FiniteDimAlgebra(len(keep), product, {new_index[l]: c for l, c in F.unit.items()})
+
+
 def trace_form_rank(F: FiniteDimAlgebra) -> int:
-    return span(trace_form_matrix(F)).rank
+    """rank of the trace form: |H| rank T_F_e, H the degrees present.  Each
+    degree f holds a unit, so the block of T_F on F_f x F_f^-1 is
+    |H| T_F_e between invertible changes of basis, and the other blocks are
+    0 (see the module docstring)."""
+    return len(set(F.degree)) * span(trace_form_matrix(identity_component(F))).rank
 
 
 def jacobson_radical_dim(F: FiniteDimAlgebra) -> int:

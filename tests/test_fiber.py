@@ -19,6 +19,7 @@ from qks.fiber import (
     center_dimension,
     check_associativity,
     dual_numbers_algebra,
+    identity_component,
     jacobson_radical_dim,
     matrix_algebra_certificate,
     matrix_units_algebra,
@@ -329,25 +330,81 @@ def test_graded_trace_form_matches_the_dense_one(case_id, kwargs, ranks):
         point = sample_point(case, random.Random(1), stabilized=stabilized)
         fiber = build_fiber(case.ring, point, recipe_for(case, point))
         assert len(set(fiber.degree)) == case.ring.group.order > 1
-        graded = trace_form_matrix(fiber)
         dense = trace_form_matrix(replace(fiber, degree=None))
-        assert graded == dense
-        assert [list(row) for row in graded] == [list(row) for row in dense]  # key order
-        assert span(graded).rank == rank
-        # a degree list that lies: the unit's degree e swapped with another
-        lie = list(fiber.degree)
-        k = next(j for j, f in enumerate(lie) if f != lie[0])
-        lie[0], lie[k] = lie[k], lie[0]
-        assert trace_form_matrix(replace(fiber, degree=lie)) != graded
+        assert trace_form_matrix(fiber) == dense  # the matrix does not read degrees
+        assert trace_form_rank(fiber) == span(dense).rank == rank
+        # degree lists that lie: the degree of the unit, of a group
+        # generator and of a basis vector in neither, swapped with another
+        used = set(fiber.unit).union(*fiber.gens)
+        plain = next(j for j in range(fiber.dim) if j not in used)
+        for i in (min(fiber.unit), max(fiber.gens[-1]), plain):
+            lie = list(fiber.degree)
+            k = max(j for j, f in enumerate(lie) if f != lie[i])
+            lie[i], lie[k] = lie[k], lie[i]
+            assert not check_associativity(replace(fiber, degree=lie))
 
 
-def test_graded_fiber_computes_fewer_than_half_the_products():
+# the identity rank T_F = |H| rank T_F_e against the dense form, with the
+# number of degrees |H| and the rank: stabilized points are rank-deficient,
+# and the mixed-residual quotients (i (2, 2) and (4, 2), even-n iii) are
+# trivially graded
+@pytest.mark.parametrize("case_id,kwargs,seed,stabilized,degrees,rank", [
+    ("0", dict(localization="none"), 1, False, 2, 4),
+    ("0", dict(localization="none"), 1, True, 2, 2),
+    ("0", dict(localization="none"), 2101, False, 2, 2),  # s^2 = 4m there
+    ("0", dict(localization="full"), 1, False, 2, 4),
+    ("ii", dict(localization="none"), 1, False, 2, 16),
+    ("ii", dict(localization="none"), 1, True, 2, 8),
+    ("ii", dict(localization="torus"), 2, True, 2, 8),
+    ("ii", dict(localization="full"), 1, False, 2, 16),
+    ("iii", dict(n=3, localization="none"), 1, False, 6, 144),
+    ("iii", dict(n=3, localization="torus"), 1, True, 6, 72),
+    ("iii", dict(n=3, localization="torus"), 2101, True, 6, 72),
+    ("iii", dict(n=3, localization="full"), 2101, False, 6, 144),
+    ("iii", dict(n=4, localization="none"), 1, False, 1, 64),
+    ("iii", dict(n=4, localization="torus"), 2, False, 1, 64),
+    ("iii", dict(n=5, localization="full"), 1, False, 10, 400),
+    ("i", dict(n=2, k=2), 1, False, 1, 4),
+    ("i", dict(n=4, k=2), 3, False, 1, 16),
+    ("i", dict(n=3, k=2), 1, False, 3, 36),
+    ("i", dict(n=3, k=2), 2101, False, 3, 36),
+    ("i", dict(n=5, k=2), 2, False, 5, 100),
+    ("i", dict(n=7, k=3), 1, False, 7, 441),
+])
+def test_trace_rank_is_the_identity_component_rank_times_the_degrees(
+        case_id, kwargs, seed, stabilized, degrees, rank):
+    case = make_case(case_id, **kwargs)
+    point = sample_point(case, random.Random(seed), stabilized=stabilized)
+    fiber = build_fiber(case.ring, point, recipe_for(case, point))
+    assert len(set(fiber.degree)) == degrees
+    assert trace_form_rank(fiber) == span(trace_form_matrix(replace(fiber, degree=None))).rank == rank
+    F_e = identity_component(fiber)
+    assert F_e.dim * degrees == fiber.dim
+    assert degrees * trace_form_rank(F_e) == rank
+
+
+def test_a_grading_without_homogeneous_unit_gens_is_refused():
+    # the dual numbers k[x]/x^2 with x in degree g of C2: products keep
+    # their degrees, but x is not a unit, so the grading is not strong and
+    # 2 rank T_F_e = 2 would misstate the rank 1 of the trace form
+    D = dual_numbers_algebra()
+    graded = replace(D, degree=[(0, 0), (1, 0)], group=Group("cyclic", 2, Cyclo.rational(-1)))
+    assert check_associativity(D)
+    assert not check_associativity(graded)
+    # the gen 1 + x generates and is a unit, but it is not homogeneous
+    one = Cyclo.rational(1)
+    assert check_associativity(replace(D, gens=[{0: one, 1: one}]))
+    assert not check_associativity(replace(graded, gens=[{0: one, 1: one}]))
+    assert trace_form_rank(D) == span(trace_form_matrix(graded)).rank == 1
+
+
+def test_graded_fiber_computes_fewer_than_a_quarter_of_the_products():
     # the D3 full fiber, dim 144: the old structure table built all
-    # 144^2 = 20,736 products; build plus certificate now compute each
-    # product they ask for once, fewer than half of them in all
+    # 144^2 = 20,736 products; build plus certificate compute each product
+    # they ask for once, and the trace form reads only F_e, 24^2 of them
     fiber = _catalog_fiber("iii", dict(n=3, localization="full"))
     assert str(matrix_algebra_certificate(fiber)) == "central-simple(12)"
-    assert fiber.product.cache_info().misses < fiber.dim ** 2 // 2 == 10_368
+    assert fiber.product.cache_info().misses < fiber.dim ** 2 // 4 == 5_184
 
 
 # -- the killed ideal: each residual is central, so one pass spans it
@@ -400,21 +457,20 @@ def test_one_pass_kills_the_ideal_of_the_generator_closure(case_id, kwargs, dims
     assert graded is all(crossed.degree[l] == crossed.degree[p]
                          for p, tail in closure.rows.items() for l in tail)
     kept = [crossed.degree[i] for i in range(crossed.dim) if i not in closure.rows]
-    form = trace_form_matrix(fiber)
     if graded:
         assert fiber.degree == kept and len(set(kept)) == ring.group.order
         dense = trace_form_matrix(replace(fiber, degree=None))
-        assert form == dense
-        assert [list(row) for row in form] == [list(row) for row in dense]  # key order
+        assert trace_form_rank(fiber) == span(dense).rank
     else:
         assert len(set(fiber.degree)) == 1
         # the degrees of the kept columns do not grade a mixed quotient
-        assert trace_form_matrix(replace(fiber, degree=kept, group=ring.group)) != form
+        assert not check_associativity(replace(fiber, degree=kept, group=ring.group))
 
 
-def test_a_quotient_fiber_computes_fewer_products_than_its_table_had():
+def test_a_quotient_fiber_computes_fewer_products_than_a_third_of_its_table():
     # C5 k=2, dim 100: the written-out quotient table held 100^2 = 10,000
-    # products; build plus certificate ask for about half of them
+    # products; build plus certificate ask for fewer than 3,000 of them,
+    # the trace form 20^2 on F_e
     fiber = _catalog_fiber("i", dict(n=5, k=2))
     assert str(matrix_algebra_certificate(fiber)) == "central-simple(10)"
-    assert fiber.product.cache_info().misses <= 6_000 < fiber.dim ** 2
+    assert fiber.product.cache_info().misses <= 3_000 < fiber.dim ** 2
