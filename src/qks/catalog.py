@@ -12,7 +12,9 @@ Case ids
 Localizations: "none" (the graded ring), "torus" (u, v inverted), "full"
 (torus plus the case's extra central denominator).  Expected fiber ranks were
 filled in from the brute-force fiber oracle and agree with the crossed-product
-rank bookkeeping: d = lcm(n, k) in (i), 2|G| in (ii) and odd (iii), else |G|.
+rank bookkeeping: d = lcm(n, k) in (i), 2|G| in (ii) and odd (iii), else |G|,
+that is l|G|/|N| for l the order of q.  No case states Z(A) = k[u^l, v^l] or
+the inner part N of its action: both are read off the ring.
 
 Samplers draw from a fixed pool of small rationals (and conductor roots of
 unity where the center is a Laurent ring), rejecting inadmissible points;
@@ -39,7 +41,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable
 
 from .cyclotomic import Cyclo, root_of_unity
@@ -66,11 +68,9 @@ class CaseSpec:
     localization: str
     ring: SkewRing
     presentation: Presentation | None
-    x_outer: bool | None
     expected_d: int | None
     azumaya_expected: bool | None    # None: no pointwise claim to scan
     scan_reason: str | None          # set when scans are not applicable
-    za_gens: list | None             # generators of Z(A) for freeness scans
     keeps_stabilized: bool = False   # does the localization keep stabilized points?
     draw: Callable | None = None     # (rng, stabilized) -> generator values or None
     recipe: Callable | None = None   # CentralPoint -> FiberRecipe
@@ -187,9 +187,8 @@ def _case_zero(localization: str | None = None) -> CaseSpec:
     return CaseSpec(
         case_id="0", label="k[u,v]#S2", n=None, k=None, q_value=None,
         localization=localization, ring=T, presentation=pres,
-        x_outer=True, expected_d=2,
-        azumaya_expected=(localization == "full"), scan_reason=None,
-        za_gens=[A.u(), A.v()], keeps_stabilized=(localization == "none"),
+        expected_d=2, azumaya_expected=(localization == "full"), scan_reason=None,
+        keeps_stabilized=(localization == "none"),
         draw=draw, recipe=recipe, draw_za=draw_za,
     )
 
@@ -219,10 +218,9 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
         return CaseSpec(
             case_id="i", label=f"k_q[u,v]#C{n} (q={q})", n=n, k=None, q_value=q,
             localization=localization, ring=T, presentation=None,
-            x_outer=True, expected_d=None, azumaya_expected=None,
+            expected_d=None, azumaya_expected=None,
             scan_reason="q is not a root of unity: T is not finite over its centre, "
                         "no pointwise fiber scan applies",
-            za_gens=None,
         )
     if k is None:
         raise CatalogError("case i needs k (order of q) or an explicit rational q")
@@ -264,11 +262,9 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
     return CaseSpec(
         case_id="i", label=f"k_q[u,v]#C{n} (ord q = {k})", n=n, k=k, q_value=None,
         localization=localization, ring=T, presentation=pres,
-        x_outer=(gcd(n, k) == 1), expected_d=l,
-        azumaya_expected=(True if localization == "torus" else None),
+        expected_d=l, azumaya_expected=(True if localization == "torus" else None),
         scan_reason=None if localization == "torus" else
         "the unlocalized quantum plane is not Azumaya; scan the torus localization",
-        za_gens=[A.monomial(k, 0), A.monomial(0, k)] if localization == "torus" else None,
         draw=draw, recipe=recipe,
         draw_za=lambda rng, stabilized: _pool_pair(rng, l, stabilized),
     )
@@ -382,10 +378,9 @@ def _minus_one_plane(case_id: str, n: int, localization: str, names: tuple) -> C
         case_id=case_id, label="k_{-1}[u,v]#" + ("S2" if case_id == "ii" else f"D{n}"),
         n=None if case_id == "ii" else n, k=2, q_value=None,  # S_2 takes no n
         localization=localization, ring=T, presentation=pres,
-        x_outer=odd, expected_d=expected, azumaya_expected=azu,
+        expected_d=expected, azumaya_expected=azu,
         scan_reason="the unlocalized ring is not Azumaya; scan a localization"
         if localization == "none" else None,
-        za_gens=[A.monomial(2, 0), A.monomial(0, 2)] if localization != "none" else None,
         keeps_stabilized=odd and localization != "full",
         draw=draw, recipe=recipe, draw_za=draw_za,
     )
@@ -403,10 +398,9 @@ def _case_iv(localization: str = "none") -> CaseSpec:
     return CaseSpec(
         case_id="iv", label="k_J[u,v]#C2", n=2, k=None, q_value=None,
         localization="none", ring=T, presentation=None,
-        x_outer=True, expected_d=None, azumaya_expected=None,
+        expected_d=None, azumaya_expected=None,
         scan_reason="center too small for a pointwise scan: the Jordan plane is "
                     "not PI and Z(T) = k",
-        za_gens=None,
     )
 
 
@@ -443,8 +437,9 @@ def recipe_for(case: CaseSpec, point: CentralPoint) -> FiberRecipe:
 
 
 def sample_za_values(case: CaseSpec, rng, stabilized: bool = False) -> list:
-    """Values for the case's Z(A) generators, honoring the localization."""
-    if case.za_gens is None:
+    """Values for the Z(A) generators (`Algebra.center_generators`),
+    honoring the localization."""
+    if case.draw_za is None:
         raise CatalogError(f"case {case.label} has no freeness data")
     for _ in range(200):
         values = case.draw_za(rng, stabilized)

@@ -118,6 +118,17 @@ class Algebra:
     def v(self, e: int = 1) -> "NCPoly":
         return self.monomial(0, e)
 
+    def center_generators(self) -> list | None:
+        """[u^l, v^l], l the order of q: generators of Z(A), localized or not;
+        None on the planes that are not PI (Jordan, q no root of unity): Z(A) = k."""
+        if self.kind == "jordan":
+            return None
+        try:
+            l = multiplicative_order(self.q, bound=2 * self.q.n)
+        except ValueError:
+            return None
+        return [self.u(l), self.v(l)]
+
     # -- monomial products (the rewrite system) --------------------------------
 
     def mono_mul(self, m1: Mono, m2: Mono) -> dict:

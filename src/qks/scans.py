@@ -162,12 +162,13 @@ def azumaya_scan(case: CaseSpec, samples: int, seed: int,
 def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     """Sample Z(A) points (respecting the localization), report stabilizers.
 
-    Verdict "free" iff all sampled stabilizers are trivial; cross-referenced
-    against the case's Azumaya expectation (the two must agree for X-outer
-    actions with an Azumaya coefficient ring)."""
+    Not applicable with a scan reason, or else where the action's inner part
+    N is not {e}.  Verdict "free" iff all sampled stabilizers are trivial;
+    cross-referenced against the case's Azumaya expectation (the two must
+    agree for X-outer actions with an Azumaya coefficient ring)."""
     draws = _stabilized_draws(case, samples)
     body = {"points": [], "azumaya_expected": case.azumaya_expected}
-    if not case.x_outer or case.za_gens is None:
+    if case.scan_reason or len(case.ring.inner_part()) > 1:
         reason = case.scan_reason or "the action is not X-outer on this localization"
         return Report("freeness", case.label, case.params(), seed, case.conductor,
                       body, f"not-applicable: {reason}", None)
@@ -176,7 +177,7 @@ def freeness_scan(case: CaseSpec, samples: int, seed: int) -> Report:
     witnesses = 0
     for stab_draw in draws:
         values = sample_za_values(case, rng, stabilized=stab_draw)
-        stab = stabilizer_of_point(case.ring, case.za_gens, values)
+        stab = stabilizer_of_point(case.ring, values)
         rec = {"values": {f"z{i}": v.to_str() for i, v in enumerate(values)},
                "stabilizer_order": len(stab),
                "stabilizer": [group.element_str(f) for f in stab]}

@@ -82,6 +82,15 @@ class SkewRing:
         e = self.group.identity()
         return [((1, 0), e), ((0, 1), e)] + [((0, 0), f) for f in self.group.generators()]
 
+    def inner_part(self) -> list:
+        """N = {f in G : f fixes Z(A) pointwise}: on the prime PI algebra A the
+        action is X-outer iff N = {e} (Montgomery, LNM 818; Skolem-Noether)."""
+        gens = self.algebra.center_generators()
+        if gens is None:
+            raise AlgebraError(f"{self.algebra} is not PI: Z(A) = k does not decide X-outerness")
+        return [f for f in self.group.elements()
+                if all(apply_automorphism(self.group, f, z) == z for z in gens)]
+
 
 class SkewElement:
     """Finite map group element -> NCPoly; zero components are dropped."""
@@ -490,28 +499,27 @@ def verify_invariant_generating_set(ring: SkewRing, gens: list, window: int) -> 
                                   [(d, x) for d, xs in prods.items() for x in xs])
 
 
-def stabilizer_of_point(ring: SkewRing, za_gens: list, values: list) -> list:
+def stabilizer_of_point(ring: SkewRing, values: list) -> list:
     """{f in G : f fixes the maximal ideal <z_i - values_i> of Z(A)}, for the
-    ring A # G.
+    ring A # G and the generators z_i of `Algebra.center_generators`.
 
-    Requires the action to permute the given generators up to scalars."""
-    group = ring.group
-    stab = []
-    for f in group.elements():
-        ok = True
-        for i, gen in enumerate(za_gens):
-            image = apply_automorphism(group, f, gen)
-            for j, target in enumerate(za_gens):
+    Requires the action to permute those generators up to scalars."""
+    gens = ring.algebra.center_generators()
+    if gens is None:
+        raise AlgebraError(f"{ring.algebra} is not PI: Z(A) = k has no points to stabilize")
+
+    def fixes(f) -> bool:
+        for gen, p in zip(gens, values):
+            image = apply_automorphism(ring.group, f, gen)
+            for target, p_target in zip(gens, values):
                 lam = _scalar_multiple_of(image, target)
                 if lam is not None:
-                    # f.(z_i - p_i) = lam (z_j - p_i/lam): fixed iff p_j = p_i/lam
-                    if values[j] != values[i] * lam.inverse():
-                        ok = False
                     break
             else:
                 raise AlgebraError(f"action does not permute the generators (f={f}, gen={gen!r})")
-            if not ok:
-                break
-        if ok:
-            stab.append(f)
-    return stab
+            # f.(z - p) = lam (z' - p/lam): fixed iff p' = p/lam
+            if p_target != p * lam.inverse():
+                return False
+        return True
+
+    return [f for f in ring.group.elements() if fixes(f)]

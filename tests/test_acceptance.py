@@ -129,7 +129,7 @@ def test_criterion_4_azumaya_scans():
                 (case.label, rep.verdict)
             assert rep.passed is True
             assert all(p["certificate"] == "central-simple" for p in rep.body["points"])
-            if case.x_outer:
+            if len(case.ring.inner_part()) == 1:  # X-outer
                 d = case.expected_d
                 assert d * d == (case.ring.group.order ** 2) * (case.k ** 2)
             if case.case_id == "i":

@@ -34,9 +34,12 @@ Each group of digests was recorded at the parent of the change named:
 - the next two (D5 full and D5 torus at a stabilized point, fibers of
   dim 400 on which the closure kills nothing), before such fibers took
   their products on demand and a graded trace form;
-- the last three (the D3 full and C3 k=2 centers at their default window,
+- the next three (the D3 full and C3 k=2 centers at their default window,
   as the benchmark runs them, and the D5 full center at window 10), before
-  the commutants were intersected one generator at a time.
+  the commutants were intersected one generator at a time;
+- the last three (freeness on case ii none, where a scan reason is set, and
+  on D4 torus and C4 k=2, whose actions are not X-outer), before
+  X-outerness and the generators of Z(A) were read off the ring.
 
 `HUMAN_PINNED` holds one command per human-format report body (points,
 stabilizers, graded dims, Hom degrees, Molien series, one fiber), recorded
@@ -150,14 +153,23 @@ PINNED = [
      "7eccd722dbe54f99b125ba168a6148ea3ad163ee393fe872fae31d99cd77f0f8"),
     ("center --case iii --n 5 --localization full --degree 10",
      "7f03fbdd2c9a435220125989ec0c36f90ba51303b25686f0baf77d0ccf5c81d5"),
+    ("freeness --case ii --localization none --samples 3 --seed 7",
+     "827bc50fcbf7630bfe63c5a4d87b48db7a74b632787ddc93edcda09f52b4de28"),
+    ("freeness --case iii --n 4 --localization torus --samples 3 --seed 7",
+     "59c89e390069609dfe06d42baaa875eac466967e07d2e1b636d7185073a0de94"),
+    ("freeness --case i --n 4 --k 2 --samples 3 --seed 7",
+     "5c82dd242019a17a9ed13e909fb2ccb32f5a2e602cce82f4669387f02ab4e41d"),
 ]
 
 # pinned commands whose verdict is not a pass: the case-0 control's
-# mismatch, and the truncation instability of case 0 at guard 0 and of
-# case iii n = 3 at guard 2
+# mismatch, the truncation instability of case 0 at guard 0 and of
+# case iii n = 3 at guard 2, and the not-applicable freeness scans
 EXIT_CODES = {"auslander --case 0 --localization none --degree 2 --guard 4": 1,
               "auslander --case 0 --localization none --degree 0 --guard 0": 2,
-              "auslander --case iii --n 3 --localization none --degree 2 --guard 2": 2}
+              "auslander --case iii --n 3 --localization none --degree 2 --guard 2": 2,
+              "freeness --case ii --localization none --samples 3 --seed 7": 2,
+              "freeness --case iii --n 4 --localization torus --samples 3 --seed 7": 2,
+              "freeness --case i --n 4 --k 2 --samples 3 --seed 7": 2}
 
 
 # the default --format human, one command per report body kind

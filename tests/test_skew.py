@@ -370,9 +370,9 @@ def test_stabilizer_commutative_swap():
     A = Algebra("quantum", q=Cyclo.one())
     G = Group("dihedral")
     T = SkewRing(A, G)
-    gens = [A.u(), A.v()]
-    assert stabilizer_of_point(T, gens, [Cyclo.rational(2), Cyclo.rational(3)]) == [(0, 0)]
-    assert stabilizer_of_point(T, gens, [Cyclo.rational(2), Cyclo.rational(2)]) == [(0, 0), (0, 1)]
+    assert [z.terms for z in A.center_generators()] == [A.u().terms, A.v().terms]
+    assert stabilizer_of_point(T, [Cyclo.rational(2), Cyclo.rational(3)]) == [(0, 0)]
+    assert stabilizer_of_point(T, [Cyclo.rational(2), Cyclo.rational(2)]) == [(0, 0), (0, 1)]
 
 
 def test_stabilizer_torus_dihedral():
@@ -380,19 +380,55 @@ def test_stabilizer_torus_dihedral():
     A = Algebra("quantum", q=Cyclo.rational(-1), conductor=n, inverted={"u", "v"})
     G = Group("dihedral", n, root_of_unity(1, n))
     T = SkewRing(A, G)
-    gens = [A.monomial(2, 0), A.monomial(0, 2)]
+    assert [z.terms for z in A.center_generators()] == \
+        [A.monomial(2, 0).terms, A.monomial(0, 2).terms]
     w = root_of_unity(1, n)
     # alpha = w^i beta gives a reflection in the stabilizer
-    stab = stabilizer_of_point(T, gens, [w, Cyclo.one(3)])
+    stab = stabilizer_of_point(T, [w, Cyclo.one(3)])
     assert len(stab) > 1
     assert all(f in G.elements() for f in stab)
     # generic rational point: trivial
-    stab = stabilizer_of_point(T, gens, [Cyclo.rational(1), Cyclo.rational(2)])
+    stab = stabilizer_of_point(T, [Cyclo.rational(1), Cyclo.rational(2)])
     assert stab == [(0, 0)]
     # closure under multiplication
     for x in stab:
         for y in stab:
             assert G.mul(x, y) in stab
+
+
+def test_stabilizer_needs_a_pi_algebra():
+    T = SkewRing(Algebra("jordan"), Group("cyclic", 2, Cyclo.rational(-1)))
+    with pytest.raises(AlgebraError, match="not PI"):
+        stabilizer_of_point(T, [Cyclo.rational(1), Cyclo.rational(2)])
+
+
+_TORUS_CASES = ([("i", dict(n=n, k=k)) for n in (2, 3, 4, 6) for k in (2, 3, 4, 6)]
+                + [("iii", dict(n=n, localization="torus")) for n in range(1, 9)]
+                + [("ii", dict(localization="torus"))])
+
+
+@pytest.mark.parametrize("case_id,kwargs", _TORUS_CASES)
+def test_inner_part_is_skolem_noether(case_id, kwargs):
+    # N (f fixing Z(A) pointwise) equals the f that conjugation by a unit
+    # monomial u^a v^b realizes, 0 <= a, b < l: the inner automorphisms of
+    # the torus, up to the central u^l, v^l
+    ring = make_case(case_id, **kwargs).ring
+    A, G = ring.algebra, ring.group
+    l = A.center_generators()[0].degree()
+    realized = [f for f in G.elements()
+                if any(check_inner_by(A, G, f, A.monomial(a, b))
+                       for a in range(l) for b in range(l))]
+    assert ring.inner_part() == realized
+
+
+def test_inner_part_flags_an_action_that_fixes_the_center():
+    # C2 acting by -1 on the (-1)-torus fixes u^2 and v^2: X-inner, by uv
+    A = Algebra("quantum", q=Cyclo.rational(-1), inverted={"u", "v"})
+    G = Group("cyclic", 2, Cyclo.rational(-1))
+    assert SkewRing(A, G).inner_part() == [(0, 0), (1, 0)]
+    assert check_inner_by(A, G, (1, 0), A.monomial(1, 1))
+    # the C2 swap (S2) moves u^2, so it stays X-outer
+    assert SkewRing(A, Group("dihedral", 1)).inner_part() == [(0, 0)]
 
 
 def _random_skew(rng, T, max_terms=2):

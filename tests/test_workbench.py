@@ -3,6 +3,9 @@
 import json
 import random
 import re
+from dataclasses import replace
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from qks.cli import main
 from qks.cyclotomic import Cyclo
 from qks.fiber import FiberError, build_fiber
 from qks.linalg import GF, NotReducible, span
+from qks.planes import AlgebraError, Group
 from qks.scans import (
     auslander_check,
     azumaya_scan,
@@ -29,6 +33,7 @@ from qks.scans import (
     invariants_report,
     series_check,
 )
+from qks.skew import SkewRing
 
 
 ALL_CASE_ARGS = [
@@ -84,12 +89,10 @@ def test_case_ii_is_case_iii_at_n1(localization):
     assert (a2.kind, a2.q, a2.inverted) == (a3.kind, a3.q, a3.inverted)
     assert [d.terms for d in a2.denominators] == [d.terms for d in a3.denominators]
     assert ii.ring.group.elements() == iii.ring.group.elements()
-    for attr in ("expected_d", "azumaya_expected", "keeps_stabilized", "x_outer", "conductor"):
+    for attr in ("expected_d", "azumaya_expected", "keeps_stabilized", "conductor"):
         assert getattr(ii, attr) == getattr(iii, attr), attr
-    if localization == "none":
-        assert ii.za_gens is iii.za_gens is None
-    else:
-        assert [z.terms for z in ii.za_gens] == [z.terms for z in iii.za_gens]
+    assert ii.ring.inner_part() == iii.ring.inner_part() == [(0, 0)]
+    assert [z.terms for z in a2.center_generators()] == [z.terms for z in a3.center_generators()]
     p2, p3 = ii.presentation, iii.presentation
     assert (p2.names, p3.names) == (("s2", "y"), ("y", "q2n"))
     assert _skew_terms(p2.gens["s2"]) == _skew_terms(p3.gens["q2n"])
@@ -203,6 +206,59 @@ def test_freeness_cross_references_azumaya():
 def test_freeness_not_applicable_cases():
     assert freeness_scan(make_case("iii", n=2), 3, 0).exit_code == 2  # inner part
     assert freeness_scan(make_case("iv"), 3, 0).exit_code == 2
+
+
+def _pi_case_table():
+    """(case, the old stated x_outer, l = the order of q) over the PI catalog.
+
+    The old catalog's rule: X-outer for cases 0 and ii, gcd(n, k) = 1 for
+    case i and odd n for case iii.  It stated Z(A) = k[u^l, v^l] wherever no
+    scan reason is set."""
+    table = [(make_case("0", localization=loc), True, 1) for loc in ("none", "full")]
+    for n in range(1, 7):
+        for k in (1, 2, 3, 4, 6):
+            for loc in ("none", "torus"):
+                table.append((make_case("i", n=n, k=k, localization=loc), gcd(n, k) == 1, k))
+    table += [(make_case("ii", localization=loc), True, 2) for loc in ("none", "torus", "full")]
+    for n in range(1, 14):
+        for loc in ("none", "torus", "full") if n % 2 else ("none", "torus"):
+            table.append((make_case("iii", n=n, localization=loc), n % 2 == 1, 2))
+    return table
+
+
+def test_derived_x_outer_and_center_reproduce_the_old_catalog():
+    table = _pi_case_table()
+    assert len(table) == 98
+    for case, x_outer, l in table:
+        where = (case.label, case.localization)
+        assert (len(case.ring.inner_part()) == 1) == x_outer, where
+        A = case.ring.algebra
+        assert [z.terms for z in A.center_generators()] == \
+            [A.monomial(l, 0).terms, A.monomial(0, l).terms], where
+    for case in (make_case("iv"), make_case("i", n=3, q=Fraction(2))):
+        assert case.ring.algebra.center_generators() is None
+        with pytest.raises(AlgebraError, match="not PI"):
+            case.ring.inner_part()
+        with pytest.raises(CatalogError, match="no freeness data"):
+            sample_za_values(case, random.Random(0))
+
+
+def test_expected_rank_is_l_times_the_outer_quotient():
+    # d = l |G| / |N|: the stated oracle agrees with the derived inner part
+    for case, _, l in _pi_case_table():
+        assert case.expected_d == l * case.ring.group.order // len(case.ring.inner_part()), \
+            (case.label, case.localization)
+
+
+def test_freeness_reads_the_inner_part_off_the_ring():
+    # C2 acting by -1 on the (-1)-torus fixes u^2 and v^2: conjugation by uv
+    # realizes it, so freeness must refuse the ring as not X-outer
+    case = make_case("ii", localization="torus")
+    A = case.ring.algebra
+    mutant = SkewRing(A, Group("cyclic", 2, Cyclo.rational(-1)))
+    rep = freeness_scan(replace(case, ring=mutant), 3, 0)
+    assert rep.verdict == "not-applicable: the action is not X-outer on this localization"
+    assert freeness_scan(case, 3, 0).verdict != rep.verdict
 
 
 def test_matched_inner_pair_ranks():
