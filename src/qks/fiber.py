@@ -33,10 +33,41 @@ degree pair pairs to 0, so rank T_F = |G| rank T_F_e.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
-((u...u) v...v) f, and the quotient by an ideal keeps this;
-`check_associativity` verifies it at run time.  So the center is the
-commutant of the gens, and associativity is checked at them, since the
-middle nucleus {g : (x g) y = x (g y)} is a subalgebra.
+((u...u) v...v) f, and the quotient by an ideal keeps this; `check_frame`
+verifies it at run time, with the unit and the grading.  So the center is
+the commutant of the gens, and `check_associativity` checks associativity at
+them, since the middle nucleus {g : (x g) y = x (g y)} is a subalgebra.
+
+A fiber of dim <= COMPLETE_DIM is proved associative on B and the action
+instead of on all of B * G.  B is the box algebra: the box monomials with
+x * y = box(x, e, y), unit u^0 v^0 and generators red(u), red(v), the
+reductions of u and v into the box; alpha_f(x) = box(0, 0, f, x).  A crossed
+product B #_alpha G, with (x f)(y h) = x alpha_f(y) fh, is associative when
+B is and alpha is an action by automorphisms (Passman, Infinite Crossed
+Products; Montgomery, LNM 818).  `_crossed_product_certified` checks:
+(a) B is associative and red(u), red(v) generate it: `check_associativity(B)`,
+    complete since dim B <= COMPLETE_DIM.  Its unit test gives alpha_e = id.
+(b) For each generator s of G, alpha_s fixes 1 and
+    alpha_s(x g) = alpha_s(x) alpha_s(g) for every box monomial x and
+    g in {red(u), red(v)}.  The g for which this holds for all x form a
+    subalgebra, so by (a) alpha_s is a unital algebra endomorphism.
+(c) alpha_s alpha_f = alpha_sf on every box monomial, for each generator s
+    and each f in G.  So each alpha_f is a product of alpha_s's, hence an
+    endomorphism, alpha_fh = alpha_f alpha_h, and alpha_f is invertible
+    (alpha_f^|f| = alpha_e).  Checking u and v alone would not do: that
+    extends to B only once alpha_sf is known to be multiplicative.
+(d) box(m1, f, m2) = m1 * alpha_f(m2), so that B * G's product is
+    B #_alpha G's.  Where f.m2 is a scalar c times a box monomial m', this
+    holds by construction: `SkewRing.mono_product` is the action memo
+    followed by `Algebra.mono_mul`, so box(m1, f, m2) reduces c m1 m', while
+    alpha_f(m2) = c m' and the reduction is linear.  Where m' leaves the box
+    (the reflection in case 0, in case ii, and in case iii with Ku != Kv) it
+    is checked for every box monomial m1.
+So B * G is associative.  B and G's generators generate it, so a residual
+that commutes with the generators is central, r (B * G) is a two-sided ideal
+and the quotient fiber is associative.  The fiber still takes `check_frame`,
+on which the trace rank and the center rely.  Above COMPLETE_DIM,
+`check_associativity` samples basis triples of the fiber itself.
 
 Recognition works over the non-closed ground field: an algebra is certified
 "central simple of degree d" when dim = d^2, the trace form is nondegenerate
@@ -143,7 +174,7 @@ class FiniteDimAlgebra:
     is taken to be strong: the unit lies in degree e, each gen is
     homogeneous, and each degree f != e of a gen holds a gen that is a unit,
     so the degrees present form a subgroup H, each holding a unit.
-    `check_associativity` tests this, and `trace_form_rank` relies on it.
+    `check_frame` tests this, and `trace_form_rank` relies on it.
     """
 
     dim: int
@@ -220,7 +251,8 @@ def _quotient(F: FiniteDimAlgebra, ech: Echelon) -> FiniteDimAlgebra:
 
 
 def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe) -> FiniteDimAlgebra:
-    """The quotient of T at the recipe's reductions and residual relations."""
+    """The quotient of T at the recipe's reductions and residual relations,
+    proved associative as the module docstring says."""
     if point is not None:
         point.validate()
     recipe.validate()
@@ -229,8 +261,8 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
     n0 = algebra.conductor
     reduce_mono = cache(lambda mono: _reduce_terms(algebra, recipe, {mono: Cyclo.one(n0)}))
 
-    basis = [(a, b, f) for f in group.elements()
-             for a in range(recipe.ku) for b in range(recipe.kv)]
+    monos = [(a, b) for a in range(recipe.ku) for b in range(recipe.kv)]
+    basis = [(a, b, f) for f in group.elements() for (a, b) in monos]
     index = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
 
@@ -272,30 +304,27 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
     fiber = _quotient(crossed, killed)
-    if not check_associativity(fiber):
+    if max(fiber.dim, len(monos)) <= COMPLETE_DIM:
+        certified = (_crossed_product_certified(ring, monos, box, reduce_mono)
+                     and check_frame(fiber))
+    else:
+        certified = check_associativity(fiber)
+    if not certified:
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")
     return fiber
 
 
 class _Ungraded(Exception):
-    """A product read by `check_associativity` left its degree."""
+    """A product read under `_degree_checked` left its degree."""
 
 
-def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
-    """Unit, grading, generation by F.gens, then associativity.
+# up to this dimension associativity is checked completely, above it sampled
+COMPLETE_DIM = 40
 
-    Every basis product read here must lie in degree degree[i] degree[j],
-    which puts the unit in degree e; each gen must be homogeneous, and each
-    degree f != e of a gen must hold a gen g that is a unit, tested as 1 in
-    g F.  The left-normed words in the gens, from the unit, must span F; so
-    the degrees present are the subgroup generated by the gens' degrees,
-    and each holds a unit (a product of unit gens).
 
-    The middle nucleus {g : (x g) y = x (g y) for all x, y} is a
-    subalgebra, so for dim <= 40 checking each generator g against all
-    basis x, y is complete; above that, seeded random basis triples are
-    checked.
-    """
+def _degree_checked(F: FiniteDimAlgebra, test: Callable) -> bool:
+    """test(F), with F's products raising _Ungraded when they leave their
+    degree degree[i] degree[j]; False when one does."""
     group, degree = F.group, F.degree
     e = group.identity()
     if any(f != e for f in degree):
@@ -312,25 +341,55 @@ def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) 
 
         F = replace(F, product=graded)
     try:
-        return _check_graded_associative(F, samples, seed)
+        return test(F)
     except _Ungraded:
         return False
 
 
-def _check_graded_associative(F: FiniteDimAlgebra, samples: int, seed: int) -> bool:
-    """check_associativity's tests, on an F whose products raise _Ungraded
-    when they leave their degree."""
+def check_frame(F: FiniteDimAlgebra) -> bool:
+    """The unit, the grading and generation by F.gens: the tests of
+    `check_associativity` that come before associativity itself."""
+    return _degree_checked(F, lambda G: _frame_rows(G) is not None)
+
+
+def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
+    """`check_frame`, then associativity.
+
+    The middle nucleus {g : (x g) y = x (g y) for all x, y} is a
+    subalgebra, and the frame shows that F.gens generate F, so for
+    dim <= COMPLETE_DIM checking each generator g against all basis x, y is
+    complete; above that, seeded random basis triples are checked.  A fiber
+    of dim <= COMPLETE_DIM is certified on its box algebra and the group
+    action instead (see the module docstring), which calls this on B."""
+    def test(G: FiniteDimAlgebra) -> bool:
+        right = _frame_rows(G)
+        return right is not None and _associative(G, right, samples, seed)
+
+    return _degree_checked(F, test)
+
+
+def _frame_rows(F: FiniteDimAlgebra) -> list | None:
+    """right[n][x] = basis_x g_n for the gens g_n, or None when a frame test
+    fails, on an F whose products raise _Ungraded when they leave their
+    degree.
+
+    Every basis product read here must lie in degree degree[i] degree[j],
+    which puts the unit in degree e; each gen must be homogeneous, and each
+    degree f != e of a gen must hold a gen g that is a unit, tested as 1 in
+    g F.  The left-normed words in the gens, from the unit, must span F; so
+    the degrees present are the subgroup generated by the gens' degrees,
+    and each holds a unit (a product of unit gens)."""
     group, degree = F.group, F.degree
     e = group.identity()
     one = Cyclo.rational(1)
     if not all(F.right_mul(F.unit, i) == {i: one} == F.left_mul(i, F.unit) for i in range(F.dim)):
-        return False
+        return None
     of_degree: dict = {}
     for g in F.gens:
         if g:
             f = degree[next(iter(g))]
             if any(degree[l] != f for l in g):
-                return False
+                return None
             of_degree.setdefault(f, []).append(g)
 
     def is_unit(g, f) -> bool:
@@ -339,13 +398,16 @@ def _check_graded_associative(F: FiniteDimAlgebra, samples: int, seed: int) -> b
         return not span(F.right_mul(g, k) for k in range(F.dim) if degree[k] == f_inv).reduce(F.unit)
 
     if not all(f == e or any(is_unit(g, f) for g in gs) for f, gs in of_degree.items()):
-        return False
-    right = [[F.left_mul(x, g) for x in range(F.dim)] for g in F.gens]  # right[n][x] = x g_n
+        return None
+    right = [[F.left_mul(x, g) for x in range(F.dim)] for g in F.gens]
     words = span([F.unit])
     _close(words, [F.unit], right)
-    if words.rank < F.dim:
-        return False
-    if F.dim <= 40:
+    return right if words.rank == F.dim else None
+
+
+def _associative(F: FiniteDimAlgebra, right: list, samples: int, seed: int) -> bool:
+    """Associativity of F, whose frame holds, with `right` from `_frame_rows`."""
+    if F.dim <= COMPLETE_DIM:
         pairs = [(x, y) for x in range(F.dim) for y in range(F.dim)]
         for g, xg in zip(F.gens, right):
             gy = [F.right_mul(g, y) for y in range(F.dim)]
@@ -357,6 +419,54 @@ def _check_graded_associative(F: FiniteDimAlgebra, samples: int, seed: int) -> b
         i, j, k = rng.randrange(F.dim), rng.randrange(F.dim), rng.randrange(F.dim)
         if F.right_mul(F.product(i, j), k) != F.left_mul(i, F.product(j, k)):
             return False
+    return True
+
+
+def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
+                               reduce_mono: Callable) -> bool:
+    """Parts (a) to (d) of the module docstring: B * G, with B the box
+    algebra on the box monomials `monos`, is B #_alpha G for an action
+    alpha_f(x) = box(0, 0, f, x) of G on B by automorphisms."""
+    group = ring.group
+    e = group.identity()
+    index = {m: i for i, m in enumerate(monos)}
+
+    def vec(terms: dict) -> dict:
+        return {index[m]: c for m, c in terms.items()}
+
+    B = FiniteDimAlgebra(len(monos), cache(lambda i, j: vec(box(*monos[i], e, *monos[j]))),
+                         {index[(0, 0)]: Cyclo.rational(1)},
+                         [vec(reduce_mono((1, 0))), vec(reduce_mono((0, 1)))])
+    # (a), complete at dim B <= COMPLETE_DIM
+    if not check_associativity(B):
+        return False
+
+    def times(x: dict, y: dict) -> dict:
+        return _combine(y, {k: B.right_mul(x, k) for k in y})
+
+    alpha = {f: [vec(box(0, 0, f, *m)) for m in monos] for f in group.elements()}
+    for s in group.generators():
+        alpha_s = alpha[s]
+        # (b) alpha_s fixes 1 and alpha_s(x g) = alpha_s(x) alpha_s(g)
+        if alpha_s[index[(0, 0)]] != B.unit:
+            return False
+        for g in B.gens:
+            alpha_g = _combine(g, alpha_s)
+            if any(_combine(B.left_mul(x, g), alpha_s) != times(alpha_s[x], alpha_g)
+                   for x in range(B.dim)):
+                return False
+        # (c) alpha_s alpha_f = alpha_sf
+        for f, alpha_f in alpha.items():
+            alpha_sf = alpha[group.mul(s, f)]
+            if any(_combine(y, alpha_s) != alpha_sf[x] for x, y in enumerate(alpha_f)):
+                return False
+    # (d) where f.m2 leaves the box
+    for f, alpha_f in alpha.items():
+        for m2, y in zip(monos, alpha_f):
+            if (any(m not in index for m in ring.mono_product((0, 0), f, m2))
+                    and any(vec(box(*m1, f, *m2)) != B.left_mul(i, y)
+                            for i, m1 in enumerate(monos))):
+                return False
     return True
 
 
@@ -427,7 +537,7 @@ def jacobson_radical_dim(F: FiniteDimAlgebra) -> int:
 
 def center_dimension(F: FiniteDimAlgebra) -> int:
     """dim of the commutant of the gens, x g = g x: the center of F when the
-    gens generate it, which check_associativity verifies."""
+    gens generate it, which check_frame verifies."""
     def entries():
         # the coefficient of x_j in (x g - g x)_l; kernel sums the two products
         for n, g in enumerate(F.gens):

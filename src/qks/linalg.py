@@ -44,7 +44,13 @@ def acc(vec: Vec, key, value) -> None:
 
 
 def axpy(out: Vec, c, vec: Vec) -> None:
-    """out += c * vec, in place."""
+    """out += c * vec, in place.  An exact rational one (the coefficient of
+    unit and generator vectors) scales nothing: 1 * x is x at x's own
+    conductor."""
+    if c.is_one(1):
+        for k, x in vec.items():
+            acc(out, k, x)
+        return
     for k, x in vec.items():
         acc(out, k, c * x)
 
@@ -82,6 +88,13 @@ class GF:
 
     def __init__(self, p: int):
         self.p = p
+
+    def __eq__(self, other):
+        # a value: memos keyed by the field find GF(p) built again
+        return type(other) is type(self) and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     def from_cyclo(self, x: Cyclo) -> int:
         """Residue of a p-integral rational; `NotReducible` otherwise."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from .catalog import (
     CaseSpec,
@@ -229,40 +230,52 @@ def _hom_layout(j: int, cap: int) -> tuple:
     return offsets, total
 
 
+def _hom_products(algebra, gens):
+    """products(field, n, x, d): the terms (u-exponent, c, -c) of the
+    product u^x v^(d-x) gens[n], with c and -c in `field`.  Each product is
+    built once and converted once per field, for the life of the memo: one
+    auslander check owns one, across its degrees, targets and both
+    eliminations."""
+    product = cache(lambda n, x, d: algebra.monomial(x, d - x) * gens[n])
+
+    @cache
+    def products(field, n: int, x: int, d: int) -> list:
+        convert = field.from_cyclo
+        return [(mono[0], convert(c), convert(-c)) for mono, c in product(n, x, d).terms.items()]
+
+    return products
+
+
 def _hom_rows(algebra, gens, j: int, cap: int, field=CYCLO):
     """Equations phi(b s) = phi(b) s of the truncated Hom system, one row per
     (s, b, target monomial), with entries in `field`, by ascending target
     degree deg b + deg s."""
     offsets, _ = _hom_layout(j, cap)
+    products = _hom_products(algebra, gens)
     for target in range(cap + 1):
-        yield from _hom_target_rows(algebra, gens, j, offsets, target, field)
+        yield from _hom_target_rows(gens, j, offsets, target, field, products)
 
 
-def _hom_target_rows(algebra, gens, j: int, offsets, target: int, field):
-    """The rows of `_hom_rows` of one target degree.  A row holds phi(b s) in
-    block `target`, which no row of a lower target touches, and phi(b) s in
-    a lower block: added by ascending target, a pivot in block `target`
-    is back-eliminated only from rows of the same target."""
-    convert = field.from_cyclo
-    for s in gens:
+def _hom_target_rows(gens, j: int, offsets, target: int, field, products):
+    """The rows of `_hom_rows` of one target degree, from the memo
+    `products` of `_hom_products`.  A row holds phi(b s) in block `target`,
+    which no row of a lower target touches, and phi(b) s in a lower block:
+    added by ascending target, a pivot in block `target` is back-eliminated
+    only from rows of the same target."""
+    for n, s in enumerate(gens):
         i = target - s.degree()  # deg s >= 1: phi(b s), phi(b) in different blocks
         if i < 0:
             continue
         width = target + j + 1  # the monomials of A_{target+j}
         # -(c s) in target coordinates, for each c in A_{i+j}: the same
-        # for every b, so computed once per (s, i)
-        minus_cs = []
-        for x in range(i + j + 1):
-            cs = algebra.monomial(x, i + j - x) * s
-            minus_cs.append([(mono[0], convert(-coeff))
-                             for mono, coeff in cs.terms.items()])
+        # for every b
+        minus_cs = [[(star, minus) for star, _c, minus in products(field, n, x, i + j)]
+                    for x in range(i + j + 1)]
         for b_idx in range(i + 1):
-            bs = algebra.monomial(b_idx, i - b_idx) * s
             rows: dict = {}
-            for mono, ce in bs.terms.items():
-                ce = convert(ce)
+            for mono_u, ce, _minus in products(field, n, b_idx, i):
                 if ce:
-                    first = offsets[target] + mono[0] * width
+                    first = offsets[target] + mono_u * width
                     for star in range(width):
                         rows.setdefault(star, {})[first + star] = ce
             first = offsets[i] + b_idx * (i + j + 1)
@@ -273,16 +286,19 @@ def _hom_target_rows(algebra, gens, j: int, offsets, target: int, field):
             yield from rows.values()
 
 
-def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO) -> list:
+def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO, products=None) -> list:
     """dims[c] = dim of degree-j truncated right-A^G-module endomorphisms of
     A_{<=c}, for every c <= cap, from one elimination: the rows of target
     degree <= c are the cap-c system in its columns shifted by offsets[c].
     Over a `GF` field each is an upper bound on the exact dimension, and
-    `NotReducible` escapes when an entry has no residue."""
+    `NotReducible` escapes when an entry has no residue.  `products` is the
+    caller's `_hom_products` memo, or None for one of its own."""
     offsets, total = _hom_layout(j, cap)
+    if products is None:
+        products = _hom_products(algebra, gens)
     ech, dims = Echelon(field), []
     for c in range(cap + 1):
-        for row in _hom_target_rows(algebra, gens, j, offsets, c, field):
+        for row in _hom_target_rows(gens, j, offsets, c, field, products):
             ech.add(row)
         dims.append(total - offsets[c] - ech.rank)
     return dims
@@ -309,7 +325,7 @@ def _natural_map_rank(ring, j: int, cap: int) -> int:
 
 
 def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower,
-                              diagnostics: dict) -> list:
+                              diagnostics: dict, products) -> list:
     """`_hom_dimension` over Q(zeta) at each of `caps`, taken mod `PRIME`
     where that is exact.
 
@@ -322,11 +338,12 @@ def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower,
     modular = None
     if lower is not None:
         try:
-            modular = _hom_dimension(algebra, group, gens, j, max(caps), GF(PRIME))
+            modular = _hom_dimension(algebra, group, gens, j, max(caps), GF(PRIME), products)
         except NotReducible:
             pass
     certified = [modular is not None and modular[c] == lower for c in caps]
-    exact = None if all(certified) else _hom_dimension(algebra, group, gens, j, max(caps))
+    exact = (None if all(certified)
+             else _hom_dimension(algebra, group, gens, j, max(caps), CYCLO, products))
     for ok in certified:
         diagnostics["hom_certified" if ok else "hom_fallbacks"] += 1
     return [lower if ok else exact[c] for c, ok in zip(caps, certified)]
@@ -353,12 +370,13 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     any_unstable = False
     all_agree = True
     diagnostics = {"hom_certified": 0, "hom_fallbacks": 0}
+    products = _hom_products(algebra, gens)
     for j in range(degree + 1):
         dim_skew = (j + 1) * group.order
         # injective at the lower cap implies injective at the higher one
         injective = _natural_map_rank(case.ring, j, caps[0]) == dim_skew
         hom_lo, hom_hi = _certified_hom_dimensions(
-            algebra, group, gens, j, caps, dim_skew if injective else None, diagnostics)
+            algebra, group, gens, j, caps, dim_skew if injective else None, diagnostics, products)
         stable = hom_lo == hom_hi
         row = {"j": j, "dim_skew_ring": dim_skew,
                "dim_hom": hom_lo if stable else None,

@@ -37,9 +37,12 @@ Each group of digests was recorded at the parent of the change named:
 - the next three (the D3 full and C3 k=2 centers at their default window,
   as the benchmark runs them, and the D5 full center at window 10), before
   the commutants were intersected one generator at a time;
-- the last three (freeness on case ii none, where a scan reason is set, and
+- the next three (freeness on case ii none, where a scan reason is set, and
   on D4 torus and C4 k=2, whose actions are not X-outer), before
-  X-outerness and the generators of Z(A) were read off the ring.
+  X-outerness and the generators of Z(A) were read off the ring;
+- the last one (case i at (n, k) = (2, 2), a quotient whose residual mixes
+  group components), before fibers of dim <= 40 were certified on their box
+  algebra and the group action.
 
 `HUMAN_PINNED` holds one command per human-format report body (points,
 stabilizers, graded dims, Hom degrees, Molien series, one fiber), recorded
@@ -159,6 +162,8 @@ PINNED = [
      "59c89e390069609dfe06d42baaa875eac466967e07d2e1b636d7185073a0de94"),
     ("freeness --case i --n 4 --k 2 --samples 3 --seed 7",
      "5c82dd242019a17a9ed13e909fb2ccb32f5a2e602cce82f4669387f02ab4e41d"),
+    ("scan --case i --n 2 --k 2 --samples 3 --seed 7",
+     "833e85f23d7ea2b8bd49a95061fe1afe55f0651e4245f685314fdd736cdb11b2"),
 ]
 
 # pinned commands whose verdict is not a pass: the case-0 control's

@@ -229,3 +229,9 @@ def test_rows_with_no_tail_take_no_inverse():
     assert ech.rows == plain.rows
     assert list(ech.rows) == list(plain.rows)
     assert [list(r) for r in ech.rows.values()] == [list(r) for r in plain.rows.values()]
+
+
+def test_gf_is_a_value():
+    # memos keyed by the field find GF(p) built again
+    assert GF(7) == GF(7) and hash(GF(7)) == hash(GF(7))
+    assert GF(7) != GF(5) and GF(7) != CYCLO

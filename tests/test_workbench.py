@@ -22,7 +22,7 @@ from qks.cli import main
 from qks.cyclotomic import Cyclo
 from qks.fiber import FiberError, build_fiber
 from qks.linalg import GF, NotReducible, span
-from qks.planes import AlgebraError, Group
+from qks.planes import AlgebraError, Group, NCPoly
 from qks.scans import (
     auslander_check,
     azumaya_scan,
@@ -400,6 +400,29 @@ def test_auslander_negative_control_takes_the_exact_path():
     assert all(row["injective"] for row in rep.body["degrees"])
     assert rep.diagnostics == {"hom_certified": 0, "hom_fallbacks": 6}
     assert "hom_" not in text
+
+
+@pytest.mark.parametrize("cid", ["ii", "iv", "0"])
+def test_auslander_builds_each_hom_product_once(monkeypatch, cid):
+    # the monomial-times-generator products of the Hom systems, across the
+    # degrees, the target degrees and both eliminations (case 0 runs the
+    # mod-p and the exact one), come from one memo of the check
+    real_gens, real_mul = scans._invariant_algebra_generators, NCPoly.__mul__
+    products = []
+
+    def gens_first(*args):
+        gens = real_gens(*args)
+        monkeypatch.setattr(NCPoly, "__mul__", counted)
+        return gens
+
+    def counted(x, y):
+        products.append((tuple(x.terms), id(y)))
+        return real_mul(x, y)
+
+    monkeypatch.setattr(scans, "_invariant_algebra_generators", gens_first)
+    rep = auslander_check(make_case(cid, localization="none"), degree=2, guard=4)
+    assert products and len(products) == len(set(products))
+    assert rep.diagnostics["hom_fallbacks"] == (6 if cid == "0" else 0)
 
 
 def test_auslander_requires_graded_case():
