@@ -209,10 +209,6 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not any(self.c)
 
-    def is_one(self, n: int) -> bool:
-        """Exactly 1 at conductor n, so x * self is x whenever n divides x.n."""
-        return self.c[0] == 1 and self.den == 1 and self.n == n and self.c == _power_table(n)[0]
-
     def is_rational(self) -> bool:
         return not any(self.c[1:])
 
@@ -265,6 +261,12 @@ class Cyclo:
             other = _as_cyclo(other)
             if other is NotImplemented:
                 return NotImplemented
+        # x * 1 is x: an exact one at a conductor dividing x's would come
+        # back as x, at x's conductor, from the full product too
+        if other.den == 1 and other.c[0] == 1 and self.n % other.n == 0 and not any(other.c[1:]):
+            return self
+        if self.den == 1 and self.c[0] == 1 and other.n % self.n == 0 and not any(self.c[1:]):
+            return other
         a, b = self._pair(other)
         return _make(a.n, _mul_nums(a.n, a.c, b.c), a.den * b.den)
 

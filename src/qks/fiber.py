@@ -268,12 +268,11 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
 
     @cache
     def box(a1, b1, f1, a2, b2) -> dict:
-        # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2; c
-        # has a conductor that the algebra's divides, so c * 1 would be c
+        # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2
         out: dict = {}
         for mono, c in ring.mono_product((a1, b1), f1, (a2, b2)).items():
             for red_mono, rc in reduce_mono(mono).items():
-                acc(out, red_mono, c if rc.is_one(n0) else c * rc)
+                acc(out, red_mono, c * rc)
         return out
 
     def product(i, j) -> dict:

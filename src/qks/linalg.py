@@ -44,13 +44,7 @@ def acc(vec: Vec, key, value) -> None:
 
 
 def axpy(out: Vec, c, vec: Vec) -> None:
-    """out += c * vec, in place.  An exact rational one (the coefficient of
-    unit and generator vectors) scales nothing: 1 * x is x at x's own
-    conductor."""
-    if c.is_one(1):
-        for k, x in vec.items():
-            acc(out, k, x)
-        return
+    """out += c * vec, in place."""
     for k, x in vec.items():
         acc(out, k, c * x)
 

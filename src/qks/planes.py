@@ -288,12 +288,9 @@ def _dict_mul(algebra: Algebra, t1: dict, t2: dict) -> dict:
     out: dict = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            # skip a factor that is exactly 1 at the other operand's own
-            # conductor (x * 1 would be x); the algebra's conductor would not
-            # do, since a coefficient may sit at one it does not divide
-            c12 = c1 if c2.is_one(c1.n) else c1 * c2
+            c12 = c1 * c2
             for mono, factor in algebra.mono_mul(m1, m2).items():
-                acc(out, mono, c12 if factor.is_one(c12.n) else c12 * factor)
+                acc(out, mono, c12 * factor)
     return out
 
 

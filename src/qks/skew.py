@@ -45,20 +45,15 @@ class SkewRing:
         self.group = group
         # f.mono as (image, scalar), for the life of the ring
         self._act = cache(lambda f, mono: act_mono(algebra, group, f, mono))
-        self._conductor = algebra.conductor
 
     def mono_product(self, m1, f1, m2) -> dict:
         """m1 (f1.m2) as {mono: coeff}: the A-part of the product
         (m1 f1)(m2 f2) of coefficient-1 monomials, which lies at f1 f2
         whatever f2 is.
 
-        f1.m2 is read from the ring's action memo.  A factor of
-        `Algebra.mono_mul` that is an exact one is skipped: s has a
-        conductor divisible by the algebra's, so s * 1 would be s."""
+        f1.m2 is read from the ring's action memo."""
         image, s = self._act(f1, m2)
-        n0 = self._conductor
-        return {m: s if k.is_one(n0) else s * k
-                for m, k in self.algebra.mono_mul(m1, image).items()}
+        return {m: s * k for m, k in self.algebra.mono_mul(m1, image).items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -267,7 +262,7 @@ def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
                  for f in support]
         basis = [{col: one} for col in range(len(cands))]
         for w in gens:
-            sols = kernel(_bracket_entries(ring, cands, basis, w, one), len(basis))
+            sols = kernel(_bracket_entries(ring, cands, basis, w), len(basis))
             basis = [_recombine(sol, basis) for sol in sols]
         for y in basis:
             comps: dict = {}
@@ -279,20 +274,19 @@ def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
     return out
 
 
-def _bracket_entries(ring: SkewRing, cands: list, basis: list, w, one):
+def _bracket_entries(ring: SkewRing, cands: list, basis: list, w):
     """[y, w] = y w - w y for each y of `basis` (sparse over `cands`) as
     `kernel` entries ((mono, group element), index of y, coefficient), from
-    `SkewRing.mono_product`; a coefficient that is the exact `one` of the
-    unit vectors scales nothing."""
+    `SkewRing.mono_product`."""
     gmul, product = ring.group.mul, ring.mono_product
     m2, f2 = w
     for j, y in enumerate(basis):
         for col, c in y.items():
             mono, f = cands[col]
             for m, k in product(mono, f, m2).items():
-                yield (m, gmul(f, f2)), j, k if c is one else c * k
+                yield (m, gmul(f, f2)), j, c * k
             for m, k in product(m2, f2, mono).items():
-                yield (m, gmul(f2, f)), j, -k if c is one else -(c * k)
+                yield (m, gmul(f2, f)), j, -(c * k)
 
 
 def _recombine(sol: dict, basis: list) -> dict:

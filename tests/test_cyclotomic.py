@@ -6,8 +6,11 @@ from math import gcd, lcm
 
 import pytest
 
+from qks import cyclotomic
 from qks.cyclotomic import (
     Cyclo,
+    _make,
+    _mul_nums,
     cyclotomic_polynomial,
     euler_phi,
     multiplicative_order,
@@ -300,17 +303,23 @@ def test_rationality_read_from_numerator_slots():
         assert (not any(x.c[1:])) == x.is_rational()
 
 
-def test_is_one_is_exactly_one_at_the_given_conductor():
-    assert Cyclo.one(12).is_one(12) and Cyclo.rational(1).is_one(1)
-    assert root_of_unity(0, 5).is_one(5) and (root_of_unity(1, 3) ** 3).is_one(3)
-    # the value 1 stored at another conductor, and values that are not 1
-    assert not Cyclo.one(12).is_one(4) and not Cyclo.one(1).is_one(4)
-    for x in (Cyclo.rational(-1, 6), Cyclo.rational(Fraction(1, 2), 6),
-              root_of_unity(1, 6), Cyclo.one(6) + root_of_unity(2, 6) + root_of_unity(4, 6)):
-        assert not x.is_one(6)
-    # skipping x * 1 keeps x, conductor included, when 4 divides x's conductor
+def test_multiplying_by_an_exact_one_is_the_long_product_without_convolving(monkeypatch):
+    """x * 1 and 1 * x equal the product written out at the lcm, conductor
+    included, and make no convolution exactly when the one's conductor
+    divides x's."""
     rng = random.Random(23)
-    for n in (4, 8, 12):
-        x = _random_cyclo(rng, n)
-        y = x * Cyclo.one(4)
-        assert (y.n, y.c, y.den) == (x.n, x.c, x.den)
+    xs = [x for n in (1, 3, 4, 12) for x in (Cyclo.zero(n), _random_cyclo(rng, n),
+                                             _random_cyclo(rng, n) * root_of_unity(1, n))]
+    ones = [Cyclo.one(n) for n in (1, 2, 3, 4, 12)]
+    ones += [Cyclo(4, [Fraction(3, 3), 0]), root_of_unity(1, 3) ** 3]
+    convolutions = []
+    monkeypatch.setattr(cyclotomic, "_mul_nums",
+                        lambda *args: convolutions.append(1) or _mul_nums(*args))
+    for x in xs:
+        for one in ones:
+            a, b = x._pair(one)
+            want = _make(a.n, _mul_nums(a.n, a.c, b.c), a.den * b.den)
+            for y in (x * one, one * x):
+                assert (y.n, y.c, y.den) == (want.n, want.c, want.den)
+            assert (not convolutions) == (x.n % one.n == 0)
+            convolutions.clear()

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from qks import cyclotomic
 from qks import fiber as fiber_module
 from qks.cyclotomic import Cyclo
 from qks.fiber import (
@@ -638,13 +639,17 @@ def test_recipe_mutations_end_as_with_the_complete_check(monkeypatch):
 
 
 def test_left_mul_by_a_unit_vector_makes_no_multiply(monkeypatch):
-    # axpy skips the exact rational one of unit and generator vectors
-    fiber = _catalog_fiber("iii", dict(n=2, localization="torus"))
-    products = [fiber.product(3, k) for k in range(fiber.dim)]  # computed, now cached
-    assert all(products)
-    count = []
-    real = Cyclo.__mul__
-    monkeypatch.setattr(Cyclo, "__mul__", lambda x, y: count.append(1) or real(x, y))
-    for k in range(fiber.dim):
-        assert fiber.left_mul(3, {k: Cyclo.rational(1)}) == products[k]
-    assert not count
+    # an exact one scales nothing, at conductor 1 (unit vectors) and at the
+    # algebra's conductor (the gens of a D3 torus fiber carry 1 at 3)
+    d2 = _catalog_fiber("iii", dict(n=2, localization="torus"))
+    d3 = _catalog_fiber("iii", dict(n=3, localization="torus"))
+    calls = [(d2, 3, {k: Cyclo.rational(1)}) for k in range(d2.dim)]
+    calls += [(d3, x, g) for x in range(d3.dim) for g in d3.gens]
+    want = [F.left_mul(x, vec) for F, x, vec in calls]  # products now cached
+    assert all(want) and {c.n for g in d3.gens for c in g.values()} == {3}
+    convolutions = []
+    real = cyclotomic._mul_nums
+    monkeypatch.setattr(cyclotomic, "_mul_nums",
+                        lambda *args: convolutions.append(1) or real(*args))
+    assert [F.left_mul(x, vec) for F, x, vec in calls] == want
+    assert not convolutions
