@@ -12,31 +12,33 @@ the box-times-group basis.  In
 reduction into the box as `box(a1, b1, f1, a2, b2)`, beside `reduce_mono`,
 and lays it out at the group index f1f2: the product of basis elements of
 degrees f1 and f2 lies in degree f1f2.  Second, each residual r = z - z(m)
-of a central generator z is killed: r is central in B * G (checked at the
-generators), so it generates the two-sided ideal r (B * G), and mT, the sum
-of these, is spanned in one pass by the products r basis_k.
+of a central generator z is killed: r is central in B * G (its `commutator`
+with each generator is 0), so it generates the two-sided ideal r (B * G),
+and mT, the sum of these, is spanned in one pass by the products r basis_k.
 
-An algebra is its product on demand, `product(i, j)`, with `left_mul` and
-`right_mul` built on it, and every algebra is graded by a group: `degree[i]`
-is the degree of basis_i (the trivial group when none is known).  A fiber
-computes each product it is asked for once and holds no dim x dim table.
-Where nothing is killed (case 0, case ii, odd-n case iii) it is B * G itself
-with its G-degrees.  Where something is killed (case i, even-n case iii) it
-is the quotient on a complement of the killed span, and it keeps the
-G-degrees when each killed row is homogeneous, as when the residual lies in
-degree e (case i with gcd(n, k) = 1); a residual mixing group components
-leaves it trivially graded.  A graded fiber is strongly graded, with a unit
-in every degree f (the image of f), so its trace form is read on the
-identity component F_e: for x = beta f in F_f and y = f^-1 gamma in F_f^-1
-(beta, gamma in F_e), tr_F(xy) = |G| tr_F_e(beta gamma), and every other
-degree pair pairs to 0, so rank T_F = |G| rank T_F_e.
+An algebra is its product on demand, `product(i, j)`, with `left_mul`,
+`right_mul` and `commutator` built on it, and every algebra is graded by a
+group: `degree[i]` is the degree of basis_i (the trivial group when none is
+known).  A fiber computes each product it is asked for once and holds no
+dim x dim table.  Where nothing is killed (case 0, case ii, odd-n case iii)
+it is B * G itself with its G-degrees.  Where something is killed (case i,
+even-n case iii) it is the quotient on a complement of the killed span, and
+it keeps the G-degrees when each killed row is homogeneous, as when the
+residual lies in degree e (case i with gcd(n, k) = 1); a residual mixing
+group components leaves it trivially graded.  A graded fiber is strongly
+graded, with a unit in every degree f (the image of f), so its trace form
+is read on the identity component F_e: for x = beta f in F_f and
+y = f^-1 gamma in F_f^-1 (beta, gamma in F_e), tr_F(xy) = |G| tr_F_e(beta
+gamma), and every other degree pair pairs to 0, so rank T_F = |G| rank T_F_e.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
 ((u...u) v...v) f, and the quotient by an ideal keeps this; `check_frame`
 verifies it at run time, with the unit and the grading.  So the center is
-the commutant of the gens, and `check_associativity` checks associativity at
-them, since the middle nucleus {g : (x g) y = x (g y)} is a subalgebra.
+the commutant of the gens, which `linalg.commutant` intersects in their
+order, u, then v, then G's, as for Z(T); and `check_associativity` checks
+associativity at them, since the middle nucleus {g : (x g) y = x (g y)} is
+a subalgebra.
 
 A fiber of dim <= COMPLETE_DIM is proved associative on B and the action
 instead of on all of B * G.  B is the box algebra: the box monomials with
@@ -85,7 +87,7 @@ from functools import cache
 from math import isqrt
 
 from .cyclotomic import Cyclo
-from .linalg import Echelon, acc, axpy, kernel, nullspace, span
+from .linalg import Echelon, acc, axpy, combine, commutant, nullspace, span
 from .planes import Group, NCPoly, act_mono  # act_mono: not called; bench/tracing.py patches it
 from .skew import CentralPoint, SkewElement, SkewRing
 
@@ -207,23 +209,21 @@ class FiniteDimAlgebra:
             axpy(out, c, product(l, k))
         return out
 
-
-def _combine(vec: dict, rows) -> dict:
-    """sum of c * rows[l] over the entries (l, c) of vec: the image of vec
-    under the linear map whose value at basis_l is rows[l]."""
-    out: dict = {}
-    for l, c in vec.items():
-        axpy(out, c, rows[l])
-    return out
+    def commutator(self, y: dict, g: dict) -> dict:
+        """y g - g y."""
+        out = combine(g, {k: self.right_mul(y, k) for k in g})
+        for l, c in combine(g, {k: self.left_mul(k, y) for k in g}).items():
+            acc(out, l, -c)
+        return out
 
 
 def _close(ech: Echelon, frontier: list, tables: list) -> None:
-    """Grow the span of `ech` until it is closed under w -> _combine(w, rows)
+    """Grow the span of `ech` until it is closed under w -> combine(w, rows)
     for rows in `tables`, starting from the vectors of `frontier`; each new
     vector's products are added in order and empty ones are skipped."""
     while frontier:
         frontier = [p for w in frontier for rows in tables
-                    if (p := _combine(w, rows)) and ech.add(p)]
+                    if (p := combine(w, rows)) and ech.add(p)]
 
 
 def _quotient(F: FiniteDimAlgebra, ech: Echelon) -> FiniteDimAlgebra:
@@ -294,9 +294,7 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
                                 for mono, f in ring.commutation_generators()],
                                degree=[f for (_a, _b, f) in basis], group=group)
     # a central r generates the two-sided ideal r (B * G); mT is their sum
-    if any(_combine(g, {k: crossed.right_mul(r, k) for k in g})
-           != _combine(g, {k: crossed.left_mul(k, r) for k in g})
-           for r in residuals for g in crossed.gens):
+    if any(crossed.commutator(r, g) for r in residuals for g in crossed.gens):
         raise FiberError("a residual relation is not central in the fiber")
     killed = span(crossed.right_mul(r, k) for r in residuals for k in range(dim))
     if not killed.reduce(unit):
@@ -317,8 +315,10 @@ class _Ungraded(Exception):
     """A product read under `_degree_checked` left its degree."""
 
 
-# up to this dimension associativity is checked completely, above it sampled
+# up to this dimension associativity is checked completely, above it on
+# this many seeded random basis triples
 COMPLETE_DIM = 40
+SAMPLED_TRIPLES = 500
 
 
 def _degree_checked(F: FiniteDimAlgebra, test: Callable) -> bool:
@@ -351,18 +351,19 @@ def check_frame(F: FiniteDimAlgebra) -> bool:
     return _degree_checked(F, lambda G: _frame_rows(G) is not None)
 
 
-def check_associativity(F: FiniteDimAlgebra, samples: int = 500, seed: int = 1) -> bool:
+def check_associativity(F: FiniteDimAlgebra, seed: int = 1) -> bool:
     """`check_frame`, then associativity.
 
     The middle nucleus {g : (x g) y = x (g y) for all x, y} is a
     subalgebra, and the frame shows that F.gens generate F, so for
     dim <= COMPLETE_DIM checking each generator g against all basis x, y is
-    complete; above that, seeded random basis triples are checked.  A fiber
-    of dim <= COMPLETE_DIM is certified on its box algebra and the group
-    action instead (see the module docstring), which calls this on B."""
+    complete; above that, SAMPLED_TRIPLES seeded random basis triples are
+    checked.  A fiber of dim <= COMPLETE_DIM is certified on its box algebra
+    and the group action instead (see the module docstring), which calls
+    this on B."""
     def test(G: FiniteDimAlgebra) -> bool:
         right = _frame_rows(G)
-        return right is not None and _associative(G, right, samples, seed)
+        return right is not None and _associative(G, right, seed)
 
     return _degree_checked(F, test)
 
@@ -404,7 +405,7 @@ def _frame_rows(F: FiniteDimAlgebra) -> list | None:
     return right if words.rank == F.dim else None
 
 
-def _associative(F: FiniteDimAlgebra, right: list, samples: int, seed: int) -> bool:
+def _associative(F: FiniteDimAlgebra, right: list, seed: int) -> bool:
     """Associativity of F, whose frame holds, with `right` from `_frame_rows`."""
     if F.dim <= COMPLETE_DIM:
         pairs = [(x, y) for x in range(F.dim) for y in range(F.dim)]
@@ -414,7 +415,7 @@ def _associative(F: FiniteDimAlgebra, right: list, samples: int, seed: int) -> b
                 return False
         return True
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(SAMPLED_TRIPLES):
         i, j, k = rng.randrange(F.dim), rng.randrange(F.dim), rng.randrange(F.dim)
         if F.right_mul(F.product(i, j), k) != F.left_mul(i, F.product(j, k)):
             return False
@@ -441,7 +442,7 @@ def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
         return False
 
     def times(x: dict, y: dict) -> dict:
-        return _combine(y, {k: B.right_mul(x, k) for k in y})
+        return combine(y, {k: B.right_mul(x, k) for k in y})
 
     alpha = {f: [vec(box(0, 0, f, *m)) for m in monos] for f in group.elements()}
     for s in group.generators():
@@ -450,14 +451,14 @@ def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
         if alpha_s[index[(0, 0)]] != B.unit:
             return False
         for g in B.gens:
-            alpha_g = _combine(g, alpha_s)
-            if any(_combine(B.left_mul(x, g), alpha_s) != times(alpha_s[x], alpha_g)
+            alpha_g = combine(g, alpha_s)
+            if any(combine(B.left_mul(x, g), alpha_s) != times(alpha_s[x], alpha_g)
                    for x in range(B.dim)):
                 return False
         # (c) alpha_s alpha_f = alpha_sf
         for f, alpha_f in alpha.items():
             alpha_sf = alpha[group.mul(s, f)]
-            if any(_combine(y, alpha_s) != alpha_sf[x] for x, y in enumerate(alpha_f)):
+            if any(combine(y, alpha_s) != alpha_sf[x] for x, y in enumerate(alpha_f)):
                 return False
     # (d) where f.m2 leaves the box
     for f, alpha_f in alpha.items():
@@ -537,16 +538,7 @@ def jacobson_radical_dim(F: FiniteDimAlgebra) -> int:
 def center_dimension(F: FiniteDimAlgebra) -> int:
     """dim of the commutant of the gens, x g = g x: the center of F when the
     gens generate it, which check_frame verifies."""
-    def entries():
-        # the coefficient of x_j in (x g - g x)_l; kernel sums the two products
-        for n, g in enumerate(F.gens):
-            for j in range(F.dim):
-                for l, c in F.left_mul(j, g).items():
-                    yield (n, l), j, c
-                for l, m in F.right_mul(g, j).items():
-                    yield (n, l), j, -m
-
-    return len(kernel(entries(), F.dim))
+    return len(commutant(F.dim, F.gens, lambda y, g: F.commutator(y, g).items()))
 
 
 def semisimple_quotient(F: FiniteDimAlgebra) -> FiniteDimAlgebra:

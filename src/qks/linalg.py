@@ -6,10 +6,11 @@ vector); every sparse sum goes through them except those in `series`, whose
 invariant counts stay an independent oracle for the code here.  The
 workhorse is `Echelon`, an incrementally built reduced row echelon basis;
 rows go in through `span(vectors)`, and everything else (rank, nullspace,
-span comparison, reduction modulo a subspace, and the `kernel` builder for
-commutator systems) is phrased through it.  `Echelon` keeps an index from
-each column to the rows that may hold it, so a new pivot's back-elimination
-visits only those rows instead of sweeping the whole basis.
+span comparison, reduction modulo a subspace, and `commutant`, the one
+builder of commutants, one `kernel` system per generator) is phrased
+through it.  `Echelon` keeps an index from each column to the rows that
+may hold it, so a new pivot's back-elimination visits only those rows
+instead of sweeping the whole basis.
 
 `Echelon` takes a field: `CYCLO`, exact `Cyclo` values and the default, or
 `GF(p)`, ints mod a prime p.  A field supplies only the kernels the
@@ -213,6 +214,43 @@ def kernel(entries, ncols: int) -> list:
     for key, col, c in entries:
         acc(rows.setdefault(key, {}), col, c)
     return nullspace(filter(None, rows.values()), ncols)
+
+
+def combine(vec: Vec, rows) -> Vec:
+    """sum of c * rows[l] over the entries (l, c) of vec: the image of vec
+    under the linear map whose value at basis_l is rows[l]."""
+    out: Vec = {}
+    for l, c in vec.items():
+        axpy(out, c, rows[l])
+    return out
+
+
+def commutant(ncols: int, gens, bracket) -> list:
+    """Basis of the x over columns 0..ncols-1 with [x, w] = 0 for every w
+    of `gens`, each vector's keys ascending; `bracket(y, w)` gives [y, w],
+    linear in the vector y, as (row key, coefficient) pairs, summed per cell.
+
+    The commutants are intersected one generator at a time, in the order of
+    `gens`: the basis starts as the unit vectors, and for each w,
+    [y, w] = 0 over the current basis vectors y is one `kernel` system,
+    whose solutions are combined into vectors over the columns.  Once the
+    first generators have cut the basis down, the later systems have few
+    columns.
+
+    The result is the basis one `kernel` system over every generator would
+    give.  Each `kernel` vector has a 1 at its own free column, 0 at every
+    other free column, and no entry after its free column: the reduced
+    echelon basis of the solution space in reversed column order, which
+    the space alone determines.  Combining such a basis of the next
+    stage's solutions keeps those properties over the columns (free
+    columns ascending give ascending last columns), so composing the stages
+    gives the same canonical basis of the intersection."""
+    one = Cyclo.one()
+    basis = [{col: one} for col in range(ncols)]
+    for w in gens:
+        entries = ((key, j, c) for j, y in enumerate(basis) for key, c in bracket(y, w))
+        basis = [combine(sol, basis) for sol in kernel(entries, len(basis))]
+    return [dict(sorted(y.items())) for y in basis]
 
 
 def spans_equal(vectors_a, vectors_b) -> bool:

@@ -4,12 +4,12 @@ Elements are finite maps from group elements to coefficients in A, multiplied
 by the rule (r g)(s h) = r (g.s) gh.  The rule is written once, on monomials,
 as `SkewRing.mono_product`: element products, the commutator rows, the fiber
 products and the natural map all go through it.  The center Z(T), the
-invariant ring A^G and the center Z(A) are all commutants in T, computed by
-one builder degree by degree over a bounded exponent window, one generator at
-a time: the commutant of u, then of v within it, then of each generator of G,
-each an exact nullspace whose columns are the survivors of the stages before;
-claimed generating sets are certified by comparing spans against those
-windows.
+invariant ring A^G and the center Z(A) are all commutants in T, computed
+degree by degree over a bounded exponent window by `linalg.commutant`, one
+generator at a time: the commutant of u, then of v within it, then of each
+generator of G, each an exact nullspace whose columns are the survivors of
+the stages before; claimed generating sets are certified by comparing spans
+against those windows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 
 from .cyclotomic import Cyclo, power
-from .linalg import Echelon, acc, axpy, kernel, spans_equal
+from .linalg import Echelon, acc, commutant, spans_equal
 from .planes import (
     Algebra,
     AlgebraError,
@@ -234,67 +234,37 @@ def _skew_coords(x, index: dict) -> dict:
 def _commutant(ring: SkewRing, window: int, gens: list, support) -> list:
     """Basis of the elements of T that commute with every monomial (mono, f)
     of `gens`, homogeneous, with exponents in the window and group part in
-    `support`.
-
-    Degree by degree over the candidates u^a v^b f, f in support, the
-    commutants are intersected one generator at a time, in the order of
-    `gens`: the basis starts as the candidates' unit vectors, and for each
-    generator w, [y, w] = 0 over the current basis vectors y goes to
-    `kernel` (`_bracket_entries`), whose solutions are recombined into
-    vectors over the candidates.  Most candidates fail u or v, so the later
-    systems are built over few columns.  For Laurent algebras the degrees
-    and both exponents run over [-window, window].
-
-    The result is the basis one system [x, w] = 0 for all w together would
-    give.  Each `kernel` vector has a 1 at its own free column, 0 at every
-    other free column, and no entry after its free column: the reduced
-    echelon basis of the solution space in reversed column order, which
-    the space alone determines.  Recombining such a basis of the next
-    stage's solutions keeps those properties over the candidates (free
-    columns ascending give ascending last columns), so composing the stages
-    gives the same canonical basis of the intersection."""
+    `support`: degree by degree, `linalg.commutant` over the candidates
+    u^a v^b f, f in support, intersecting in the order of `gens`.  Most
+    candidates fail u or v, so the later systems have few columns.  For
+    Laurent algebras the degrees and both exponents run over
+    [-window, window]."""
     algebra = ring.algebra
     n0 = algebra.conductor
-    one = Cyclo.one()
+    gmul, product = ring.group.mul, ring.mono_product
     out = []
     for d in _degree_range(algebra, window):
         cands = [(mono, f) for mono in _monomials_of_degree(algebra, d, window)
                  for f in support]
-        basis = [{col: one} for col in range(len(cands))]
-        for w in gens:
-            sols = kernel(_bracket_entries(ring, cands, basis, w), len(basis))
-            basis = [_recombine(sol, basis) for sol in sols]
-        for y in basis:
+
+        def bracket(y, w):
+            # [y, w] = y w - w y over the candidates, from mono_product
+            m2, f2 = w
+            for col, c in y.items():
+                mono, f = cands[col]
+                for m, k in product(mono, f, m2).items():
+                    yield (m, gmul(f, f2)), c * k
+                for m, k in product(m2, f2, mono).items():
+                    yield (m, gmul(f2, f)), -(c * k)
+
+        for y in commutant(len(cands), gens, bracket):
             comps: dict = {}
-            for col, coeff in sorted(y.items()):
+            for col, coeff in y.items():
                 mono, f = cands[col]
                 comps.setdefault(f, {})[mono] = coeff.coerce(lcm(coeff.n, n0))
             out.append(SkewElement(ring, {f: NCPoly(algebra, terms)
                                           for f, terms in comps.items()}))
     return out
-
-
-def _bracket_entries(ring: SkewRing, cands: list, basis: list, w):
-    """[y, w] = y w - w y for each y of `basis` (sparse over `cands`) as
-    `kernel` entries ((mono, group element), index of y, coefficient), from
-    `SkewRing.mono_product`."""
-    gmul, product = ring.group.mul, ring.mono_product
-    m2, f2 = w
-    for j, y in enumerate(basis):
-        for col, c in y.items():
-            mono, f = cands[col]
-            for m, k in product(mono, f, m2).items():
-                yield (m, gmul(f, f2)), j, c * k
-            for m, k in product(m2, f2, mono).items():
-                yield (m, gmul(f2, f)), j, -(c * k)
-
-
-def _recombine(sol: dict, basis: list) -> dict:
-    """sum_j sol[j] basis[j], over the candidates."""
-    y: dict = {}
-    for j, a in sol.items():
-        axpy(y, a, basis[j])
-    return y
 
 
 def center_basis(ring: SkewRing, window: int) -> list:

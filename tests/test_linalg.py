@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qks.cyclotomic import Cyclo, root_of_unity
-from qks.linalg import CYCLO, GF, Echelon, NotReducible, kernel, span, spans_equal
+from qks.linalg import CYCLO, GF, Echelon, NotReducible, commutant, kernel, span, spans_equal
 
 BIG = GF(2**31 - 1)
 
@@ -202,6 +202,43 @@ def test_kernel_skips_rows_whose_entries_cancel(monkeypatch):
     with_cancelled = kernel([("x", 0, one), ("x", 0, -one)] + live, 3)
     assert added == [{0: one, 1: -one}, {2: one}]
     assert with_cancelled == kernel(live, 3) == [{1: one, 0: one}]
+
+
+def _random_bracket(rng, conductor, ncols) -> dict:
+    """A seeded sparse linear map as column -> [(row key, coefficient)], on
+    fewer rows than columns, with some cells given twice so that `kernel`
+    sums them, and some of those sums cancelling."""
+    out: dict = {}
+    for row in range(rng.randint(1, 3)):
+        for col in rng.sample(range(ncols), rng.randint(1, 4)):
+            c = _unit(rng, CYCLO, conductor)
+            out.setdefault(col, []).append((row, c))
+            if rng.random() < 0.3:
+                out[col].append((row, rng.choice([-c, c])))
+    return out
+
+
+@pytest.mark.parametrize("conductor", [1, 3])
+def test_staged_commutant_is_the_one_system_basis(conductor):
+    # the stages give what one kernel over every generator's entries gives:
+    # the same vectors, in the same order, each with its keys ascending
+    rng = random.Random(3100 + conductor)
+    for _ in range(40):
+        ncols = rng.randint(4, 12)
+        gens = [_random_bracket(rng, conductor, ncols) for _ in range(rng.randint(1, 3))]
+
+        def bracket(y, w):
+            return [(key, c * k) for col, c in y.items() for key, k in w.get(col, ())]
+
+        staged = commutant(ncols, gens, bracket)
+        whole = kernel([((n, key), col, k) for n, w in enumerate(gens)
+                        for col in range(ncols) for key, k in w.get(col, ())], ncols)
+        assert [list(y.items()) for y in staged] == [sorted(y.items()) for y in whole]
+
+
+def test_commutant_of_no_generators_is_every_column():
+    one = Cyclo.rational(1)
+    assert commutant(3, [], lambda y, w: ()) == [{0: one}, {1: one}, {2: one}]
 
 
 class _CountingField:
