@@ -27,6 +27,12 @@ in the orbit, hence G-invariant elements of Z(A); so they lie in Z(A)^G,
 which is central in T, and the point gives them values.  Odd n has sigma =
 q2n (s2 in case ii) and m = n; even n has sigma = u^n + v^n = -2i x, m = n/2.
 
+Case i's fiber rule: with l = lcm(n, k) and g = gcd(n, k), Z(T) is generated
+by x = u^l and w = (uv)^(-l/n) g^((l/k) mod n), and w^g = (uv)^-k lies in A.
+So at x = a, w = c the point fixes v^k = s u^-k, s = (c^g q^(k(k-1)/2))^-1,
+and the box is l x k: u^l -> a, v^k -> s u^-k, with the inverse rules a^-1
+and s^-1 u^k.  The residual w - c is kept; it reduces to 0 when g = 1.
+
 Each case is one builder returning a CaseSpec that carries, next to its
 presentation, the point sampler `draw`, the fiber `recipe` and the Z(A)
 sampler `draw_za` (a sampler returns None to reject a draw); `sample_point`,
@@ -41,7 +47,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from .cyclotomic import Cyclo, root_of_unity
@@ -246,16 +252,13 @@ def _case_i(n=None, k=None, q: Fraction | None = None,
             return {"x": _pool_value(rng, l), "w": _pool_value(rng, l, allow_roots=True)}
 
         def recipe(point):
+            # v^k = s u^-k, from w^gcd(n, k) = (uv)^-k (the module docstring)
             a, c = point.values["x"], point.values["w"]
-            scalar_elt = x_elt * (w_elt ** n) * T.monomial(0, l)
-            ((f0, poly),) = scalar_elt.comps.items()
-            if f0 != T.group.identity() or set(poly.terms) != {(0, 0)}:
-                raise CatalogError("internal: u^l X^n v^l is not scalar")
-            b_val = poly.terms[(0, 0)] * (a * c ** n).inverse()
+            s = (c ** gcd(n, k) * qq ** (k * (k - 1) // 2)).inverse()
             return FiberRecipe(
-                ku=l, kv=l,
-                u_pow=A.poly({(0, 0): a}), v_pow=A.poly({(0, 0): b_val}),
-                u_inv=A.poly({(0, 0): a.inverse()}), v_inv=A.poly({(0, 0): b_val.inverse()}),
+                ku=l, kv=k,
+                u_pow=A.poly({(0, 0): a}), v_pow=A.poly({(-k, 0): s}),
+                u_inv=A.poly({(0, 0): a.inverse()}), v_inv=A.poly({(k, 0): s.inverse()}),
                 residuals=[w_elt - T.one() * c],
             )
 

@@ -20,16 +20,18 @@ An algebra is its product on demand, `product(i, j)`, with `left_mul`,
 `right_mul` and `commutator` built on it, and every algebra is graded by a
 group: `degree[i]` is the degree of basis_i (the trivial group when none is
 known).  A fiber computes each product it is asked for once and holds no
-dim x dim table.  Where nothing is killed (case 0, case ii, odd-n case iii)
-it is B * G itself with its G-degrees.  Where something is killed (case i,
-even-n case iii) it is the quotient on a complement of the killed span, and
-it keeps the G-degrees when each killed row is homogeneous, as when the
-residual lies in degree e (case i with gcd(n, k) = 1); a residual mixing
-group components leaves it trivially graded.  A graded fiber is strongly
-graded, with a unit in every degree f (the image of f), so its trace form
-is read on the identity component F_e: for x = beta f in F_f and
-y = f^-1 gamma in F_f^-1 (beta, gamma in F_e), tr_F(xy) = |G| tr_F_e(beta
-gamma), and every other degree pair pairs to 0, so rank T_F = |G| rank T_F_e.
+dim x dim table.  Where nothing is killed (case 0, case i with
+gcd(n, k) = 1, the localized odd-n (-1)-plane cases) it is B * G itself with
+its G-degrees.  Where something is killed it is the quotient on a complement
+of the killed span, and it keeps the G-degrees when each killed row is
+homogeneous, as for the (-1)-plane cases ii and odd-n iii at localization
+none, whose residuals lie in degree e; a residual mixing group components
+(case i with gcd(n, k) > 1, even-n case iii) leaves it trivially graded.
+A graded fiber is strongly graded, with a unit in every degree f (the image
+of f), so its trace form is read on the identity component F_e: for
+x = beta f in F_f and y = f^-1 gamma in F_f^-1 (beta, gamma in F_e),
+tr_F(xy) = |G| tr_F_e(beta gamma), and every other degree pair pairs to 0,
+so rank T_F = |G| rank T_F_e.
 
 The fiber keeps u, v and the group generators as its `gens`.  They generate
 it: each box monomial u^a v^b f (a < Ku, b < Kv) is the left-normed word
@@ -40,15 +42,15 @@ order, u, then v, then G's, as for Z(T); and `check_associativity` checks
 associativity at them, since the middle nucleus {g : (x g) y = x (g y)} is
 a subalgebra.
 
-A fiber of dim <= COMPLETE_DIM is proved associative on B and the action
-instead of on all of B * G.  B is the box algebra: the box monomials with
-x * y = box(x, e, y), unit u^0 v^0 and generators red(u), red(v), the
-reductions of u and v into the box; alpha_f(x) = box(0, 0, f, x).  A crossed
+Every fiber is proved associative on B and the action instead of on all of
+B * G.  B is the box algebra: the box monomials with x * y = box(x, e, y),
+unit u^0 v^0 and generators red(u), red(v), the reductions of u and v into
+the box; alpha_f(x) = box(0, 0, f, x).  A crossed
 product B #_alpha G, with (x f)(y h) = x alpha_f(y) fh, is associative when
 B is and alpha is an action by automorphisms (Passman, Infinite Crossed
 Products; Montgomery, LNM 818).  `_crossed_product_certified` checks:
-(a) B is associative and red(u), red(v) generate it: `check_associativity(B)`,
-    complete since dim B <= COMPLETE_DIM.  Its unit test gives alpha_e = id.
+(a) B is associative and red(u), red(v) generate it: `check_associativity(B)`.
+    Its unit test gives alpha_e = id.
 (b) For each generator s of G, alpha_s fixes 1 and
     alpha_s(x g) = alpha_s(x) alpha_s(g) for every box monomial x and
     g in {red(u), red(v)}.  The g for which this holds for all x form a
@@ -64,12 +66,15 @@ Products; Montgomery, LNM 818).  `_crossed_product_certified` checks:
     followed by `Algebra.mono_mul`, so box(m1, f, m2) reduces c m1 m', while
     alpha_f(m2) = c m' and the reduction is linear.  Where m' leaves the box
     (the reflection in case 0, in case ii, and in case iii with Ku != Kv) it
-    is checked for every box monomial m1.
+    is checked for every box monomial m1, image by image: alpha_f(m2) against
+    c red(m') and box(m1, f, m2) against c (m1 * red(m')), so B's left
+    products are taken once per distinct m', and by the linearity of B's
+    product that is m1 * alpha_f(m2).  Each such box(m1, f, m2) is read, so
+    a wrong product there is refused.
 So B * G is associative.  B and G's generators generate it, so a residual
 that commutes with the generators is central, r (B * G) is a two-sided ideal
 and the quotient fiber is associative.  The fiber still takes `check_frame`,
-on which the trace rank and the center rely.  Above COMPLETE_DIM,
-`check_associativity` samples basis triples of the fiber itself.
+on which the trace rank and the center rely.
 
 Recognition works over the non-closed ground field: an algebra is certified
 "central simple of degree d" when dim = d^2, the trace form is nondegenerate
@@ -80,7 +85,6 @@ the Jacobson radical, which powers the radical/semisimplification helpers.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -301,24 +305,13 @@ def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe)
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
     fiber = _quotient(crossed, killed)
-    if max(fiber.dim, len(monos)) <= COMPLETE_DIM:
-        certified = (_crossed_product_certified(ring, monos, box, reduce_mono)
-                     and check_frame(fiber))
-    else:
-        certified = check_associativity(fiber)
-    if not certified:
+    if not (_crossed_product_certified(ring, monos, box, reduce_mono) and check_frame(fiber)):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")
     return fiber
 
 
 class _Ungraded(Exception):
     """A product read under `_degree_checked` left its degree."""
-
-
-# up to this dimension associativity is checked completely, above it on
-# this many seeded random basis triples
-COMPLETE_DIM = 40
-SAMPLED_TRIPLES = 500
 
 
 def _degree_checked(F: FiniteDimAlgebra, test: Callable) -> bool:
@@ -351,19 +344,17 @@ def check_frame(F: FiniteDimAlgebra) -> bool:
     return _degree_checked(F, lambda G: _frame_rows(G) is not None)
 
 
-def check_associativity(F: FiniteDimAlgebra, seed: int = 1) -> bool:
+def check_associativity(F: FiniteDimAlgebra) -> bool:
     """`check_frame`, then associativity.
 
     The middle nucleus {g : (x g) y = x (g y) for all x, y} is a
-    subalgebra, and the frame shows that F.gens generate F, so for
-    dim <= COMPLETE_DIM checking each generator g against all basis x, y is
-    complete; above that, SAMPLED_TRIPLES seeded random basis triples are
-    checked.  A fiber of dim <= COMPLETE_DIM is certified on its box algebra
-    and the group action instead (see the module docstring), which calls
-    this on B."""
+    subalgebra, and the frame shows that F.gens generate F, so checking each
+    generator g against all basis x, y is complete.  A fiber is certified on
+    its box algebra and the group action instead (see the module docstring),
+    which calls this on B."""
     def test(G: FiniteDimAlgebra) -> bool:
         right = _frame_rows(G)
-        return right is not None and _associative(G, right, seed)
+        return right is not None and _associative(G, right)
 
     return _degree_checked(F, test)
 
@@ -405,19 +396,13 @@ def _frame_rows(F: FiniteDimAlgebra) -> list | None:
     return right if words.rank == F.dim else None
 
 
-def _associative(F: FiniteDimAlgebra, right: list, seed: int) -> bool:
-    """Associativity of F, whose frame holds, with `right` from `_frame_rows`."""
-    if F.dim <= COMPLETE_DIM:
-        pairs = [(x, y) for x in range(F.dim) for y in range(F.dim)]
-        for g, xg in zip(F.gens, right):
-            gy = [F.right_mul(g, y) for y in range(F.dim)]
-            if any(F.right_mul(xg[x], y) != F.left_mul(x, gy[y]) for x, y in pairs):
-                return False
-        return True
-    rng = random.Random(seed)
-    for _ in range(SAMPLED_TRIPLES):
-        i, j, k = rng.randrange(F.dim), rng.randrange(F.dim), rng.randrange(F.dim)
-        if F.right_mul(F.product(i, j), k) != F.left_mul(i, F.product(j, k)):
+def _associative(F: FiniteDimAlgebra, right: list) -> bool:
+    """Associativity of F, whose frame holds, with `right` from `_frame_rows`:
+    (x g) y = x (g y) for each gen g and all basis x, y."""
+    pairs = [(x, y) for x in range(F.dim) for y in range(F.dim)]
+    for g, xg in zip(F.gens, right):
+        gy = [F.right_mul(g, y) for y in range(F.dim)]
+        if any(F.right_mul(xg[x], y) != F.left_mul(x, gy[y]) for x, y in pairs):
             return False
     return True
 
@@ -437,7 +422,7 @@ def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
     B = FiniteDimAlgebra(len(monos), cache(lambda i, j: vec(box(*monos[i], e, *monos[j]))),
                          {index[(0, 0)]: Cyclo.rational(1)},
                          [vec(reduce_mono((1, 0))), vec(reduce_mono((0, 1)))])
-    # (a), complete at dim B <= COMPLETE_DIM
+    # (a)
     if not check_associativity(B):
         return False
 
@@ -460,12 +445,19 @@ def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
             alpha_sf = alpha[group.mul(s, f)]
             if any(combine(y, alpha_s) != alpha_sf[x] for x, y in enumerate(alpha_f)):
                 return False
-    # (d) where f.m2 leaves the box
+    # (d) where f.m2 = sum c m' leaves the box: alpha_f(m2) = sum c red(m')
+    # and box(m1, f, m2) = sum c (m1 * red(m')), the products taken once per m'
+    red = cache(lambda m: vec(reduce_mono(m)))
+    left_by = cache(lambda m: [B.left_mul(i, red(m)) for i in range(B.dim)])
     for f, alpha_f in alpha.items():
         for m2, y in zip(monos, alpha_f):
-            if (any(m not in index for m in ring.mono_product((0, 0), f, m2))
-                    and any(vec(box(*m1, f, *m2)) != B.left_mul(i, y)
-                            for i, m1 in enumerate(monos))):
+            image = ring.mono_product((0, 0), f, m2)
+            if all(m in index for m in image):
+                continue
+            if y != combine(image, {m: red(m) for m in image}):
+                return False
+            if any(vec(box(*m1, f, *m2)) != combine(image, {m: left_by(m)[i] for m in image})
+                   for i, m1 in enumerate(monos)):
                 return False
     return True
 

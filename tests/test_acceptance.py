@@ -231,7 +231,7 @@ def test_criterion_8_kernel_property_suites():
             for coeff in molien_series(rep).expand(20):
                 value = coeff.as_fraction()
                 assert value.denominator == 1 and value >= 0
-        # fiber associativity: one small (full triple check) and one large fiber
+        # fiber associativity, complete on a small and on a large fiber
         rng = random.Random(3)
         case = make_case("ii", localization="full")
         point = sample_point(case, rng)
@@ -240,4 +240,4 @@ def test_criterion_8_kernel_property_suites():
         case = make_case("iii", n=3)
         point = sample_point(case, rng)
         fiber = build_fiber(case.ring, point, recipe_for(case, point))
-        assert check_associativity(fiber, seed=20260808)
+        assert fiber.dim > 40 and check_associativity(fiber)

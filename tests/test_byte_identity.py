@@ -40,9 +40,12 @@ Each group of digests was recorded at the parent of the change named:
 - the next three (freeness on case ii none, where a scan reason is set, and
   on D4 torus and C4 k=2, whose actions are not X-outer), before
   X-outerness and the generators of Z(A) were read off the ring;
-- the last one (case i at (n, k) = (2, 2), a quotient whose residual mixes
+- the next one (case i at (n, k) = (2, 2), a quotient whose residual mixes
   group components), before fibers of dim <= 40 were certified on their box
-  algebra and the group action.
+  algebra and the group action;
+- the last three (case i at (7, 3), whose box went from 21 x 21 to 21 x 3,
+  at (4, 2), a quotient, and a C5 k=2 fiber at a given point), before case i
+  took its box from w^gcd(n, k) = (uv)^-k.
 
 `HUMAN_PINNED` holds one command per human-format report body (points,
 stabilizers, graded dims, Hom degrees, Molien series, one fiber), recorded
@@ -164,6 +167,12 @@ PINNED = [
      "5c82dd242019a17a9ed13e909fb2ccb32f5a2e602cce82f4669387f02ab4e41d"),
     ("scan --case i --n 2 --k 2 --samples 3 --seed 7",
      "833e85f23d7ea2b8bd49a95061fe1afe55f0651e4245f685314fdd736cdb11b2"),
+    ("scan --case i --n 7 --k 3 --localization torus --samples 1 --seed 1",
+     "0b9372058fe0f93b776b75bf167aab93d87ac4c0df4c5a99d88ba4543d35b764"),
+    ("scan --case i --n 4 --k 2 --samples 2 --seed 7",
+     "17be84f0b0129a7906f8515b4affffad6a936e4e7c83cc5c5a71142de80ec0a5"),
+    ("fiber --case i --n 5 --k 2 --point x=2,w=3",
+     "2410cb1f4a7351a633d512ff8ab23f01ace9860a5336977daa099fce76abee06"),
 ]
 
 # pinned commands whose verdict is not a pass: the case-0 control's

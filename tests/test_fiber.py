@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +11,6 @@ from qks import cyclotomic
 from qks import fiber as fiber_module
 from qks.cyclotomic import Cyclo
 from qks.fiber import (
-    COMPLETE_DIM,
     Certificate,
     FiberError,
     FiberRecipe,
@@ -209,9 +208,10 @@ def _table(F):
     return [[dict(F.product(i, j)) for j in range(F.dim)] for i in range(F.dim)]
 
 
-def test_sampled_associativity_rejects_a_doubled_table():
+def test_complete_associativity_rejects_a_doubled_table_above_40():
     # M_7 with e_ij e_jk doubled for i != j != k: products with the unit are
-    # untouched, but (e_01 e_10) e_02 = 2 e_02 and e_01 (e_10 e_02) = 4 e_02
+    # untouched, but (e_01 e_10) e_02 = 2 e_02 and e_01 (e_10 e_02) = 4 e_02;
+    # above dim 40 the check is as complete as below it
     d = 7
     M7 = matrix_units_algebra(d)
     assert M7.dim > 40 and check_associativity(M7)
@@ -481,12 +481,13 @@ def _generator_closure(crossed, residuals):
 
 @pytest.mark.parametrize("case_id,kwargs,dims", [
     ("i", dict(n=2, k=2), (8, 4)),
-    ("i", dict(n=3, k=2), (108, 36)),
-    ("i", dict(n=5, k=2), (500, 100)),
+    ("i", dict(n=6, k=3), (108, 36)),
+    ("i", dict(n=4, k=4), (64, 16)),
     ("i", dict(n=2, k=4), (32, 16)),
-    ("i", dict(n=4, k=2), (64, 16)),
+    ("i", dict(n=4, k=2), (32, 16)),
     ("iii", dict(n=2, localization="torus"), (32, 16)),
     ("iii", dict(n=4, localization="torus"), (128, 64)),
+    ("ii", dict(localization="none"), (32, 16)),
 ])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_pass_kills_the_ideal_of_the_generator_closure(case_id, kwargs, dims, seed):
@@ -510,10 +511,11 @@ def test_one_pass_kills_the_ideal_of_the_generator_closure(case_id, kwargs, dims
     assert all(fiber.product(i, j) == reference.product(i, j)
                for i in range(fiber.dim) for j in range(fiber.dim))
     # the quotient keeps the G-degrees exactly when each killed row is
-    # homogeneous: in case i with gcd(n, k) = 1 the residual lies in degree e
-    graded = case_id == "i" and gcd(kwargs["n"], kwargs["k"]) == 1
-    assert graded is all(crossed.degree[l] == crossed.degree[p]
-                         for p, tail in closure.rows.items() for l in tail)
+    # homogeneous: at case ii none the residuals lie in degree e, while in
+    # case i with gcd(n, k) > 1 and even-n case iii they mix group components
+    graded = all(crossed.degree[l] == crossed.degree[p]
+                 for p, tail in closure.rows.items() for l in tail)
+    assert graded is (case_id == "ii")
     kept = [crossed.degree[i] for i in range(crossed.dim) if i not in closure.rows]
     if graded:
         assert fiber.degree == kept and len(set(kept)) == ring.group.order
@@ -525,16 +527,16 @@ def test_one_pass_kills_the_ideal_of_the_generator_closure(case_id, kwargs, dims
         assert not check_associativity(replace(fiber, degree=kept, group=ring.group))
 
 
-def test_a_quotient_fiber_computes_fewer_products_than_a_third_of_its_table():
-    # C5 k=2, dim 100: the written-out quotient table held 100^2 = 10,000
-    # products; build plus certificate ask for fewer than 3,000 of them,
-    # the trace form 20^2 on F_e
+def test_the_c5_fiber_computes_fewer_products_than_a_third_of_its_table():
+    # C5 k=2, dim 100, B * G on a 10 x 2 box: a written-out table holds
+    # 100^2 = 10,000 products; build plus certificate ask for fewer than
+    # 3,000 of them, the trace form 20^2 on F_e
     fiber = _catalog_fiber("i", dict(n=5, k=2))
     assert str(matrix_algebra_certificate(fiber)) == "central-simple(10)"
     assert fiber.product.cache_info().misses <= 3_000 < fiber.dim ** 2
 
 
-# -- fibers of dim <= 40: certified on the box algebra B and the action
+# -- every fiber: certified on the box algebra B and the action
 
 SMALL_CONFIGS = ([("0", dict(localization=loc)) for loc in ("none", "full")]
                  + [("i", dict(n=n, k=k)) for n, k in [(2, 2), (3, 2), (2, 3), (2, 4), (4, 2),
@@ -563,6 +565,18 @@ def _spy_checks(monkeypatch):
 @pytest.mark.parametrize("case_id,kwargs", SMALL_CONFIGS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_box_certificate_agrees_with_the_complete_check(monkeypatch, case_id, kwargs, seed):
+    _certificate_agrees_with_the_complete_check(monkeypatch, case_id, kwargs, seed)
+
+
+# the benchmark's fibers above dim 40: D3 full and torus (144), C5 k=2 (100)
+@pytest.mark.parametrize("case_id,kwargs", [("iii", dict(n=3, localization="full")),
+                                            ("iii", dict(n=3, localization="torus")),
+                                            ("i", dict(n=5, k=2))])
+def test_box_certificate_agrees_with_the_complete_check_above_40(monkeypatch, case_id, kwargs):
+    _certificate_agrees_with_the_complete_check(monkeypatch, case_id, kwargs, 1)
+
+
+def _certificate_agrees_with_the_complete_check(monkeypatch, case_id, kwargs, seed):
     case = make_case(case_id, **kwargs)
     for stabilized in (False, True) if case.keeps_stabilized else (False,):
         point = sample_point(case, random.Random(seed), stabilized=stabilized)
@@ -571,7 +585,7 @@ def test_box_certificate_agrees_with_the_complete_check(monkeypatch, case_id, kw
         fiber = build_fiber(case.ring, point, recipe)
         monkeypatch.undo()
         box_dim = recipe.ku * recipe.kv
-        assert box_dim <= fiber.dim <= COMPLETE_DIM
+        assert box_dim <= fiber.dim
         # the certificate ran on B, then the frame on the fiber, and held
         assert calls == [(box_dim, True), ("frame", True)]
         assert check_associativity(fiber) is True  # the generic complete check
@@ -601,13 +615,13 @@ def _small_fiber_inputs(case_id, kwargs, seed=1):
 @pytest.mark.parametrize("case_id,kwargs,at,refused_by,complete", [
     # a product of B, f = e: (a) refuses B
     ("ii", dict(localization="full"), ((1, 0), (0, 0), (1, 1)), "a", "refuses"),
-    ("i", dict(n=3, k=2), ((0, 1), (0, 0), (1, 0)), "a", 36),
+    ("i", dict(n=6, k=3), ((0, 1), (0, 0), (1, 0)), "a", 36),
     # an entry alpha_s(m) = box(0, 0, s, m) of a generator s: (b) or (c)
-    ("i", dict(n=3, k=2), ((0, 0), (1, 0), (1, 0)), "bcd", 36),
+    ("i", dict(n=6, k=3), ((0, 0), (1, 0), (1, 0)), "bcd", 36),
     ("ii", dict(localization="torus"), ((0, 0), (0, 1), (1, 1)), "bcd", "refuses"),
     # an entry of alpha_f for f = s^2, not a generator: only (c) reads it,
     # as alpha_s alpha_s at the monomial uv, which is not u or v
-    ("i", dict(n=3, k=2), ((0, 0), (2, 0), (1, 1)), "bcd", 36),
+    ("i", dict(n=6, k=3), ((0, 0), (2, 0), (1, 1)), "bcd", 36),
     # a product whose reflected image leaves the box (u^2 -> v^2, and
     # u -> v in case 0, where Kv = 1), away from alpha itself: only (d)
     # reads it
@@ -626,12 +640,48 @@ def test_box_certificate_refuses_a_perturbed_product(monkeypatch, case_id, kwarg
     # certificate fails before the fiber's frame is tested
     assert calls == [(box_dim, refused_by != "a")]
     # the complete check on the fiber: where nothing is killed the fiber is
-    # B * G and it refuses too; the C3 k=2 quotient (dim 108 -> 36) never
+    # B * G and it refuses too; the C6 k=3 quotient (dim 108 -> 36) never
     # reads the perturbed product, so that check passes its fiber, while
     # the certificate asks B * G itself to be associative
     reference = _reference_build(monkeypatch, ring, point, recipe)
     assert reference == (complete if complete != "refuses" else
                          "quotient multiplication is not associative; recipe is inconsistent")
+
+
+def _mono_product_reads(monkeypatch, build):
+    """build() and the set of (m1, f1, m2) at which it calls
+    SkewRing.mono_product."""
+    reads = set()
+    real = SkewRing.mono_product
+
+    def spy(ring, m1, f1, m2):
+        reads.add((m1, f1, m2))
+        return real(ring, m1, f1, m2)
+
+    with monkeypatch.context() as m:
+        m.setattr(SkewRing, "mono_product", spy)
+        return build(), reads
+
+
+def test_box_certificate_refuses_a_product_the_quotient_never_reads(monkeypatch):
+    # D4 torus: B * G of dim 128 on an 8 x 2 box, killed to a fiber of dim
+    # 64.  The complete check of the fiber leaves some products of B * G
+    # unread; perturbed there, the fiber still passes it, while the
+    # certificate asks B * G itself to be associative and refuses
+    ring, point, recipe = _small_fiber_inputs("iii", dict(n=4, localization="torus"))
+    assert recipe.ku * recipe.kv * ring.group.order == 128
+    dim, reference_reads = _mono_product_reads(
+        monkeypatch, lambda: _reference_build(monkeypatch, ring, point, recipe))
+    fiber, reads = _mono_product_reads(monkeypatch, lambda: build_fiber(ring, point, recipe))
+    assert dim == fiber.dim == 64
+    unread = sorted(reads - reference_reads)
+    assert unread
+    for at in (unread[0], unread[-1]):
+        with monkeypatch.context() as m:
+            _perturb_mono_product(m, at)
+            assert _reference_build(m, ring, point, recipe) == 64
+            with pytest.raises(FiberError, match="not associative"):
+                build_fiber(ring, point, recipe)
 
 
 def test_an_inconsistent_v_rule_is_refused_on_the_box_path():
@@ -653,6 +703,18 @@ def _reference_build(monkeypatch, ring, point, recipe):
         m.setattr(fiber_module, "_crossed_product_certified", lambda *args: True)
         m.setattr(fiber_module, "check_frame", fiber_module.check_associativity)
         return _outcome(ring, point, recipe)
+
+
+def _complete_reference(monkeypatch, ring, point, recipe):
+    """The generic complete check of B * G itself (the recipe without its
+    residuals) and of the fiber: the fiber's outcome, unless the fiber passes
+    and B * G does not, which the box certificate refuses too."""
+    fiber = _reference_build(monkeypatch, ring, point, recipe)
+    if isinstance(fiber, int):
+        whole = _reference_build(monkeypatch, ring, point, replace(recipe, residuals=[]))
+        if not isinstance(whole, int):
+            return whole
+    return fiber
 
 
 def _outcome(ring, point, recipe):
@@ -684,12 +746,15 @@ def test_recipe_mutations_end_as_with_the_complete_check(monkeypatch):
         ring, point, recipe = _small_fiber_inputs(case_id, kwargs)
         for bad in _recipe_mutations(recipe, ring.algebra):
             outcome = _outcome(ring, point, bad)
-            assert outcome == _reference_build(monkeypatch, ring, point, bad), (case_id, kwargs)
+            assert outcome == _complete_reference(monkeypatch, ring, point, bad), (case_id, kwargs)
             outcomes.append(outcome)
     # most mutations stop at the collapse or centrality tests; some are
-    # consistent recipes at another point, and some reach the certificate
+    # consistent recipes at another point, and some reach the certificate.
+    # In case i a u-rule that disagrees with its inverse rule (three
+    # mutations each at (2, 2) and (3, 3)) makes B * G non-associative, while
+    # its quotient, of dim 2 or 3, passes the complete check
     assert len(outcomes) == 32
-    assert outcomes.count("quotient multiplication is not associative; recipe is inconsistent") == 6
+    assert outcomes.count("quotient multiplication is not associative; recipe is inconsistent") == 12
     assert sum(isinstance(o, int) for o in outcomes) == 4
 
 
@@ -708,3 +773,61 @@ def test_left_mul_by_a_unit_vector_makes_no_multiply(monkeypatch):
                         lambda *args: convolutions.append(1) or real(*args))
     assert [F.left_mul(x, vec) for F, x, vec in calls] == want
     assert not convolutions
+
+
+# -- case i's rule: w^g = (uv)^-k, g = gcd(n, k), fixes v^k at the point
+
+def test_case_i_w_to_the_gcd_is_a_power_of_uv():
+    for n in range(1, 7):
+        for k in (1, 2, 3, 4, 6):
+            case = make_case("i", n=n, k=k)
+            ring = case.ring
+            w = case.presentation.gens["w"]
+            assert w ** gcd(n, k) == ring.from_poly(ring.algebra.monomial(1, 1) ** -k), (n, k)
+
+
+def _l_by_l_recipe(case, point):
+    """Case i's rule on the l x l box: v^l -> b, with b read off the scalar
+    u^l w^n v^l at the point, and the residual w - c."""
+    T, A = case.ring, case.ring.algebra
+    n, l = case.n, lcm(case.n, case.k)
+    x_elt, w_elt = case.presentation.gens["x"], case.presentation.gens["w"]
+    a, c = point.values["x"], point.values["w"]
+    ((f0, poly),) = (x_elt * w_elt ** n * T.monomial(0, l)).comps.items()
+    assert f0 == T.group.identity() and set(poly.terms) == {(0, 0)}
+    b = poly.terms[(0, 0)] * (a * c ** n).inverse()
+    return FiberRecipe(ku=l, kv=l, u_pow=A.poly({(0, 0): a}), v_pow=A.poly({(0, 0): b}),
+                       u_inv=A.poly({(0, 0): a.inverse()}), v_inv=A.poly({(0, 0): b.inverse()}),
+                       residuals=[w_elt - T.one() * c])
+
+
+def _l_by_k_recipe(case, point, q_exponent):
+    """Case i's rule on the l x k box, v^k -> s u^-k with
+    s = (c^g q^q_exponent)^-1; the catalog's q_exponent is k(k-1)/2."""
+    T, A = case.ring, case.ring.algebra
+    n, k = case.n, case.k
+    a, c = point.values["x"], point.values["w"]
+    s = (c ** gcd(n, k) * A.q ** q_exponent).inverse()
+    return FiberRecipe(ku=lcm(n, k), kv=k, u_pow=A.poly({(0, 0): a}), v_pow=A.poly({(-k, 0): s}),
+                       u_inv=A.poly({(0, 0): a.inverse()}), v_inv=A.poly({(k, 0): s.inverse()}),
+                       residuals=[case.presentation.gens["w"] - T.one() * c])
+
+
+def _fiber_summary(F):
+    return F.dim, trace_form_rank(F), center_dimension(F), str(matrix_algebra_certificate(F))
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (5, 2)])
+def test_case_i_rule_gives_the_fiber_of_the_l_by_l_box(n, k):
+    case = make_case("i", n=n, k=k)
+    for seed in (1, 2, 2101):
+        point = sample_point(case, random.Random(seed))
+        recipe = recipe_for(case, point)
+        assert recipe == _l_by_k_recipe(case, point, k * (k - 1) // 2)
+        new = build_fiber(case.ring, point, recipe)
+        old = build_fiber(case.ring, point, _l_by_l_recipe(case, point))
+        assert _fiber_summary(new) == _fiber_summary(old)
+        # v^k -> s u^-k with the q exponent off by one is another point's
+        # rule, at which w - c is a unit
+        with pytest.raises(FiberError, match="collapse"):
+            build_fiber(case.ring, point, _l_by_k_recipe(case, point, k * (k - 1) // 2 + 1))

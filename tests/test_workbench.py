@@ -104,6 +104,19 @@ def test_case_ii_is_case_iii_at_n1(localization):
     assert "n" not in ii.params() and iii.params() == {**ii.params(), "n": 1}
 
 
+@pytest.mark.parametrize("case_id,kwargs", [("0", {}), ("ii", {})]
+                         + [("iii", dict(n=n)) for n in (1, 3, 5)])
+def test_removed_locus_is_the_square_of_the_denominator(case_id, kwargs):
+    # the presentation's localized_at and the algebra's denominator d state
+    # the same removed locus: each entry, evaluated at the generators, is d^2
+    case = make_case(case_id, localization="full", **kwargs)
+    pres, ring = case.presentation, case.ring
+    (d,) = ring.algebra.denominators
+    assert pres.localized_at
+    for entry in pres.localized_at:
+        assert pres.eval_relation(entry) == ring.from_poly(d * d)
+
+
 def test_case_ii_rejects_n_and_bad_localizations():
     with pytest.raises(CatalogError) as err:
         make_case("ii", localization="bogus")
