@@ -5,16 +5,18 @@ onto the monomial box [0,Ku) x [0,Kv) by per-variable reduction rules
 u^Ku -> r_u(u), v^Kv -> r_v (with inverse rules for Laurent coefficients);
 the rules come from central elements at the sampled point, so the rewriting
 presents a genuine two-sided quotient B of the coefficient algebra, the box
-algebra, and the skew ring of the quotient is the crossed product B * G on
-the box-times-group basis.  In
-(u^a1 v^b1 f1)(u^a2 v^b2 f2) = u^a1 v^b1 f1(u^a2 v^b2) f1f2 the A-part,
-`SkewRing.mono_product`, is independent of f2, so `build_fiber` caches its
-reduction into the box as `box(a1, b1, f1, a2, b2)`, beside `reduce_mono`,
-and lays it out at the group index f1f2: the product of basis elements of
-degrees f1 and f2 lies in degree f1f2.  Second, each residual r = z - z(m)
-of a central generator z is killed: r is central in B * G (its `commutator`
-with each generator is 0), so it generates the two-sided ideal r (B * G),
-and mT, the sum of these, is spanned in one pass by the products r basis_k.
+algebra: the box monomials with x * y = red(x y), the reduction into the box
+of `SkewRing.mono_product` at f = e, unit u^0 v^0 and generators red(u),
+red(v).  G acts on B by alpha_f(x) = red(f.x), and the skew ring of the
+quotient is the crossed product B * G = B #_alpha G on the box-times-group
+basis, which `build_fiber` takes as its definition:
+(x f)(y h) = (x * alpha_f(y)) fh.  B's part x * alpha_f(y) is independent of
+h, so it is cached as `box(x, f, y)` and laid out at the group index fh: the
+product of basis elements of degrees f and h lies in degree fh.  Second,
+each residual r = z - z(m) of a central generator z is killed: r is central
+in B * G (its `commutator` with each generator is 0), so it generates the
+two-sided ideal r (B * G), and mT, the sum of these, is spanned in one pass
+by the products r basis_k.
 
 An algebra is its product on demand, `product(i, j)`, with `left_mul`,
 `right_mul` and `commutator` built on it, and every algebra is graded by a
@@ -43,38 +45,29 @@ associativity at them, since the middle nucleus {g : (x g) y = x (g y)} is
 a subalgebra.
 
 Every fiber is proved associative on B and the action instead of on all of
-B * G.  B is the box algebra: the box monomials with x * y = box(x, e, y),
-unit u^0 v^0 and generators red(u), red(v), the reductions of u and v into
-the box; alpha_f(x) = box(0, 0, f, x).  A crossed
-product B #_alpha G, with (x f)(y h) = x alpha_f(y) fh, is associative when
-B is and alpha is an action by automorphisms (Passman, Infinite Crossed
-Products; Montgomery, LNM 818).  `_crossed_product_certified` checks:
+B #_alpha G.  A crossed product B #_alpha G is associative when B is and
+alpha is an action by automorphisms (Passman, Infinite Crossed Products;
+Montgomery, LNM 818).  `_crossed_product_certified` checks:
 (a) B is associative and red(u), red(v) generate it: `check_associativity(B)`.
-    Its unit test gives alpha_e = id.
 (b) For each generator s of G, alpha_s fixes 1 and
     alpha_s(x g) = alpha_s(x) alpha_s(g) for every box monomial x and
     g in {red(u), red(v)}.  The g for which this holds for all x form a
     subalgebra, so by (a) alpha_s is a unital algebra endomorphism.
-(c) alpha_s alpha_f = alpha_sf on every box monomial, for each generator s
-    and each f in G.  So each alpha_f is a product of alpha_s's, hence an
-    endomorphism, alpha_fh = alpha_f alpha_h, and alpha_f is invertible
-    (alpha_f^|f| = alpha_e).  Checking u and v alone would not do: that
-    extends to B only once alpha_sf is known to be multiplicative.
-(d) box(m1, f, m2) = m1 * alpha_f(m2), so that B * G's product is
-    B #_alpha G's.  Where f.m2 is a scalar c times a box monomial m', this
-    holds by construction: `SkewRing.mono_product` is the action memo
-    followed by `Algebra.mono_mul`, so box(m1, f, m2) reduces c m1 m', while
-    alpha_f(m2) = c m' and the reduction is linear.  Where m' leaves the box
-    (the reflection in case 0, in case ii, and in case iii with Ku != Kv) it
-    is checked for every box monomial m1, image by image: alpha_f(m2) against
-    c red(m') and box(m1, f, m2) against c (m1 * red(m')), so B's left
-    products are taken once per distinct m', and by the linearity of B's
-    product that is m1 * alpha_f(m2).  Each such box(m1, f, m2) is read, so
-    a wrong product there is refused.
-So B * G is associative.  B and G's generators generate it, so a residual
-that commutes with the generators is central, r (B * G) is a two-sided ideal
-and the quotient fiber is associative.  The fiber still takes `check_frame`,
-on which the trace rank and the center rely.
+(c) alpha_e is the identity, and alpha_s alpha_f = alpha_sf on every box
+    monomial, for each generator s and each f in G.  So each alpha_f is a
+    product of alpha_s's, hence an endomorphism, alpha_fh = alpha_f alpha_h,
+    and alpha_f is invertible (alpha_f^|f| = alpha_e).  Checking u and v
+    alone would not do: that extends to B only once alpha_sf is known to be
+    multiplicative.
+So B #_alpha G is associative, and its product reads nothing but B's
+products and the alpha_f(y), which (a) to (c) read.  It is generated by u, v
+and G, and it satisfies T's relations and the rules, since B's product and
+alpha are T's product and G's action followed by the reduction; T modulo the
+rules is spanned by the box monomials times G, as many as dim B #_alpha G.
+So B #_alpha G is T modulo the rules.  Its generators generate it, so a
+residual that commutes with them is central, r (B #_alpha G) is a two-sided
+ideal and the quotient fiber is associative.  The fiber still takes
+`check_frame`, on which the trace rank and the center rely.
 
 Recognition works over the non-closed ground field: an algebra is certified
 "central simple of degree d" when dim = d^2, the trace form is nondegenerate
@@ -255,57 +248,65 @@ def _quotient(F: FiniteDimAlgebra, ech: Echelon) -> FiniteDimAlgebra:
 
 
 def build_fiber(ring: SkewRing, point: CentralPoint | None, recipe: FiberRecipe) -> FiniteDimAlgebra:
-    """The quotient of T at the recipe's reductions and residual relations,
-    proved associative as the module docstring says."""
+    """The quotient of B #_alpha G by the recipe's residual relations, the
+    crossed product proved associative as the module docstring says."""
     if point is not None:
         point.validate()
     recipe.validate()
     group = ring.group
     algebra = ring.algebra
     n0 = algebra.conductor
+    e = group.identity()
+    one = Cyclo.rational(1)
     reduce_mono = cache(lambda mono: _reduce_terms(algebra, recipe, {mono: Cyclo.one(n0)}))
 
     monos = [(a, b) for a in range(recipe.ku) for b in range(recipe.kv)]
-    basis = [(a, b, f) for f in group.elements() for (a, b) in monos]
-    index = {m: i for i, m in enumerate(basis)}
-    dim = len(basis)
+    mono_index = {m: i for i, m in enumerate(monos)}
+
+    def red(terms: dict) -> dict:
+        # a coefficient polynomial reduced into the box, on B's basis
+        out: dict = {}
+        for mono, c in terms.items():
+            for red_mono, rc in reduce_mono(mono).items():
+                acc(out, mono_index[red_mono], c * rc)
+        return out
+
+    B = FiniteDimAlgebra(len(monos),
+                         cache(lambda i, j: red(ring.mono_product(monos[i], e, monos[j]))),
+                         {mono_index[(0, 0)]: one}, [red({(1, 0): one}), red({(0, 1): one})])
+    elements = group.elements()
+    alpha = {f: [red(ring.mono_product((0, 0), f, m)) for m in monos] for f in elements}
+    offset = {f: k * B.dim for k, f in enumerate(elements)}
 
     @cache
-    def box(a1, b1, f1, a2, b2) -> dict:
-        # box part of (u^a1 v^b1 f1)(u^a2 v^b2 f2), the same for every f2
-        out: dict = {}
-        for mono, c in ring.mono_product((a1, b1), f1, (a2, b2)).items():
-            for red_mono, rc in reduce_mono(mono).items():
-                acc(out, red_mono, c * rc)
-        return out
+    def box(i1, f1, i2) -> dict:
+        # B's part of (x f1)(y f2) = (x alpha_f1(y)) f1f2, the same for every f2
+        return B.left_mul(i1, alpha[f1][i2])
 
     def product(i, j) -> dict:
-        (a1, b1, f1), (a2, b2, f2) = basis[i], basis[j]
-        f12 = group.mul(f1, f2)
-        return {index[(a, b, f12)]: c for (a, b), c in box(a1, b1, f1, a2, b2).items()}
+        (k1, i1), (k2, i2) = divmod(i, B.dim), divmod(j, B.dim)
+        f1 = elements[k1]
+        at = offset[group.mul(f1, elements[k2])]
+        return {at + l: c for l, c in box(i1, f1, i2).items()}
 
     def skew_to_vec(x: SkewElement) -> dict:
-        out: dict = {}
-        for f, poly in x.comps.items():
-            for mono, c in _reduce_terms(algebra, recipe, poly.terms).items():
-                acc(out, index[(mono[0], mono[1], f)], c)
-        return out
+        return {offset[f] + l: c for f, poly in x.comps.items() for l, c in red(poly.terms).items()}
 
     residuals = [vec for vec in map(skew_to_vec, recipe.residuals) if vec]
-    unit = {index[(0, 0, group.identity())]: Cyclo.rational(1)}
-    crossed = FiniteDimAlgebra(dim, product, unit,
+    unit = {offset[e] + mono_index[(0, 0)]: one}
+    crossed = FiniteDimAlgebra(B.dim * len(elements), product, unit,
                                [skew_to_vec(ring.monomial(*mono, f))
                                 for mono, f in ring.commutation_generators()],
-                               degree=[f for (_a, _b, f) in basis], group=group)
+                               degree=[f for f in elements for _m in monos], group=group)
     # a central r generates the two-sided ideal r (B * G); mT is their sum
     if any(crossed.commutator(r, g) for r in residuals for g in crossed.gens):
         raise FiberError("a residual relation is not central in the fiber")
-    killed = span(crossed.right_mul(r, k) for r in residuals for k in range(dim))
+    killed = span(crossed.right_mul(r, k) for r in residuals for k in range(crossed.dim))
     if not killed.reduce(unit):
         raise FiberError("reductions collapse 1 to 0; the point violates a hidden constraint")
 
     fiber = _quotient(crossed, killed)
-    if not (_crossed_product_certified(ring, monos, box, reduce_mono) and check_frame(fiber)):
+    if not (_crossed_product_certified(group, B, alpha) and check_frame(fiber)):
         raise FiberError("quotient multiplication is not associative; recipe is inconsistent")
     return fiber
 
@@ -407,21 +408,10 @@ def _associative(F: FiniteDimAlgebra, right: list) -> bool:
     return True
 
 
-def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
-                               reduce_mono: Callable) -> bool:
-    """Parts (a) to (d) of the module docstring: B * G, with B the box
-    algebra on the box monomials `monos`, is B #_alpha G for an action
-    alpha_f(x) = box(0, 0, f, x) of G on B by automorphisms."""
-    group = ring.group
-    e = group.identity()
-    index = {m: i for i, m in enumerate(monos)}
-
-    def vec(terms: dict) -> dict:
-        return {index[m]: c for m, c in terms.items()}
-
-    B = FiniteDimAlgebra(len(monos), cache(lambda i, j: vec(box(*monos[i], e, *monos[j]))),
-                         {index[(0, 0)]: Cyclo.rational(1)},
-                         [vec(reduce_mono((1, 0))), vec(reduce_mono((0, 1)))])
+def _crossed_product_certified(group: Group, B: FiniteDimAlgebra, alpha: dict) -> bool:
+    """Parts (a) to (c) of the module docstring: B is associative and
+    generated by its gens, and alpha, with alpha[f][m] = alpha_f(basis_m), is
+    an action of G on B by automorphisms."""
     # (a)
     if not check_associativity(B):
         return False
@@ -429,35 +419,24 @@ def _crossed_product_certified(ring: SkewRing, monos: list, box: Callable,
     def times(x: dict, y: dict) -> dict:
         return combine(y, {k: B.right_mul(x, k) for k in y})
 
-    alpha = {f: [vec(box(0, 0, f, *m)) for m in monos] for f in group.elements()}
+    # (c) alpha_e = id, and alpha_s alpha_f = alpha_sf below
+    one = Cyclo.rational(1)
+    if alpha[group.identity()] != [{x: one} for x in range(B.dim)]:
+        return False
     for s in group.generators():
         alpha_s = alpha[s]
         # (b) alpha_s fixes 1 and alpha_s(x g) = alpha_s(x) alpha_s(g)
-        if alpha_s[index[(0, 0)]] != B.unit:
+        if combine(B.unit, alpha_s) != B.unit:
             return False
         for g in B.gens:
             alpha_g = combine(g, alpha_s)
             if any(combine(B.left_mul(x, g), alpha_s) != times(alpha_s[x], alpha_g)
                    for x in range(B.dim)):
                 return False
-        # (c) alpha_s alpha_f = alpha_sf
+        # (c)
         for f, alpha_f in alpha.items():
             alpha_sf = alpha[group.mul(s, f)]
             if any(combine(y, alpha_s) != alpha_sf[x] for x, y in enumerate(alpha_f)):
-                return False
-    # (d) where f.m2 = sum c m' leaves the box: alpha_f(m2) = sum c red(m')
-    # and box(m1, f, m2) = sum c (m1 * red(m')), the products taken once per m'
-    red = cache(lambda m: vec(reduce_mono(m)))
-    left_by = cache(lambda m: [B.left_mul(i, red(m)) for i in range(B.dim)])
-    for f, alpha_f in alpha.items():
-        for m2, y in zip(monos, alpha_f):
-            image = ring.mono_product((0, 0), f, m2)
-            if all(m in index for m in image):
-                continue
-            if y != combine(image, {m: red(m) for m in image}):
-                return False
-            if any(vec(box(*m1, f, *m2)) != combine(image, {m: left_by(m)[i] for m in image})
-                   for i, m1 in enumerate(monos)):
                 return False
     return True
 

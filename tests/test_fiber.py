@@ -613,49 +613,71 @@ def _small_fiber_inputs(case_id, kwargs, seed=1):
 
 
 @pytest.mark.parametrize("case_id,kwargs,at,refused_by,complete", [
-    # a product of B, f = e: (a) refuses B
+    # a product of B, f = e: (a) refuses B; the C6 k=3 quotient (dim
+    # 108 -> 36) reads it too, through the products m1 alpha_f(m2)
     ("ii", dict(localization="full"), ((1, 0), (0, 0), (1, 1)), "a", "refuses"),
-    ("i", dict(n=6, k=3), ((0, 1), (0, 0), (1, 0)), "a", 36),
-    # an entry alpha_s(m) = box(0, 0, s, m) of a generator s: (b) or (c)
-    ("i", dict(n=6, k=3), ((0, 0), (1, 0), (1, 0)), "bcd", 36),
-    ("ii", dict(localization="torus"), ((0, 0), (0, 1), (1, 1)), "bcd", "refuses"),
-    # an entry of alpha_f for f = s^2, not a generator: only (c) reads it,
-    # as alpha_s alpha_s at the monomial uv, which is not u or v
-    ("i", dict(n=6, k=3), ((0, 0), (2, 0), (1, 1)), "bcd", 36),
-    # a product whose reflected image leaves the box (u^2 -> v^2, and
-    # u -> v in case 0, where Kv = 1), away from alpha itself: only (d)
-    # reads it
-    ("ii", dict(localization="full"), ((1, 0), (0, 1), (2, 0)), "bcd", "refuses"),
-    ("0", dict(localization="full"), ((1, 0), (0, 1), (1, 0)), "bcd", "refuses"),
+    ("i", dict(n=6, k=3), ((0, 1), (0, 0), (1, 0)), "a", "refuses"),
+    # an entry alpha_s(m) = red(mono_product(1, s, m)) of a generator s: (b)
+    # or (c)
+    ("i", dict(n=6, k=3), ((0, 0), (1, 0), (1, 0)), "bc", 36),
+    ("ii", dict(localization="torus"), ((0, 0), (0, 1), (1, 1)), "bc", "refuses"),
+    # an entry of alpha_f for f = s^2, not a generator: the residual w - c
+    # reads it, through w's component at s^2, and no longer reduces to a
+    # complement of 1
+    ("i", dict(n=6, k=3), ((0, 0), (2, 0), (1, 1)), "collapse", "collapse"),
+    # an entry of alpha_s whose reflected image leaves the box (u^2 -> v^2
+    # in case ii, u -> v in case 0, u^5 -> v^5 in D3)
+    ("ii", dict(localization="full"), ((0, 0), (0, 1), (2, 0)), "bc", "refuses"),
+    ("0", dict(localization="full"), ((0, 0), (0, 1), (1, 0)), "bc", "refuses"),
+    ("iii", dict(n=3, localization="full"), ((0, 0), (0, 1), (5, 0)), "bc", "refuses"),
 ])
 def test_box_certificate_refuses_a_perturbed_product(monkeypatch, case_id, kwargs, at,
                                                      refused_by, complete):
     ring, point, recipe = _small_fiber_inputs(case_id, kwargs)
     _perturb_mono_product(monkeypatch, at)
     calls = _spy_checks(monkeypatch)
-    with pytest.raises(FiberError, match="not associative"):
+    messages = {"refuses": "quotient multiplication is not associative; recipe is inconsistent",
+                "collapse": "reductions collapse 1 to 0; the point violates a hidden constraint"}
+    with pytest.raises(FiberError, match=messages["collapse" if refused_by == "collapse"
+                                                  else "refuses"]):
         build_fiber(ring, point, recipe)
     box_dim = recipe.ku * recipe.kv
-    # refused by (a): B fails; by (b), (c) or (d): B holds and the
-    # certificate fails before the fiber's frame is tested
-    assert calls == [(box_dim, refused_by != "a")]
+    # refused by (a): B fails; by (b) or (c): B holds and the certificate
+    # fails before the fiber's frame is tested; a collapse stops the build
+    # before the certificate
+    assert calls == {"a": [(box_dim, False)], "bc": [(box_dim, True)], "collapse": []}[refused_by]
     # the complete check on the fiber: where nothing is killed the fiber is
-    # B * G and it refuses too; the C6 k=3 quotient (dim 108 -> 36) never
-    # reads the perturbed product, so that check passes its fiber, while
-    # the certificate asks B * G itself to be associative
+    # B * G and it refuses too; the C6 k=3 quotient loses the perturbed
+    # alpha_s entry, so that check passes its fiber, while the certificate
+    # asks alpha to be an action
     reference = _reference_build(monkeypatch, ring, point, recipe)
-    assert reference == (complete if complete != "refuses" else
-                         "quotient multiplication is not associative; recipe is inconsistent")
+    assert reference == messages.get(complete, complete)
+
+
+@pytest.mark.parametrize("case_id,kwargs,at", [
+    # m1 alpha_f(m2) with m1 != 1 and f != e, whose reflected image leaves
+    # the box: B #_alpha G never reads mono_product there
+    ("ii", dict(localization="full"), ((1, 0), (0, 1), (2, 0))),
+    ("0", dict(localization="full"), ((1, 0), (0, 1), (1, 0))),
+])
+def test_a_mixed_product_is_not_read(monkeypatch, case_id, kwargs, at):
+    ring, point, recipe = _small_fiber_inputs(case_id, kwargs)
+    fiber = build_fiber(ring, point, recipe)
+    _perturb_mono_product(monkeypatch, at)
+    perturbed = build_fiber(ring, point, recipe)
+    assert perturbed.dim == fiber.dim
+    assert all(perturbed.product(i, j) == fiber.product(i, j)
+               for i in range(fiber.dim) for j in range(fiber.dim))
 
 
 def _mono_product_reads(monkeypatch, build):
-    """build() and the set of (m1, f1, m2) at which it calls
-    SkewRing.mono_product."""
-    reads = set()
+    """build() and the list of (m1, f1, m2) at which it calls
+    SkewRing.mono_product, one entry per call."""
+    reads = []
     real = SkewRing.mono_product
 
     def spy(ring, m1, f1, m2):
-        reads.add((m1, f1, m2))
+        reads.append((m1, f1, m2))
         return real(ring, m1, f1, m2)
 
     with monkeypatch.context() as m:
@@ -663,25 +685,77 @@ def _mono_product_reads(monkeypatch, build):
         return build(), reads
 
 
-def test_box_certificate_refuses_a_product_the_quotient_never_reads(monkeypatch):
+@pytest.mark.parametrize("n,calls", [(3, 720), (5, 2_000), (7, 3_920)])
+def test_the_fiber_reads_mono_product_on_b_and_alpha_alone(monkeypatch, n, calls):
+    # B's products (m1, e, m2) and the entries alpha_f(m) = (1, f, m), each
+    # read once: dim_B^2 + |G| dim_B calls, where red(mono_product(m1, f, m2))
+    # read each of the dim_B^2 |G| box products that B * G asks for
+    ring, point, recipe = _small_fiber_inputs("iii", dict(n=n, localization="full"))
+    group, e = ring.group, ring.group.identity()
+    box = {(a, b) for a in range(recipe.ku) for b in range(recipe.kv)}
+    fiber, reads = _mono_product_reads(monkeypatch, lambda: build_fiber(ring, point, recipe))
+    assert str(matrix_algebra_certificate(fiber)) == f"central-simple({4 * n})"
+    assert all(m2 in box and (f == e and m1 in box or m1 == (0, 0)) for m1, f, m2 in reads)
+    assert len(reads) == len(box) ** 2 + group.order * len(box) == calls
+
+
+def test_the_certificate_refuses_an_action_the_quotient_check_passes(monkeypatch):
     # D4 torus: B * G of dim 128 on an 8 x 2 box, killed to a fiber of dim
-    # 64.  The complete check of the fiber leaves some products of B * G
-    # unread; perturbed there, the fiber still passes it, while the
-    # certificate asks B * G itself to be associative and refuses
+    # 64.  The fiber reads the same values of mono_product with or without
+    # the certificate, but the complete check of the quotient passes an
+    # entry of alpha at the reflection (1, 1) perturbed, which is not an
+    # action of G any more; the certificate refuses it
     ring, point, recipe = _small_fiber_inputs("iii", dict(n=4, localization="torus"))
     assert recipe.ku * recipe.kv * ring.group.order == 128
     dim, reference_reads = _mono_product_reads(
         monkeypatch, lambda: _reference_build(monkeypatch, ring, point, recipe))
     fiber, reads = _mono_product_reads(monkeypatch, lambda: build_fiber(ring, point, recipe))
     assert dim == fiber.dim == 64
-    unread = sorted(reads - reference_reads)
-    assert unread
-    for at in (unread[0], unread[-1]):
+    assert set(reads) == set(reference_reads)
+    for at in (((0, 0), (1, 1), (0, 0)), ((0, 0), (1, 1), (6, 0))):
         with monkeypatch.context() as m:
             _perturb_mono_product(m, at)
             assert _reference_build(m, ring, point, recipe) == 64
             with pytest.raises(FiberError, match="not associative"):
                 build_fiber(ring, point, recipe)
+
+
+def _reduced_skew_product(ring, recipe, index, x, y):
+    """basis_x basis_y as red(mono_product(m1, f1, m2)) laid at f1 f2, for
+    x = m1 f1 and y = m2 f2: the product B #_alpha G must agree with."""
+    (a1, b1, f1), (a2, b2, f2) = x, y
+    poly = ring.algebra.poly(ring.mono_product((a1, b1), f1, (a2, b2)))
+    return _box_vector(ring, recipe, index, ring.from_poly(poly, ring.group.mul(f1, f2)))
+
+
+def _crossed_product_agrees_with_the_skew_product(case_id, kwargs, seed):
+    case = make_case(case_id, **kwargs)
+    ring = case.ring
+    for stabilized in (False, True) if case.keeps_stabilized else (False,):
+        point = sample_point(case, random.Random(seed), stabilized=stabilized)
+        # without the residual relations nothing is killed: B #_alpha G itself
+        recipe = replace(recipe_for(case, point), residuals=[])
+        crossed = build_fiber(ring, point, recipe)
+        basis = [(a, b, f) for f in ring.group.elements()
+                 for a in range(recipe.ku) for b in range(recipe.kv)]
+        index = {m: i for i, m in enumerate(basis)}
+        assert crossed.dim == len(basis)
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                assert crossed.product(i, j) == _reduced_skew_product(ring, recipe, index, x, y)
+
+
+@pytest.mark.parametrize("case_id,kwargs", SMALL_CONFIGS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crossed_product_is_the_reduced_skew_product(case_id, kwargs, seed):
+    _crossed_product_agrees_with_the_skew_product(case_id, kwargs, seed)
+
+
+@pytest.mark.parametrize("case_id,kwargs", [("iii", dict(n=3, localization="full")),
+                                            ("iii", dict(n=3, localization="torus")),
+                                            ("i", dict(n=5, k=2))])
+def test_crossed_product_is_the_reduced_skew_product_above_40(case_id, kwargs):
+    _crossed_product_agrees_with_the_skew_product(case_id, kwargs, 1)
 
 
 def test_an_inconsistent_v_rule_is_refused_on_the_box_path():
@@ -694,6 +768,19 @@ def test_an_inconsistent_v_rule_is_refused_on_the_box_path():
     assert build_fiber(ring, point, recipe).dim == 4
     with pytest.raises(FiberError, match="not associative"):
         build_fiber(ring, point, bad)
+
+
+def test_the_certificate_asks_alpha_e_to_be_the_identity():
+    # B = k x k, G = S2: the swap is an action, while the idempotent
+    # endomorphism P(x1, x2) = (x1, x1) as alpha_e and alpha_s passes (b) and
+    # alpha_s alpha_f = alpha_sf, but is no action
+    one = Cyclo.rational(1)
+    B = FiniteDimAlgebra(2, lambda i, j: {i: one} if i == j else {}, {0: one, 1: one})
+    group = Group("dihedral")
+    e, s = group.elements()
+    identity, swap, P = [{0: one}, {1: one}], [{1: one}, {0: one}], [{0: one, 1: one}, {}]
+    assert fiber_module._crossed_product_certified(group, B, {e: identity, s: swap})
+    assert not fiber_module._crossed_product_certified(group, B, {e: P, s: P})
 
 
 def _reference_build(monkeypatch, ring, point, recipe):
