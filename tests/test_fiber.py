@@ -621,9 +621,9 @@ def _small_fiber_inputs(case_id, kwargs, seed=1):
     # or (c)
     ("i", dict(n=6, k=3), ((0, 0), (1, 0), (1, 0)), "bc", 36),
     ("ii", dict(localization="torus"), ((0, 0), (0, 1), (1, 1)), "bc", "refuses"),
-    # an entry of alpha_f for f = s^2, not a generator: the residual w - c
-    # reads it, through w's component at s^2, and no longer reduces to a
-    # complement of 1
+    # an entry of alpha_f for f = s^2, not a generator: the killed ideal
+    # reads it, since w = (uv)^-1 s^2 has its component at s^2, and then
+    # holds 1
     ("i", dict(n=6, k=3), ((0, 0), (2, 0), (1, 1)), "collapse", "collapse"),
     # an entry of alpha_s whose reflected image leaves the box (u^2 -> v^2
     # in case ii, u -> v in case 0, u^5 -> v^5 in D3)
