@@ -286,13 +286,27 @@ def _hom_target_rows(gens, j: int, offsets, target: int, field, products):
             yield from rows.values()
 
 
-def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO, products=None) -> list:
+def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO, products=None,
+                   lower=None, generated=None) -> list:
     """dims[c] = dim of degree-j truncated right-A^G-module endomorphisms of
     A_{<=c}, for every c <= cap, from one elimination: the rows of target
     degree <= c are the cap-c system in its columns shifted by offsets[c].
     Over a `GF` field each is an upper bound on the exact dimension, and
     `NotReducible` escapes when an entry has no residue.  `products` is the
-    caller's `_hom_products` memo, or None for one of its own."""
+    caller's `_hom_products` memo, or None for one of its own.
+
+    `lower` (a proven lower bound on the exact dimension at `cap`, or None)
+    and `generated` (`_generated_from` of `gens`) are given together, and
+    stop the elimination at the first c >= generated with dims[c] == lower;
+    every later cap is then exactly `lower`.  Three facts make it so:
+    1. A_t = A_1 A_{t-1} on both planes, so A_t = sum_s A_{t-deg s} s holds
+       at every t > generated once it holds at generated + 1;
+    2. so past `generated` a solution on A_{<=t} is fixed by its values on
+       A_{<t}, and the exact dimension cannot rise;
+    3. `lower` is proven at `cap`, and reduction mod p only raises a nullity.
+    So lower <= exact[cap] <= exact[c'] <= exact[c] <= dims[c] for
+    generated <= c <= c' <= cap.  With the defaults the elimination runs to
+    `cap`."""
     offsets, total = _hom_layout(j, cap)
     if products is None:
         products = _hom_products(algebra, gens)
@@ -301,7 +315,23 @@ def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO, products
         for row in _hom_target_rows(gens, j, offsets, c, field, products):
             ech.add(row)
         dims.append(total - offsets[c] - ech.rank)
+        if lower is not None and c >= generated and dims[c] == lower:
+            return dims + [lower] * (cap - c)
     return dims
+
+
+def _generated_from(gens, cap: int, products) -> int:
+    """t0 = the largest degree t with A_t != sum_s A_{t-deg s} s, s running
+    over the invariant generators `gens`, or `cap` when t0 >= cap: A is
+    generated in degrees <= t0 as a right A^G-module.  Since A_t = A_1 A_{t-1},
+    the first t whose products `products(CYCLO, n, x, t - deg s)` span A_t
+    is t0 + 1."""
+    for t in range(1, cap + 1):
+        ech = span({mono_u: c for mono_u, c, _minus in products(CYCLO, n, x, t - s.degree())}
+                   for n, s in enumerate(gens) for x in range(t - s.degree() + 1))
+        if ech.rank == t + 1:
+            return t - 1
+    return cap
 
 
 def _natural_map_images(ring, j: int, cap: int):
@@ -320,11 +350,13 @@ def _natural_map_images(ring, j: int, cap: int):
 
 
 def _natural_map_rank(ring, j: int, cap: int) -> int:
-    """Rank of (A#G)_j -> truncated endomorphisms, a f -> (x -> a (f.x))."""
+    """Rank of (A#G)_j -> truncated endomorphisms, a f -> (x -> a (f.x)).
+    Each x -> sum c a (f.x) is right A^G-linear, so for cap >= t0 of
+    `_generated_from` the kernel, and so the rank, is the same at every cap."""
     return span(_natural_map_images(ring, j, cap)).rank
 
 
-def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower,
+def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower, generated,
                               diagnostics: dict, products) -> list:
     """`_hom_dimension` over Q(zeta) at each of `caps`, taken mod `PRIME`
     where that is exact.
@@ -334,16 +366,25 @@ def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower,
     s is invariant, it is dim (A#G)_j.  One elimination mod p bounds every
     cap from above, so a cap where the two meet is known exactly; any other
     outcome (a gap, an entry with no residue) runs one exact elimination,
-    which gives every cap."""
+    which gives every cap.
+
+    Each elimination stops at the first cap c >= `generated` (t0 of
+    `_generated_from`) where it meets `lower`, and every cap from c up is
+    then exactly `lower`: (1) A_t = A_1 A_{t-1}, so A is spanned over A^G
+    in every degree t > t0; (2) so past t0 a solution is fixed by its values
+    in lower degrees, and the exact dimension cannot rise; (3) `lower` is
+    proven at the top cap, and reduction mod p only raises a nullity."""
     modular = None
     if lower is not None:
         try:
-            modular = _hom_dimension(algebra, group, gens, j, max(caps), GF(PRIME), products)
+            modular = _hom_dimension(algebra, group, gens, j, max(caps), GF(PRIME), products,
+                                     lower, generated)
         except NotReducible:
             pass
     certified = [modular is not None and modular[c] == lower for c in caps]
     exact = (None if all(certified)
-             else _hom_dimension(algebra, group, gens, j, max(caps), CYCLO, products))
+             else _hom_dimension(algebra, group, gens, j, max(caps), CYCLO, products,
+                                 lower, generated))
     for ok in certified:
         diagnostics["hom_certified" if ok else "hom_fallbacks"] += 1
     return [lower if ok else exact[c] for c, ok in zip(caps, certified)]
@@ -354,7 +395,17 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
 
     Dimensions are computed at truncation caps degree+guard and
     degree+guard+2; degrees whose value moves between the caps are flagged
-    inconclusive rather than reported."""
+    inconclusive rather than reported.  Both are read at once from the
+    degree t0 up to which A is generated over A^G (`_generated_from`):
+    1. A_t = A_1 A_{t-1}, so A_t = sum_s A_{t-deg s} s for every t > t0;
+    2. so past t0 a truncated Hom solution is fixed by its values on lower
+       degrees, and its dimension cannot rise;
+    3. dim (A#G)_j bounds it from below at the top cap when the natural map
+       is injective, and a mod-p elimination bounds it from above; once
+       the two meet at a cap c >= t0, every cap from c up holds that value.
+    The natural map a f -> (x -> a (f.x)) is right A^G-linear, so its
+    kernel on A_{<=t0} is its kernel on all of A: injectivity is read at
+    min(t0, degree+guard)."""
     if case.localization != "none":
         raise CatalogError("the endomorphism check uses the graded, unlocalized ring")
     if degree < 0:
@@ -371,12 +422,13 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     all_agree = True
     diagnostics = {"hom_certified": 0, "hom_fallbacks": 0}
     products = _hom_products(algebra, gens)
+    generated = _generated_from(gens, caps[1], products)
     for j in range(degree + 1):
         dim_skew = (j + 1) * group.order
-        # injective at the lower cap implies injective at the higher one
-        injective = _natural_map_rank(case.ring, j, caps[0]) == dim_skew
+        injective = _natural_map_rank(case.ring, j, min(generated, caps[0])) == dim_skew
         hom_lo, hom_hi = _certified_hom_dimensions(
-            algebra, group, gens, j, caps, dim_skew if injective else None, diagnostics, products)
+            algebra, group, gens, j, caps, dim_skew if injective else None, generated,
+            diagnostics, products)
         stable = hom_lo == hom_hi
         row = {"j": j, "dim_skew_ring": dim_skew,
                "dim_hom": hom_lo if stable else None,

@@ -21,7 +21,7 @@ from qks.catalog import (
 from qks.cli import main
 from qks.cyclotomic import Cyclo
 from qks.fiber import FiberError, build_fiber
-from qks.linalg import GF, NotReducible, span
+from qks.linalg import GF, Echelon, NotReducible, span
 from qks.planes import AlgebraError, Group, NCPoly
 from qks.scans import (
     auslander_check,
@@ -373,6 +373,91 @@ def test_one_hom_elimination_gives_every_cap(cid, field):
         for c in range(min(g.degree() for g in gens), cap + 1):
             rank = span(scans._hom_rows(algebra, gens, j, c, field), field).rank
             assert dims[c] == scans._hom_layout(j, c)[1] - rank, (cid, j, c)
+
+
+# graded cases with t0, the largest degree t where A_t is not
+# sum_s A_{t - deg s} s over the invariant generators s
+GENERATING_DEGREES = [
+    ("0", {}, 1),
+    ("i", dict(n=2, k=2), 1),
+    ("i", dict(n=3, k=2), 2),
+    ("i", dict(n=4, k=2), 3),
+    ("ii", {}, 2),
+    ("iii", dict(n=2), 3),
+    ("iii", dict(n=3), 4),
+    ("iii", dict(n=4), 5),
+    ("iv", {}, 1),
+]
+GENERATING_IDS = [f"{cid}{''.join(map(str, kw.values()))}" for cid, kw, _ in GENERATING_DEGREES]
+
+
+def _graded_hom_inputs(cid, kwargs, cap):
+    case = make_case(cid, localization="none", **kwargs)
+    algebra, group = case.ring.algebra, case.ring.group
+    gens = scans._invariant_algebra_generators(algebra, group, cap)
+    return case, gens, scans._hom_products(algebra, gens)
+
+
+@pytest.mark.parametrize("cid,kwargs,t0", GENERATING_DEGREES, ids=GENERATING_IDS)
+def test_generated_from_against_ncpoly_products(cid, kwargs, t0):
+    # the spans of A_t rebuilt from NCPoly products, not the check's memo:
+    # A_t0 is not spanned, and every A_t above it up to the cap is
+    cap = 10
+    case, gens, products = _graded_hom_inputs(cid, kwargs, cap)
+    algebra = case.ring.algebra
+
+    def spanned(t):
+        vecs = [{mono[0]: c for mono, c in (algebra.monomial(x, t - s.degree() - x) * s).terms.items()}
+                for s in gens for x in range(t - s.degree() + 1)]
+        return span(vecs).rank == t + 1
+
+    assert not spanned(t0) and all(spanned(t) for t in range(t0 + 1, cap + 1))
+    assert scans._generated_from(gens, cap, products) == t0
+    assert scans._generated_from(gens, t0, products) == t0
+
+
+def test_a_wrong_generating_degree_is_seen(monkeypatch):
+    # read at cap 0, the natural map of the Jordan plane is not injective
+    rep = auslander_check(make_case("iv"), degree=2, guard=4)
+    assert rep.verdict == "agree"
+    monkeypatch.setattr(scans, "_generated_from", lambda gens, cap, products: 0)
+    wrong = auslander_check(make_case("iv"), degree=2, guard=4)
+    assert not any(row["injective"] for row in wrong.body["degrees"])
+    assert wrong.verdict == "mismatch"
+
+
+@pytest.mark.parametrize("cid,kwargs,t0", GENERATING_DEGREES, ids=GENERATING_IDS)
+@pytest.mark.parametrize("field", [scans.CYCLO, GF(scans.PRIME)], ids=["cyclo", "gf"])
+def test_stopped_hom_elimination_matches_the_full_one(cid, kwargs, t0, field):
+    # stopped at the first cap c >= t0 where it meets dim (A#G)_j, the
+    # elimination reads the same dimension as the full one at every cap; the
+    # natural map has the same rank at t0 as at the cap
+    cap = 10
+    case, gens, products = _graded_hom_inputs(cid, kwargs, cap)
+    algebra, group = case.ring.algebra, case.ring.group
+    for j in range(3):
+        lower = (j + 1) * group.order
+        rank = scans._natural_map_rank(case.ring, j, cap)
+        assert scans._natural_map_rank(case.ring, j, min(t0, cap)) == rank == lower
+        full = scans._hom_dimension(algebra, group, gens, j, cap, field, products)
+        stopped = scans._hom_dimension(algebra, group, gens, j, cap, field, products, lower, t0)
+        assert stopped == full, (cid, j)
+        # the stop fires everywhere but on k[u,v] # S2, whose Hom is larger
+        assert any(full[c] == lower for c in range(t0, cap + 1)) == (cid != "0")
+
+
+@pytest.mark.parametrize("cid", ["ii", "iv"])
+def test_auslander_stops_at_the_generating_degree(monkeypatch, cid):
+    # A is generated over A^G in degree <= 2, so each Hom elimination stops
+    # at a low cap: 634 (ii) and 483 (iv) `Echelon.add` calls per check,
+    # against 7,947 and 11,775 with eliminations that run to the top cap
+    added = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda ech, vec: added.append(1) or add(ech, vec))
+    rep = auslander_check(make_case(cid, localization="none"), degree=4, guard=6)
+    assert rep.verdict == "agree"
+    assert rep.diagnostics == {"hom_certified": 10, "hom_fallbacks": 0}
+    assert len(added) < 1000
 
 
 def _auslander_json(cid):
