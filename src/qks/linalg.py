@@ -1,8 +1,8 @@
-"""Sparse linear algebra over Q(zeta_N), with GF(p) for certified bounds.
+"""Sparse linear algebra over Q(zeta_N), on exact `Cyclo` values.
 
 Vectors are dicts mapping column index -> scalar with no zero entries.  The
-accumulate kernels over `Cyclo` are `acc` (one entry) and `axpy` (a scaled
-vector); every sparse sum goes through them except those in `series`, whose
+accumulate kernels are `acc` (one entry) and `axpy` (a scaled vector);
+every sparse sum goes through them except those in `series`, whose
 invariant counts stay an independent oracle for the code here.  The
 workhorse is `Echelon`, an incrementally built reduced row echelon basis;
 rows go in through `span(vectors)`, and everything else (rank, nullspace,
@@ -11,19 +11,6 @@ builder of commutants, one `kernel` system per generator) is phrased
 through it.  `Echelon` keeps an index from each column to the rows that
 may hold it, so a new pivot's back-elimination visits only those rows
 instead of sweeping the whole basis.
-
-`Echelon` takes a field: `CYCLO`, exact `Cyclo` values and the default, or
-`GF(p)`, ints mod a prime p.  A field supplies only the kernels the
-elimination calls once per row (`axpy`, `scaled`, `neg_inverse`), so the
-row reduction is written once and the `Cyclo` loop does no per-entry
-dispatch.  `GF.from_cyclo` maps a rational c/d (`Cyclo`'s integer numerator
-over its denominator) with p not dividing d to c * d^-1 mod p, and raises
-`NotReducible` for anything else, never a wrong residue.  The sandwich
-contract: for rows whose entries all reduce, the rank mod p is at most the
-rank over Q(zeta) (reduction mod p is a ring map, so every minor that
-vanishes over Q vanishes mod p).  A mod-p rank therefore gives an upper
-bound on a nullity and proves nothing alone; a caller pairs it with an exact
-lower bound, and falls back to `CYCLO` when they differ.
 """
 
 from __future__ import annotations
@@ -50,79 +37,12 @@ def axpy(out: Vec, c, vec: Vec) -> None:
         acc(out, k, c * x)
 
 
-class NotReducible(ArithmeticError):
-    """A value has no residue mod p: it is not rational, or p divides its
-    denominator."""
-
-
-class _CycloField:
-    """Q(zeta_N) on `Cyclo` values: the exact field."""
-
-    axpy = staticmethod(axpy)
-
-    @staticmethod
-    def from_cyclo(x: Cyclo) -> Cyclo:
-        return x
-
-    @staticmethod
-    def scaled(c, vec: Vec) -> Vec:
-        return {k: c * x for k, x in vec.items()}
-
-    @staticmethod
-    def neg_inverse(x: Cyclo) -> Cyclo:
-        return -x.inverse()
-
-
-CYCLO = _CycloField()
-
-
-class GF:
-    """The prime field GF(p) on ints 0 <= x < p."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __eq__(self, other):
-        # a value: memos keyed by the field find GF(p) built again
-        return type(other) is type(self) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def from_cyclo(self, x: Cyclo) -> int:
-        """Residue of a p-integral rational; `NotReducible` otherwise."""
-        if not x.is_rational():
-            raise NotReducible(f"{x!r} is not rational")
-        if x.den % self.p == 0:
-            raise NotReducible(f"{self.p} divides the denominator of {x.c[0]}/{x.den}")
-        return x.c[0] * pow(x.den, -1, self.p) % self.p
-
-    def axpy(self, out: Vec, c: int, vec: Vec) -> None:
-        p = self.p
-        for k, x in vec.items():
-            value = (out.get(k, 0) + c * x) % p
-            if value:
-                out[k] = value
-            else:
-                out.pop(k, None)
-
-    def scaled(self, c: int, vec: Vec) -> Vec:
-        p = self.p
-        return {k: c * x % p for k, x in vec.items()}
-
-    def neg_inverse(self, x: int) -> int:
-        return pow(-x, -1, self.p)
-
-
 class Echelon:
     """Reduced row echelon basis of a growing family of sparse vectors.
 
     The row with pivot p is e_p - rows[p]: only its negated tail is stored,
     and no pivot column occurs in any tail.  Eliminating a pivot hit is then
-    one multiply and one add per entry, with no negation.  Entries live in
-    `field` (`CYCLO` or a `GF`), which supplies the per-row kernels.
+    one multiply and one add per entry, with no negation.
 
     A new pivot is back-eliminated only from the rows listed for its column
     in `_holders` (column -> pivots whose tail may hold it).  A row is listed
@@ -132,8 +52,7 @@ class Echelon:
     all rows would give it, so `rows`, key order included, is unchanged.
     """
 
-    def __init__(self, field=CYCLO):
-        self.field = field
+    def __init__(self):
         self.rows: dict = {}  # pivot column -> negated tail of its row
         self._holders: dict = {}  # column -> pivots whose tail may hold it
 
@@ -144,11 +63,10 @@ class Echelon:
     def reduce(self, vec: Vec) -> Vec:
         """Residue of `vec` modulo the current row space (canonical)."""
         out = dict(vec)
-        field = self.field
         # full RREF: pivot columns occur only in their own rows, so one pass
         # over the pivot hits is enough
         for col in [c for c in out if c in self.rows]:
-            field.axpy(out, out.pop(col), self.rows[col])
+            axpy(out, out.pop(col), self.rows[col])
         return out
 
     def add(self, vec: Vec) -> bool:
@@ -156,11 +74,11 @@ class Echelon:
         res = self.reduce(vec)
         if not res:
             return False
-        field = self.field
         pivot = min(res)
         lead = res.pop(pivot)
         # a row with no tail scales nothing, so its pivot needs no inverse
-        tail = field.scaled(field.neg_inverse(lead), res) if res else {}
+        scale = -lead.inverse() if res else None
+        tail = {k: scale * x for k, x in res.items()}
         # back-eliminate the new pivot from the rows that may hold it; a
         # holder whose entry cancelled since it was registered is a miss
         rows, holders = self.rows, self._holders
@@ -169,7 +87,7 @@ class Echelon:
             c = r.pop(pivot, None)
             if c is not None:
                 fresh = tail.keys() - r.keys()
-                field.axpy(r, c, tail)
+                axpy(r, c, tail)
                 for k in fresh:
                     holders.setdefault(k, []).append(p)
         rows[pivot] = tail
@@ -178,9 +96,9 @@ class Echelon:
         return True
 
 
-def span(vectors, field=CYCLO) -> Echelon:
+def span(vectors) -> Echelon:
     """The echelon of `vectors`, added in order."""
-    ech = Echelon(field)
+    ech = Echelon()
     for vec in vectors:
         ech.add(vec)
     return ech

@@ -4,15 +4,14 @@ endomorphism check, Molien cross-checks, and deterministic reports.
 Reports render to a fixed-width human table or to JSON with stable keys
 {"case", "params", "seed", "conductor", "points", "verdict", "expected_d",
 "pass"}, so that emitted bytes are identical for identical inputs and seed.
-`cli` prints the elapsed time to stderr, and the counters in
-`Report.diagnostics` are the only side record, kept on the in-memory report.
+`cli` prints the elapsed time to stderr, the only side record.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .catalog import (
@@ -23,7 +22,7 @@ from .catalog import (
     sample_za_values,
 )
 from .fiber import FiberError, build_fiber, matrix_algebra_certificate
-from .linalg import CYCLO, GF, Echelon, NotReducible, span
+from .linalg import Echelon, span
 from .series import (
     compare_with_counts,
     cyclic_diag_rep,
@@ -53,7 +52,6 @@ class Report:
     body: dict
     verdict: str
     passed: bool | None
-    diagnostics: dict = field(default_factory=dict)  # counters, never emitted
 
     def to_json_dict(self) -> dict:
         out = {"case": self.case, "params": self.params, "seed": self.seed,
@@ -209,12 +207,6 @@ def _invariant_algebra_generators(algebra, group, upto: int):
     return gens
 
 
-# Modulus of the certified Hom dimensions: a prime, so that GF(PRIME) is a
-# field, and large, so that a rank drop mod p (which only sends a system to
-# exact elimination) is rare.
-PRIME = 2**31 - 1
-
-
 def _hom_layout(j: int, cap: int) -> tuple:
     """Columns of the degree-j maps phi on A_{<=cap}: (offsets, total).
 
@@ -231,32 +223,28 @@ def _hom_layout(j: int, cap: int) -> tuple:
 
 
 def _hom_products(algebra, gens):
-    """products(field, n, x, d): the terms (u-exponent, c, -c) of the
-    product u^x v^(d-x) gens[n], with c and -c in `field`.  Each product is
-    built once and converted once per field, for the life of the memo: one
-    auslander check owns one, across its degrees, targets and both
-    eliminations."""
-    product = cache(lambda n, x, d: algebra.monomial(x, d - x) * gens[n])
+    """products(n, x, d): the terms (u-exponent, c, -c) of the product
+    u^x v^(d-x) gens[n].  Each product is built once for the life of the
+    memo: one auslander check owns one, across its degrees and targets."""
 
     @cache
-    def products(field, n: int, x: int, d: int) -> list:
-        convert = field.from_cyclo
-        return [(mono[0], convert(c), convert(-c)) for mono, c in product(n, x, d).terms.items()]
+    def products(n: int, x: int, d: int) -> list:
+        return [(mono[0], c, -c)
+                for mono, c in (algebra.monomial(x, d - x) * gens[n]).terms.items()]
 
     return products
 
 
-def _hom_rows(algebra, gens, j: int, cap: int, field=CYCLO):
+def _hom_rows(algebra, gens, j: int, cap: int):
     """Equations phi(b s) = phi(b) s of the truncated Hom system, one row per
-    (s, b, target monomial), with entries in `field`, by ascending target
-    degree deg b + deg s."""
+    (s, b, target monomial), by ascending target degree deg b + deg s."""
     offsets, _ = _hom_layout(j, cap)
     products = _hom_products(algebra, gens)
     for target in range(cap + 1):
-        yield from _hom_target_rows(gens, j, offsets, target, field, products)
+        yield from _hom_target_rows(gens, j, offsets, target, products)
 
 
-def _hom_target_rows(gens, j: int, offsets, target: int, field, products):
+def _hom_target_rows(gens, j: int, offsets, target: int, products):
     """The rows of `_hom_rows` of one target degree, from the memo
     `products` of `_hom_products`.  A row holds phi(b s) in block `target`,
     which no row of a lower target touches, and phi(b) s in a lower block:
@@ -269,31 +257,28 @@ def _hom_target_rows(gens, j: int, offsets, target: int, field, products):
         width = target + j + 1  # the monomials of A_{target+j}
         # -(c s) in target coordinates, for each c in A_{i+j}: the same
         # for every b
-        minus_cs = [[(star, minus) for star, _c, minus in products(field, n, x, i + j)]
+        minus_cs = [[(star, minus) for star, _c, minus in products(n, x, i + j)]
                     for x in range(i + j + 1)]
         for b_idx in range(i + 1):
             rows: dict = {}
-            for mono_u, ce, _minus in products(field, n, b_idx, i):
-                if ce:
-                    first = offsets[target] + mono_u * width
-                    for star in range(width):
-                        rows.setdefault(star, {})[first + star] = ce
+            for mono_u, ce, _minus in products(n, b_idx, i):
+                first = offsets[target] + mono_u * width
+                for star in range(width):
+                    rows.setdefault(star, {})[first + star] = ce
             first = offsets[i] + b_idx * (i + j + 1)
             for c_idx, entries in enumerate(minus_cs):
                 for star, ce in entries:
-                    if ce:
-                        rows.setdefault(star, {})[first + c_idx] = ce
+                    rows.setdefault(star, {})[first + c_idx] = ce
             yield from rows.values()
 
 
-def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO, products=None,
+def _hom_dimension(algebra, group, gens, j: int, cap: int, products=None,
                    lower=None, generated=None) -> list:
     """dims[c] = dim of degree-j truncated right-A^G-module endomorphisms of
     A_{<=c}, for every c <= cap, from one elimination: the rows of target
     degree <= c are the cap-c system in its columns shifted by offsets[c].
-    Over a `GF` field each is an upper bound on the exact dimension, and
-    `NotReducible` escapes when an entry has no residue.  `products` is the
-    caller's `_hom_products` memo, or None for one of its own.
+    `products` is the caller's `_hom_products` memo, or None for one of its
+    own.
 
     `lower` (a proven lower bound on the exact dimension at `cap`, or None)
     and `generated` (`_generated_from` of `gens`) are given together, and
@@ -303,16 +288,18 @@ def _hom_dimension(algebra, group, gens, j: int, cap: int, field=CYCLO, products
        at every t > generated once it holds at generated + 1;
     2. so past `generated` a solution on A_{<=t} is fixed by its values on
        A_{<t}, and the exact dimension cannot rise;
-    3. `lower` is proven at `cap`, and reduction mod p only raises a nullity.
-    So lower <= exact[cap] <= exact[c'] <= exact[c] <= dims[c] for
-    generated <= c <= c' <= cap.  With the defaults the elimination runs to
+    3. `lower` is proven at `cap`, and an exact dimension at any
+       c >= generated bounds the one at `cap` from above.
+    So lower <= dims[cap] <= dims[c'] <= dims[c] for
+    generated <= c <= c' <= cap, and a stop at c with dims[c] == lower
+    pins every later cap.  With the defaults the elimination runs to
     `cap`."""
     offsets, total = _hom_layout(j, cap)
     if products is None:
         products = _hom_products(algebra, gens)
-    ech, dims = Echelon(field), []
+    ech, dims = Echelon(), []
     for c in range(cap + 1):
-        for row in _hom_target_rows(gens, j, offsets, c, field, products):
+        for row in _hom_target_rows(gens, j, offsets, c, products):
             ech.add(row)
         dims.append(total - offsets[c] - ech.rank)
         if lower is not None and c >= generated and dims[c] == lower:
@@ -324,10 +311,10 @@ def _generated_from(gens, cap: int, products) -> int:
     """t0 = the largest degree t with A_t != sum_s A_{t-deg s} s, s running
     over the invariant generators `gens`, or `cap` when t0 >= cap: A is
     generated in degrees <= t0 as a right A^G-module.  Since A_t = A_1 A_{t-1},
-    the first t whose products `products(CYCLO, n, x, t - deg s)` span A_t
-    is t0 + 1."""
+    the first t whose products `products(n, x, t - deg s)` span A_t is
+    t0 + 1."""
     for t in range(1, cap + 1):
-        ech = span({mono_u: c for mono_u, c, _minus in products(CYCLO, n, x, t - s.degree())}
+        ech = span({mono_u: c for mono_u, c, _minus in products(n, x, t - s.degree())}
                    for n, s in enumerate(gens) for x in range(t - s.degree() + 1))
         if ech.rank == t + 1:
             return t - 1
@@ -356,40 +343,6 @@ def _natural_map_rank(ring, j: int, cap: int) -> int:
     return span(_natural_map_images(ring, j, cap)).rank
 
 
-def _certified_hom_dimensions(algebra, group, gens, j: int, caps, lower, generated,
-                              diagnostics: dict, products) -> list:
-    """`_hom_dimension` over Q(zeta) at each of `caps`, taken mod `PRIME`
-    where that is exact.
-
-    `lower` is a proven lower bound on the exact dimension, or None: with an
-    injective natural map, whose images satisfy phi(x s) = phi(x) s because
-    s is invariant, it is dim (A#G)_j.  One elimination mod p bounds every
-    cap from above, so a cap where the two meet is known exactly; any other
-    outcome (a gap, an entry with no residue) runs one exact elimination,
-    which gives every cap.
-
-    Each elimination stops at the first cap c >= `generated` (t0 of
-    `_generated_from`) where it meets `lower`, and every cap from c up is
-    then exactly `lower`: (1) A_t = A_1 A_{t-1}, so A is spanned over A^G
-    in every degree t > t0; (2) so past t0 a solution is fixed by its values
-    in lower degrees, and the exact dimension cannot rise; (3) `lower` is
-    proven at the top cap, and reduction mod p only raises a nullity."""
-    modular = None
-    if lower is not None:
-        try:
-            modular = _hom_dimension(algebra, group, gens, j, max(caps), GF(PRIME), products,
-                                     lower, generated)
-        except NotReducible:
-            pass
-    certified = [modular is not None and modular[c] == lower for c in caps]
-    exact = (None if all(certified)
-             else _hom_dimension(algebra, group, gens, j, max(caps), CYCLO, products,
-                                 lower, generated))
-    for ok in certified:
-        diagnostics["hom_certified" if ok else "hom_fallbacks"] += 1
-    return [lower if ok else exact[c] for c, ok in zip(caps, certified)]
-
-
 def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     """Compare dim (A#G)_j with the stable truncated dim Hom_{A^G}(A, A)_j.
 
@@ -401,8 +354,8 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     2. so past t0 a truncated Hom solution is fixed by its values on lower
        degrees, and its dimension cannot rise;
     3. dim (A#G)_j bounds it from below at the top cap when the natural map
-       is injective, and a mod-p elimination bounds it from above; once
-       the two meet at a cap c >= t0, every cap from c up holds that value.
+       is injective, and the dimension at a cap c >= t0 bounds it from
+       above; once the two meet at c, every cap from c up holds that value.
     The natural map a f -> (x -> a (f.x)) is right A^G-linear, so its
     kernel on A_{<=t0} is its kernel on all of A: injectivity is read at
     min(t0, degree+guard)."""
@@ -420,15 +373,14 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     rows = []
     any_unstable = False
     all_agree = True
-    diagnostics = {"hom_certified": 0, "hom_fallbacks": 0}
     products = _hom_products(algebra, gens)
     generated = _generated_from(gens, caps[1], products)
     for j in range(degree + 1):
         dim_skew = (j + 1) * group.order
         injective = _natural_map_rank(case.ring, j, min(generated, caps[0])) == dim_skew
-        hom_lo, hom_hi = _certified_hom_dimensions(
-            algebra, group, gens, j, caps, dim_skew if injective else None, generated,
-            diagnostics, products)
+        dims = _hom_dimension(algebra, group, gens, j, caps[1], products,
+                              dim_skew if injective else None, generated)
+        hom_lo, hom_hi = dims[caps[0]], dims[caps[1]]
         stable = hom_lo == hom_hi
         row = {"j": j, "dim_skew_ring": dim_skew,
                "dim_hom": hom_lo if stable else None,
@@ -447,7 +399,7 @@ def auslander_check(case: CaseSpec, degree: int, guard: int) -> Report:
     body = {"degrees": rows, "guards": list(caps),
             "invariant_generator_degrees": sorted(g.degree() for g in gens)}
     return Report("auslander", case.label, case.params(), None, case.conductor,
-                  body, verdict, passed, diagnostics)
+                  body, verdict, passed)
 
 
 # ---------------------------------------------------------------------------

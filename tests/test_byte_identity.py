@@ -14,7 +14,7 @@ Each group of digests was recorded at the parent of the change named:
   algebras declare a denominator), before elements stopped carrying
   denominator tags;
 - the next two (an agreeing auslander check and the case-0 control, whose
-  Hom systems take the certified mod-p path and the exact fallback), before
+  Hom systems then took the certified mod-p path and the exact fallback), before
   the Hom dimensions were certified mod p;
 - the next three (a Laurent and a cyclic invariant ring, and the Jordan
   center), before Z(T), A^G and Z(A) became commutants from one builder;
