@@ -10,11 +10,14 @@ Case ids
   iv   k_J[u,v] # C_2
 
 Localizations: "none" (the graded ring), "torus" (u, v inverted), "full"
-(torus plus the case's extra central denominator).  Expected fiber ranks were
-filled in from the brute-force fiber oracle and agree with the crossed-product
-rank bookkeeping: d = lcm(n, k) in (i), 2|G| in (ii) and odd (iii), else |G|,
-that is l|G|/|N| for l the order of q.  No case states Z(A) = k[u^l, v^l] or
-the inner part N of its action: both are read off the ring.
+(the torus, or case 0's plane, with Delta = (u - v)^2, (u^2 - v^2)^2 or
+(u^{2n} - v^{2n})^2 inverted: Delta is stated once, as the presentation's
+`localized_at` in the center's generators, and draw_za draws off its zeros).
+Expected fiber ranks were filled in from the brute-force fiber oracle and
+agree with the crossed-product rank bookkeeping: d = lcm(n, k) in (i), 2|G|
+in (ii) and odd (iii), else |G|, that is l|G|/|N| for l the order of q.  No
+case states Z(A) = k[u^l, v^l] or the inner part N of its action: both are
+read off the ring.
 
 Samplers draw from a fixed pool of small rationals (and conductor roots of
 unity where the center is a Laurent ring), rejecting inadmissible points;
@@ -164,8 +167,7 @@ def _case_zero(localization: str | None = None) -> CaseSpec:
     localization = localization or "full"
     if localization not in ("none", "full"):
         raise CatalogError("case 0 supports localizations none | full")
-    dens = [{(1, 0): 1, (0, 1): -1}] if localization == "full" else []
-    A = Algebra("quantum", q=Cyclo.one(), denominators=dens)
+    A = Algebra("quantum", q=Cyclo.one())
     T = SkewRing(A, Group("dihedral", 1))
     one = Cyclo.one()
     pres = Presentation(
@@ -306,9 +308,7 @@ def _minus_one_plane(case_id: str, n: int, localization: str, names: tuple) -> C
     odd = n % 2 == 1
     conductor = n if odd else lcm(n, 4)
     inverted = frozenset() if localization == "none" else frozenset({"u", "v"})
-    dens = [{(2 * n, 0): 1, (0, 2 * n): -1}] if localization == "full" else []
-    A = Algebra("quantum", q=Cyclo.rational(-1), conductor=conductor, inverted=inverted,
-                denominators=dens)
+    A = Algebra("quantum", q=Cyclo.rational(-1), conductor=conductor, inverted=inverted)
     T = SkewRing(A, Group("dihedral", n, root_of_unity(1, n).coerce(conductor)))
     one = Cyclo.one()
     if odd:

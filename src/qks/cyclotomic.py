@@ -4,7 +4,7 @@ A value holds its coordinates in the power basis 1, z, ..., z^(phi(N)-1) of
 Q(zeta_N), reduced modulo the N-th cyclotomic polynomial, as integer
 numerators over one positive denominator with no common factor.
 Representations are canonical: two values at the same conductor are equal iff
-their numerators and denominators are equal, and mixed conductors are coerced
+their numerators and denominator are equal, and mixed conductors are coerced
 to the lcm before comparing.  Since Phi_N is monic over Z, products are
 integer convolutions folded through an integer power table; an inverse is the
 product of the other Galois conjugates over the norm, which is an integer.
@@ -180,7 +180,7 @@ class Cyclo:
         coeffs = [Fraction(x) for x in coeffs]
         if len(coeffs) != euler_phi(n):
             raise ValueError("coefficient vector has wrong length for conductor")
-        # the lcm of reduced denominators shares no factor with every numerator
+        # the lcm of each reduced coefficient's denominator shares no factor with every numerator
         den = lcm(*(x.denominator for x in coeffs))
         self.n = n
         self.c = tuple(x.numerator * (den // x.denominator) for x in coeffs)

@@ -323,7 +323,6 @@ def _degree_checked(F: FiniteDimAlgebra, test: Callable) -> bool:
     if any(f != e for f in degree):
         product = F.product
 
-        @cache
         def graded(i, j) -> dict:
             p = product(i, j)
             f = group.mul(degree[i], degree[j])

@@ -3,13 +3,11 @@
 Supported coefficient rings: the quantum plane k_q[u,v] (vu = q uv), whose
 member at q = 1 is the commutative plane k[u,v], and the Jordan plane
 k_J[u,v] (vu = uv + u^2), each optionally with inverted generators (Laurent
-versions; the Jordan plane admits inverting u only).  An algebra may also
-declare central denominators, as {(a, b): coeff} term dicts: the elements a
-localization inverts (such as u^2 - v^2).  They are validated (nonzero,
-central, and carried to scalar multiples of one another by the group) and
-recorded on the algebra, but no element carries one; every element is a
-Laurent polynomial.  An algebra is one object: elements of two separately
-built algebras do not mix, even when their presentations agree.
+versions; the Jordan plane admits inverting u only).  Every element is a
+Laurent polynomial: a localization that inverts more, such as the "full"
+ones, states its removed locus on the center (`skew.Presentation`), not
+here.  An algebra is one object: elements of two separately built algebras
+do not mix, even when their presentations agree.
 
 Elements are kept in the PBW normal form sum c_{ab} u^a v^b.  Products are
 normalized eagerly: the quantum plane commutes exponents through a power of q,
@@ -45,7 +43,7 @@ class Algebra:
     """Presentation data for one coefficient algebra (an AlgebraSpec)."""
 
     def __init__(self, kind: str, q: Cyclo | None = None, conductor: int = 1,
-                 inverted=frozenset(), denominators=()):
+                 inverted=frozenset()):
         if kind not in ("quantum", "jordan"):
             raise AlgebraError(f"unknown algebra kind {kind!r}")
         if kind == "quantum":
@@ -62,21 +60,10 @@ class Algebra:
         self.q = q.coerce(lcm(q.n, conductor)) if q is not None else None
         self.conductor = conductor if q is None else lcm(q.n, conductor)
         self.inverted = inverted
-        self.denominators: tuple[NCPoly, ...] = ()
         # memos that live as long as the algebra; qpow(e) = q ** e
         if self.q is not None:
             self.qpow = cache(self.q.__pow__)
         self._jordan_shift = cache(self._jordan_shift)
-        for d in denominators:
-            self._adjoin_denominator(d)
-
-    def _adjoin_denominator(self, terms: dict):
-        poly = NCPoly(self, {mono: self.scalar(c) for mono, c in terms.items()})
-        if poly.is_zero():
-            raise AlgebraError("denominator is zero")
-        if not is_central_in_algebra(poly):
-            raise AlgebraError(f"denominator {poly} is not central")
-        self.denominators = self.denominators + (poly,)
 
     def __repr__(self):
         tag = {"quantum": "k_q[u,v]", "jordan": "k_J[u,v]"}[self.kind]
@@ -167,10 +154,7 @@ class Algebra:
 
 
 class NCPoly:
-    """Normal-form Laurent polynomial in one of the base algebras.
-
-    The algebra's declared denominators are never attached to an element.
-    """
+    """Normal-form Laurent polynomial in one of the base algebras."""
 
     __slots__ = ("algebra", "terms")
 
@@ -294,12 +278,6 @@ def _dict_mul(algebra: Algebra, t1: dict, t2: dict) -> dict:
     return out
 
 
-def is_central_in_algebra(x: NCPoly) -> bool:
-    """True iff x commutes with u and v."""
-    A = x.algebra
-    return (x * A.u() == A.u() * x) and (x * A.v() == A.v() * x)
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -415,9 +393,8 @@ def check_action_well_defined(algebra: Algebra, group: Group) -> bool:
 
     For each generator f of G, with fu = f.u and fv = f.v: fv fu is the
     normal form of vu (`Algebra.mono_mul`) evaluated at (fu, fv); fu and fv
-    are units where u and v are inverted; f carries each denominator to a
-    scalar multiple of one; and f.(g.x) = (fg).x, by `Group.mul`, for every
-    g in G and x in {u, v}."""
+    are units where u and v are inverted; and f.(g.x) = (fg).x, by
+    `Group.mul`, for every g in G and x in {u, v}."""
     vu = algebra.mono_mul((0, 1), (1, 0))
     try:
         # g.u and g.v as (monomial, scalar), for every g
@@ -431,10 +408,6 @@ def check_action_well_defined(algebra: Algebra, group: Group) -> bool:
             for name, image in (("u", fu), ("v", fv)):
                 if name in algebra.inverted:
                     image.inverse()  # raises AlgebraError unless a unit
-            for d in algebra.denominators:
-                image = apply_automorphism(group, f, d)
-                if all(_scalar_multiple_of(image, t) is None for t in algebra.denominators):
-                    return False
             for g in group.elements():
                 for (gx, s), fgx in zip(images[g], images[group.mul(f, g)]):
                     y, t = act_mono(algebra, group, f, gx)

@@ -289,7 +289,8 @@ NamePoly = dict  # exponent tuple (aligned with Presentation.names) -> Cyclo
 
 @dataclass
 class Presentation:
-    """Claimed generators of Z(T) with relations and nonvanishing loci."""
+    """Claimed generators of Z(T) with relations and nonvanishing loci; each
+    `localized_at` entry, a polynomial in them, is central and nonzero in T."""
 
     ring: SkewRing
     names: tuple
@@ -309,6 +310,9 @@ class Presentation:
             value = self.eval_relation(rel)
             if not value.is_zero():
                 raise AlgebraError(f"relation {self.relation_str(rel)} does not vanish: {value!r}")
+        for np_ in self.localized_at:
+            if self.eval_relation(np_).is_zero():
+                raise AlgebraError(f"removed locus {self.relation_str(np_) or '0'} is zero in T")
         return self
 
     def eval_relation(self, rel: NamePoly) -> SkewElement:

@@ -11,7 +11,7 @@ Each group of digests was recorded at the parent of the change named:
 - the next one (D4 torus), when the (-1)-plane cases took the
   orbit-polynomial fiber rule;
 - the next three (centers and a scan on the full localizations, whose
-  algebras declare a denominator), before elements stopped carrying
+  algebras then declared a denominator), before elements stopped carrying
   denominator tags;
 - the next two (an agreeing auslander check and the case-0 control, whose
   Hom systems then took the certified mod-p path and the exact fallback), before

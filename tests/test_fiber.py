@@ -180,7 +180,7 @@ def test_inconsistent_point_collapses():
 
 def test_inverse_power_rule():
     # the orbit recipe's closed-form u^-4m is the inverse of u^4m modulo its
-    # own rules, for odd and even m and with and without the extra denominator
+    # own rules, for odd and even m and on the full and torus localizations
     for case_id, kwargs in [("ii", dict(localization="full")),
                             ("iii", dict(n=3, localization="full")),
                             ("iii", dict(n=4, localization="torus"))]:

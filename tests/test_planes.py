@@ -18,9 +18,7 @@ from qks.planes import (
     apply_automorphism,
     check_action_well_defined,
     check_inner_by,
-    is_central_in_algebra,
 )
-from qks.skew import SkewRing
 
 
 def quantum(q, conductor=1, inverted=()):
@@ -246,33 +244,6 @@ def test_grading_cauchy_product():
             for i in range(0, d + 1):
                 expected = expected + x.graded_component(i) * y.graded_component(d - i)
             assert prod.graded_component(d) == expected
-
-
-def test_denominator_validation():
-    loc = Algebra("quantum", q=Cyclo.one(), denominators=[{(1, 0): 1, (0, 1): -1}])
-    assert [d.terms for d in loc.denominators] == [(loc.u() - loc.v()).terms]
-    with pytest.raises(AlgebraError):
-        Algebra("quantum", q=Cyclo.rational(2), denominators=[{(1, 0): 1}])
-
-
-def test_denominators_must_be_group_stable():
-    swap = Group("dihedral")
-    bad = Algebra("quantum", q=Cyclo.one(), denominators=[{(1, 0): 1}])
-    assert check_action_well_defined(bad, swap) is False
-    with pytest.raises(AlgebraError):
-        SkewRing(bad, swap)
-    good = Algebra("quantum", q=Cyclo.one(), denominators=[{(1, 0): 1, (0, 1): -1}])
-    assert check_action_well_defined(good, swap) is True
-    SkewRing(good, swap)
-    # the full localizations record the one central element they invert
-    for case_id, kwargs in (("0", {}), ("ii", {}), ("iii", {"n": 3})):
-        assert len(make_case(case_id, **kwargs).ring.algebra.denominators) == 1
-
-
-def test_central_check():
-    A = minus_one_plane()
-    assert is_central_in_algebra(A.monomial(2, 0))
-    assert not is_central_in_algebra(A.u())
 
 
 def test_memoized_powers_match_plain_powers():

@@ -87,7 +87,6 @@ def test_case_ii_is_case_iii_at_n1(localization):
     iii = make_case("iii", n=1, localization=localization)
     a2, a3 = ii.ring.algebra, iii.ring.algebra
     assert (a2.kind, a2.q, a2.inverted) == (a3.kind, a3.q, a3.inverted)
-    assert [d.terms for d in a2.denominators] == [d.terms for d in a3.denominators]
     assert ii.ring.group.elements() == iii.ring.group.elements()
     for attr in ("expected_d", "azumaya_expected", "keeps_stabilized", "conductor"):
         assert getattr(ii, attr) == getattr(iii, attr), attr
@@ -107,14 +106,49 @@ def test_case_ii_is_case_iii_at_n1(localization):
 @pytest.mark.parametrize("case_id,kwargs", [("0", {}), ("ii", {})]
                          + [("iii", dict(n=n)) for n in (1, 3, 5)])
 def test_removed_locus_is_the_square_of_the_denominator(case_id, kwargs):
-    # the presentation's localized_at and the algebra's denominator d state
-    # the same removed locus: each entry, evaluated at the generators, is d^2
+    # each localized_at entry, evaluated at the generators, is d^2 for the d
+    # the full localization inverts: u - v on case 0, u^2n - v^2n on D_n
+    # (S2 = D1)
     case = make_case(case_id, localization="full", **kwargs)
     pres, ring = case.presentation, case.ring
-    (d,) = ring.algebra.denominators
+    e = 1 if case_id == "0" else 2 * kwargs.get("n", 1)
+    d = ring.algebra.u(e) - ring.algebra.v(e)
     assert pres.localized_at
     for entry in pres.localized_at:
         assert pres.eval_relation(entry) == ring.from_poly(d * d)
+
+
+@pytest.mark.parametrize("case_id,kwargs", [("0", {}), ("ii", {})]
+                         + [("iii", dict(n=n)) for n in (1, 3, 5)])
+def test_za_samplers_draw_off_the_removed_locus(case_id, kwargs):
+    # draw_za's own test (a != b, alpha^n != beta^n) keeps every localized_at
+    # entry nonzero at the generator values of its draws
+    case = make_case(case_id, localization="full", **kwargs)
+    pres = case.presentation
+    e = case.ring.group.identity()
+    l = case.ring.algebra.center_generators()[0].degree()
+    rng = random.Random(11)
+    for _ in range(200):
+        big_u, big_v = sample_za_values(case, rng)
+        values = {}
+        for name, gen in pres.gens.items():
+            assert set(gen.comps) == {e}
+            values[name] = sum((c * big_u ** (a // l) * big_v ** (b // l)
+                                for (a, b), c in gen.comps[e].terms.items()), Cyclo.zero())
+        for entry in pres.localized_at:
+            assert not pres.eval_namepoly_at(entry, values).is_zero()
+
+
+def test_presentation_refuses_a_zero_locus():
+    # a localization cannot invert 0: an empty entry, or the even-n relation
+    # x^2 y + y^(m+1) + z^2 stated as a locus
+    pres = make_case("0", localization="full").presentation
+    with pytest.raises(AlgebraError, match="removed locus"):
+        replace(pres, localized_at=[{}]).validate()
+    pres = make_case("iii", n=4, localization="torus").presentation
+    with pytest.raises(AlgebraError, match="removed locus"):
+        replace(pres, localized_at=pres.relations).validate()
+    replace(pres, localized_at=[{(0, 1, 0): Cyclo.one()}]).validate()
 
 
 def test_case_ii_rejects_n_and_bad_localizations():
