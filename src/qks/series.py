@@ -4,7 +4,9 @@ Rational functions are kept as numerator/denominator pairs of polynomials
 over Q(zeta_N), normalized only so that the denominator has constant term 1;
 equality is tested by cross-multiplication.  The independent oracle for
 Molien output is a brute-force count of invariants: the common fixed space,
-degree by degree, of a generating subset of the same matrices.
+degree by degree, of a generating subset of the same matrices, with each
+degree's monomial images built from the last degree's; it keeps its own
+sparse sums and takes only `nullspace` from `linalg`.
 """
 
 from __future__ import annotations
@@ -115,9 +117,11 @@ def compare_with_counts(f: RationalSeries, counts) -> bool:
 # -- matrices over Q(zeta) ----------------------------------------------------
 
 def mat_mul(a, b):
+    """a * b, skipping products with a zero factor (an entry with none is 0)."""
     n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Cyclo.zero())
-                       for j in range(n)) for i in range(n))
+    return tuple(tuple(sum((x * b[k][j] for k, x in enumerate(row)
+                            if not (x.is_zero() or b[k][j].is_zero())), Cyclo.zero())
+                       for j in range(n)) for row in a)
 
 
 def mat_eq(a, b) -> bool:
@@ -211,14 +215,6 @@ def dihedral_invariant_series(m: int) -> RationalSeries:
     return RationalSeries(one_minus_t_pow(2 * (m + 1)), denom)
 
 
-def free_series(dim: int) -> RationalSeries:
-    """1/(1-t)^dim."""
-    denom = pt_one()
-    for _ in range(dim):
-        denom = pt_mul(denom, one_minus_t_pow(1))
-    return RationalSeries(pt_one(), denom)
-
-
 # -- brute-force invariant counting (the independent oracle) ------------------
 
 def invariant_dimensions(matrices, upto: int) -> list:
@@ -226,23 +222,20 @@ def invariant_dimensions(matrices, upto: int) -> list:
 
     `matrices` lists a finite matrix group.  The equations g.x = x are imposed
     for a generating subset of it only (`_generating_subset`): a vector fixed
-    by every generator is fixed by the group they generate.
+    by every generator is fixed by the group they generate.  The monomial
+    images come from the degree recurrence `_images_by_degree`.
     """
     n = len(matrices[0])
     gens = _generating_subset(matrices)
+    zero, minus_one = Cyclo.zero(), Cyclo.rational(-1)
     dims = []
-    for d in range(upto + 1):
-        monos = _monomials(n, d)
-        index = {m: i for i, m in enumerate(monos)}
+    for _, (monos, images) in zip(range(upto + 1), _images_by_degree(gens, n)):
         rows = []
-        for alpha in gens:
-            for col, mono in enumerate(monos):
-                row = _act_on_monomial(alpha, mono, index)
-                cur = row.get(col, Cyclo.zero()) - Cyclo.one()
-                if cur.is_zero():
-                    row.pop(col, None)
-                else:
-                    row[col] = cur
+        for imgs in images:
+            for col in range(len(monos)):
+                row = {**imgs[col], col: imgs[col].get(col, zero) + minus_one}
+                if row[col].is_zero():
+                    del row[col]
                 if row:
                     rows.append(row)
         dims.append(len(nullspace(rows, len(monos))))
@@ -287,25 +280,30 @@ def _monomials(n: int, d: int) -> list:
     return out
 
 
-def _act_on_monomial(alpha, mono, index) -> dict:
-    """Image of x^mono under x_i -> sum_j alpha[j][i] x_j, as {index: coeff}
-    with `index` numbering the monomials of its degree."""
-    n = len(mono)
-    acc = {tuple([0] * n): Cyclo.one()}
-    for i, e in enumerate(mono):
-        for _ in range(e):
-            nxt: dict = {}
-            for m, c in acc.items():
-                for j in range(n):
-                    a = alpha[j][i]
-                    if a.is_zero():
-                        continue
-                    key = tuple(mj + (1 if jj == j else 0) for jj, mj in enumerate(m))
-                    cur = nxt.get(key)
-                    cur = c * a if cur is None else cur + c * a
-                    if cur.is_zero():
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = cur
-            acc = nxt
-    return {index[m]: c for m, c in acc.items()}
+def _images_by_degree(gens, n: int):
+    """Yield (monos, images) for d = 0, 1, 2, ...: `monos` lists the degree-d
+    monomials and images[g][k] is the image of x^monos[k] under x_i ->
+    sum_j gens[g][j][i] x_j, as {position in monos: coeff}.  As x^m is
+    x^(m - e_i) x_i, i the first variable of m, its image is one linear-form
+    product on the previous degree's image, and only those are kept."""
+    monos, images = [(0,) * n], [{0: {0: Cyclo.one()}} for _ in gens]
+    while True:
+        yield monos, images
+        nxt = _monomials(n, sum(monos[0]) + 1)
+        index = {m: k for k, m in enumerate(nxt)}
+        up = [[index[m[:j] + (m[j] + 1,) + m[j + 1:]] for j in range(n)] for m in monos]
+        # x^monos[k] x_i has first variable i when monos[k] has none before i
+        steps = [(k, i) for k, m in enumerate(monos) for i in range(n) if not any(m[:i])]
+        new_images = []
+        for alpha, imgs in zip(gens, images):
+            forms = [[(j, r[i]) for j, r in enumerate(alpha) if not r[i].is_zero()] for i in range(n)]
+            out = {}
+            for k, i in steps:
+                img: dict = {}
+                for col, c in imgs[k].items():
+                    for j, a in forms[i]:
+                        cur = img.get(up[col][j])
+                        img[up[col][j]] = c * a if cur is None else cur + c * a
+                out[up[k][i]] = {key: c for key, c in img.items() if not c.is_zero()}
+            new_images.append(out)
+        monos, images = nxt, new_images

@@ -1,8 +1,13 @@
 """Molien series against closed forms and brute-force invariant counts."""
 
+import ast
+import inspect
+from fractions import Fraction
+from itertools import islice
+
 import pytest
 
-from qks.cyclotomic import Cyclo
+from qks.cyclotomic import Cyclo, root_of_unity
 from qks.linalg import nullspace
 from qks.series import (
     RationalSeries,
@@ -11,7 +16,6 @@ from qks.series import (
     cyclic_diag_rep,
     dihedral_3dim_rep,
     dihedral_invariant_series,
-    free_series,
     invariant_dimensions,
     kleinian_a_series,
     molien_series,
@@ -19,11 +23,20 @@ from qks.series import (
     pt_mul,
     pt_one,
     trivial_rep,
-    _act_on_monomial,
     _generating_subset,
+    _images_by_degree,
     _monomials,
     mat_eq,
+    mat_mul,
 )
+
+
+def free_series(dim: int) -> RationalSeries:
+    """1/(1-t)^dim."""
+    denom = pt_one()
+    for _ in range(dim):
+        denom = pt_mul(denom, one_minus_t_pow(1))
+    return RationalSeries(pt_one(), denom)
 
 
 def test_trivial_group():
@@ -121,6 +134,45 @@ def test_equality_cross_multiplication():
     assert lhs == rhs
 
 
+def _act_on_monomial(alpha, mono, index) -> dict:
+    """Image of x^mono under x_i -> sum_j alpha[j][i] x_j, as {index: coeff}
+    with `index` numbering the monomials of its degree: the reference
+    expansion, one linear form per variable occurrence, from scratch."""
+    n = len(mono)
+    acc = {tuple([0] * n): Cyclo.one()}
+    for i, e in enumerate(mono):
+        for _ in range(e):
+            nxt: dict = {}
+            for m, c in acc.items():
+                for j in range(n):
+                    a = alpha[j][i]
+                    if a.is_zero():
+                        continue
+                    key = tuple(mj + (1 if jj == j else 0) for jj, mj in enumerate(m))
+                    cur = nxt.get(key)
+                    cur = c * a if cur is None else cur + c * a
+                    if cur.is_zero():
+                        nxt.pop(key, None)
+                    else:
+                        nxt[key] = cur
+            acc = nxt
+    return {index[m]: c for m, c in acc.items()}
+
+
+def _rational_matrix(rows) -> tuple:
+    return tuple(tuple(Cyclo.rational(x) for x in row) for row in rows)
+
+
+# C3 on Q^2 by [[0, -1], [1, -1]], a rational (so not monomial) conjugate of
+# cyclic_diag_rep(3): its images of monomials have several terms
+DENSE_C3 = [_rational_matrix(m) for m in ([[1, 0], [0, 1]], [[0, -1], [1, -1]],
+                                          [[-1, 1], [-1, 0]])]
+# C2 by the reflection (1/sqrt 2)[[1, 1], [1, -1]] (sqrt 2 = z + z^-1 at
+# conductor 8): x_1 x_2 -> (x_1^2 - x_2^2)/2, a product whose terms cancel
+_C = (root_of_unity(1, 8) + root_of_unity(-1, 8)) * Cyclo.rational(Fraction(1, 2))
+REFLECTION_C2 = [trivial_rep(2)[0], ((_C, _C), (_C, -_C))]
+
+
 def _all_elements_counts(matrices, upto: int) -> list:
     """Invariant counts imposing g.x = x for every listed matrix."""
     n = len(matrices[0])
@@ -158,3 +210,52 @@ def test_dihedral_generating_subset_is_rotation_and_reflection():
 def test_counts_refuse_a_list_that_is_not_closed():
     with pytest.raises(SeriesError, match="closed"):
         invariant_dimensions(cyclic_diag_rep(4)[1:], 2)
+
+
+def test_recurrence_images_equal_the_reference_expansion():
+    reps = [cyclic_diag_rep(m) for m in range(1, 7)]
+    reps += [dihedral_3dim_rep(m) for m in range(1, 6)] + [DENSE_C3, REFLECTION_C2]
+    for rep in reps:
+        n = len(rep[0])
+        gens = _generating_subset(rep)
+        for d, (monos, images) in zip(range(9), _images_by_degree(gens, n)):
+            assert monos == _monomials(n, d)
+            index = {m: i for i, m in enumerate(monos)}
+            for alpha, imgs in zip(gens, images):
+                assert len(imgs) == len(monos)
+                for k, mono in enumerate(monos):
+                    assert imgs[k] == _act_on_monomial(alpha, mono, index)
+
+
+def test_dense_c3_counts_equal_its_diagonal_conjugate():
+    monos, (of_g,) = next(islice(_images_by_degree(DENSE_C3[1:2], 2), 1, None))
+    # x_2 -> -x_1 - x_2: two terms, which the catalog's monomial matrices never give
+    assert monos[0] == (0, 1) and of_g[0] == {0: Cyclo.rational(-1), 1: Cyclo.rational(-1)}
+    counts = [1, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5]
+    assert invariant_dimensions(DENSE_C3, 12) == counts
+    assert invariant_dimensions(cyclic_diag_rep(3), 12) == counts
+    assert _all_elements_counts(DENSE_C3, 12) == counts
+    assert molien_series(DENSE_C3) == molien_series(cyclic_diag_rep(3))
+    assert mat_eq(mat_mul(DENSE_C3[1], DENSE_C3[1]), DENSE_C3[2])
+    bad = DENSE_C3[:2] + [_rational_matrix([[-1, 2], [-1, 0]])]  # invertible, not g^2
+    with pytest.raises(SeriesError, match="not multiplicatively closed"):
+        invariant_dimensions(bad, 4)
+    with pytest.raises(SeriesError, match="not multiplicatively closed"):
+        molien_series(bad)
+
+
+def test_reflection_counts_drop_cancelled_terms():
+    monos, (of_h,) = next(islice(_images_by_degree(REFLECTION_C2[1:], 2), 2, None))
+    assert monos[1] == (1, 1) and of_h[1] == {0: -_C * _C, 2: _C * _C}
+    counts = [1, 1, 2, 2, 3, 3, 4, 4, 5]  # a reflection: invariants of degrees 1 and 2
+    assert invariant_dimensions(REFLECTION_C2, 8) == counts
+    assert _all_elements_counts(REFLECTION_C2, 8) == counts
+
+
+def test_oracle_takes_only_nullspace_from_linalg():
+    # the counts stay independent of linalg's accumulate kernels
+    import qks.series
+    tree = ast.parse(inspect.getsource(qks.series))
+    taken = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module and node.module.endswith("linalg") for alias in node.names}
+    assert taken == {"nullspace"}
